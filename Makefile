@@ -68,16 +68,19 @@ attn-smoke:
 bench-attn:
 	$(DUNE) exec bench/main.exe -- attn-json
 
-# <1 s: memory-planned execution of the fused tiny encoder checked bitwise
+# <1 s: memory-planned execution (Memplan.plan: recycled slots, no
+# in-place or aliased placement) of the fused tiny encoder checked bitwise
 # against the allocate-everything interpreter (fast and naive), the >=25%
 # resident-set reduction, and a prepacked 8-token decode checked bitwise
 # against per-call packing (nonzero exit on divergence).
 plan-smoke:
 	$(DUNE) exec bench/main.exe -- plan-smoke
 
-# Planned-vs-unplanned encoder fwd+bwd wall clock, plan-vs-naive peak
+# Encoder fwd+bwd wall clock through Executor.run under the current
+# regime (memory-planned) vs passthrough (unplanned), plan-vs-naive peak
 # resident floats (asserts >=25% reduction), and decode tokens/s with
-# weight prepacking on vs off; regenerates BENCH_pr9.json.
+# weight prepacking on vs off; regenerates BENCH_pr9.json (the committed
+# file predates the removal of in-place/alias placement).
 bench-plan:
 	$(DUNE) exec bench/main.exe -- plan-json
 

@@ -122,7 +122,9 @@ let workload_plan ~name ~name_table ~program hp =
 let bench_workload ~reps ~name ~name_table ~program hp =
   let plan, inputs = workload_plan ~name ~name_table ~program hp in
   let run fast () =
-    Frameworks.Executor.run_functional ~check:No_check ~fast plan inputs
+    Frameworks.Executor.run ~check:No_check
+      (Compile.Regime.passthrough ~fast ())
+      plan inputs
   in
   let total_fast = best_of ~reps (run true) in
   let total_naive = best_of ~reps (run false) in
@@ -219,7 +221,7 @@ let scaling_domain_counts () =
 let scaling_rows ~reps counts run =
   let times =
     List.map
-      (fun d -> (d, Fastmode.with_domains d (fun () -> best_of ~reps run)))
+      (fun d -> (d, Pool.with_domains d (fun () -> best_of ~reps run)))
       counts
   in
   let serial_s = List.assoc 1 times in
@@ -237,7 +239,9 @@ let scaling_rows ~reps counts run =
 let bench_scaling_workload ~reps counts ~name ~name_table ~program hp =
   let plan, inputs = workload_plan ~name ~name_table ~program hp in
   let run () =
-    Frameworks.Executor.run_functional ~check:No_check ~fast:true plan inputs
+    Frameworks.Executor.run ~check:No_check
+      (Compile.Regime.passthrough ~fast:true ())
+      plan inputs
   in
   Obj [ ("name", Str name); ("scaling", Arr (scaling_rows ~reps counts run)) ]
 
@@ -318,11 +322,13 @@ let smoke_parallel hp ~reps =
       hp
   in
   let run () =
-    Frameworks.Executor.run_functional ~check:No_check ~fast:true plan inputs
+    Frameworks.Executor.run ~check:No_check
+      (Compile.Regime.passthrough ~fast:true ())
+      plan inputs
   in
-  let serial_s = Fastmode.with_domains 1 (fun () -> best_of ~reps run) in
+  let serial_s = Pool.with_domains 1 (fun () -> best_of ~reps run) in
   let par_d = Stdlib.max 2 (Pool.num_domains ()) in
-  let par_s = Fastmode.with_domains par_d (fun () -> best_of ~reps run) in
+  let par_s = Pool.with_domains par_d (fun () -> best_of ~reps run) in
   let ratio = serial_s /. par_s in
   let cores = Domain.recommended_domain_count () in
   let floor = if cores >= 2 then 0.95 else 0.4 in
@@ -429,7 +435,7 @@ let run mode =
   | `Smoke ->
       if enc_speedup < 1.0 then begin
         Printf.eprintf
-          "bench-smoke FAILED: fast encoder run_functional is slower than \
+          "bench-smoke FAILED: fast encoder Executor.run is slower than \
            naive (speedup %.2fx < 1.0x)\n"
           enc_speedup;
         exit 1

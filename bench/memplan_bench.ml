@@ -1,9 +1,8 @@
 (* Memory-planner benchmark: the allocator-side face of the data-movement
    argument. The functional interpreter materializes a fresh tensor per
    op and retains every intermediate; the static planner ({!Ops.Memplan})
-   recycles lifetime-analyzed slots, runs element-wise ops in place,
-   aliases pure copies, and — via one-time weight prepacking — stops the
-   decode GEMV from re-packing its out-projection on every token.
+   recycles lifetime-analyzed slots, and one-time weight prepacking stops
+   the decode GEMV from re-packing its out-projection on every token.
 
    [run ~mode]:
    - [`Json]: encoder-layer fwd+bwd wall-clock planned vs unplanned (fast
@@ -42,7 +41,7 @@ let planned_parity ~fast program inputs =
   let env_ref =
     Fastmode.with_mode fast (fun () -> Ops.Program.run program inputs)
   in
-  let mp = Ops.Memplan.for_program program in
+  let mp = Ops.Memplan.plan program in
   let env_pl =
     Fastmode.with_mode fast (fun () -> Ops.Memplan.execute mp inputs)
   in
@@ -121,12 +120,10 @@ let smoke () =
   ignore t_decode;
   Printf.printf
     "plan smoke: parity fast=%b naive=%b | resident %d -> %d floats \
-     (-%.0f%%), %d slots, %d in-place, %d aliased | decode bitwise=%b \
-     (prepack hits %d) | %.2f s\n"
+     (-%.0f%%), %d slots | decode bitwise=%b (prepack hits %d) | %.2f s\n"
     ok_fast ok_naive stats.Ops.Memplan.naive_peak_floats
     stats.Ops.Memplan.plan_peak_floats (100.0 *. reduction)
-    stats.Ops.Memplan.slots stats.Ops.Memplan.inplace
-    stats.Ops.Memplan.aliased decode_bitwise hits
+    stats.Ops.Memplan.slots decode_bitwise hits
     (now () -. t0);
   if not (ok_fast && ok_naive) then begin
     Printf.eprintf "plan smoke FAILED: planned execution diverged\n";
@@ -153,12 +150,18 @@ let json () =
   let reps = 5 in
   let t_unplanned =
     best_of ~reps (fun () ->
-        Frameworks.Executor.run_functional ~check:No_check ~fast:true plan
-          inputs)
+        Frameworks.Executor.run ~check:No_check
+          (Compile.Regime.passthrough ~fast:true ())
+          plan inputs)
   in
+  (* the program is already fused and attention windowing is off, so the
+     pair differs only in memory planning *)
   let t_planned =
     best_of ~reps (fun () ->
-        Frameworks.Executor.run_planned ~check:No_check ~fast:true plan inputs)
+        Fastmode.with_mode true (fun () ->
+            Frameworks.Executor.run ~check:No_check
+              (Compile.Regime.current ~attention:false ())
+              plan inputs))
   in
   let steps = 48 in
   let t_on, t_off, decode_bitwise, hits = decode_bench ~steps ~reps:3 in
@@ -190,10 +193,6 @@ let json () =
               ("reduction_pct", Num (100.0 *. reduction));
               ("slots", Int stats.Ops.Memplan.slots);
               ("slab_floats", Int stats.Ops.Memplan.slab_floats);
-              ("inplace", Int stats.Ops.Memplan.inplace);
-              ("aliased", Int stats.Ops.Memplan.aliased);
-              ( "copies_elided_floats",
-                Int stats.Ops.Memplan.copies_elided_floats );
               ( "reordered",
                 Str (if stats.Ops.Memplan.reordered then "true" else "false")
               );

@@ -351,9 +351,10 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
     :: Transformer.Params.init hp
   in
   (* The oracle run the faulted execution is judged against. *)
-  let clean =
-    Frameworks.Executor.run_functional ~check:Frameworks.Executor.No_check
-      ~fast:false plan inputs
+  let clean, _ =
+    Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+      (Compile.Regime.passthrough ~fast:false ())
+      plan inputs
   in
   let spec = Gpu.Faults.exec_uniform ~seed:(Int64.of_int seed) exec_rate in
   (* [--guard off] is honored (demonstrating unguarded failure); otherwise
@@ -369,7 +370,6 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
       Frameworks.Executor.deadline = Option.map (fun ms -> ms /. 1e3) deadline_ms;
       kernel_timeout = Some (kernel_timeout_ms /. 1e3);
       retries;
-      guard;
       fallback = not no_fallback;
     }
   in
@@ -381,8 +381,10 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
     (Guard.level_to_string guard) (not no_fallback);
   let env, report =
     Gpu.Faults.with_exec_faults spec (fun () ->
-        Frameworks.Executor.run_resilient ~resilience
-          ~check:Frameworks.Executor.No_check ~fast:true plan inputs)
+        Frameworks.Executor.run ~resilience
+          ~check:Frameworks.Executor.No_check
+          { (Compile.Regime.passthrough ~fast:true ()) with guard }
+          plan inputs)
   in
   Format.printf "%a@." Frameworks.Executor.pp_run_report report;
   (match report.Frameworks.Executor.rr_quarantine with

@@ -1,7 +1,6 @@
 (* First-class compiled plans: the pass manager, the verified lowering,
    the LRU plan cache, and the single executor every consumer
-   (Executor.run_*, Transformer.Model, Serve, the CLI) now funnels
-   through. *)
+   (Executor.run, Transformer.Model, Serve, the CLI) funnels through. *)
 
 type plan = {
   source : Ops.Program.t;
@@ -133,9 +132,8 @@ let execute ?check_op ?wrap_op (plan : plan) inputs =
   in
   let go () =
     match plan.memplan with
-    | Some mp when Ops.Memplan.enabled () ->
-        Ops.Memplan.execute ?check_op ~wrap_op:wrap mp inputs
-    | _ ->
+    | Some mp -> Ops.Memplan.execute ?check_op ~wrap_op:wrap mp inputs
+    | None ->
         let env = Ops.Op.env_of_list inputs in
         List.iter
           (fun (op : Ops.Op.t) ->
@@ -145,7 +143,8 @@ let execute ?check_op ?wrap_op (plan : plan) inputs =
           plan.program.Ops.Program.ops;
         env
   in
-  Fastmode.with_mode plan.regime.Regime.fast go
+  Guard.with_level plan.regime.Regime.guard (fun () ->
+      Fastmode.with_mode plan.regime.Regime.fast go)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -320,7 +319,6 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
         if not (pass.p_enabled ctx) then (p, trace, stages)
         else begin
           ctx.Pass.note <- "";
-          ctx.Pass.peak_override <- None;
           let before = List.length p.Ops.Program.ops in
           let t0 = Pool.now () in
           let p' = pass.p_rewrite ctx p in

@@ -67,12 +67,12 @@ val compile :
   plan
 
 (** Execute a plan: registers prepacked weights, pins the regime's
-    backend mode, scopes each op's tuned binding ({!Tuning.with_binding}),
-    and interprets through the memory plan when one was produced (else
-    op-for-op). [check_op op env] runs after each op with its outputs
-    still present (numerical guards); [wrap_op op body] wraps each op's
-    execution + check (resilience retries) and must call [body] exactly
-    once on the success path. *)
+    backend mode and guard level, scopes each op's tuned binding
+    ({!Tuning.with_binding}), and interprets through the memory plan when
+    one was produced (else op-for-op). [check_op op env] runs after each
+    op with its outputs still present (numerical guards); [wrap_op op
+    body] wraps each op's execution + check (resilience retries) and must
+    call [body] exactly once on the success path. *)
 val execute :
   ?check_op:(Ops.Op.t -> Ops.Op.env -> unit) ->
   ?wrap_op:(Ops.Op.t -> (unit -> unit) -> unit) ->

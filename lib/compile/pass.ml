@@ -19,9 +19,8 @@ type stat = {
   st_pass : string;
   st_ops_before : int;
   st_ops_after : int;
-  st_peak_floats : int;  (* allocate-everything resident set after the pass
-                            (the memory-planning pass reports its planned
-                            peak instead) *)
+  st_peak_floats : int;  (* allocate-everything resident set after the pass;
+                            from memory planning on, the planned peak *)
   st_elapsed : float;  (* seconds spent in the rewrite *)
   st_note : string;  (* pass-specific: windows found, bindings bound, ... *)
 }
@@ -37,8 +36,8 @@ type ctx = {
   mutable memplan : Ops.Memplan.t option;
   mutable prepack : string list;  (* containers to register prepacked *)
   mutable note : string;  (* the running pass's [st_note] *)
-  mutable peak_override : int option;  (* the running pass's peak, if it
-                                          knows better than the naive sum *)
+  mutable peak_override : int option;  (* the planned peak once memory
+                                          planning has run *)
 }
 
 let make_ctx ?device ?db ?(name_table = []) ?(params = []) regime =

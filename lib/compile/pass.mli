@@ -17,8 +17,8 @@ type stat = {
   st_ops_before : int;
   st_ops_after : int;
   st_peak_floats : int;
-      (** allocate-everything resident set after the pass; the
-          memory-planning pass reports its planned peak instead *)
+      (** allocate-everything resident set after the pass; from the
+          memory-planning pass onward, the planned peak *)
   st_elapsed : float;  (** seconds spent in the rewrite *)
   st_note : string;
 }

@@ -154,8 +154,7 @@ let dce_cse =
   {
     Pass.p_name = "dce-cse";
     p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
-    p_enabled =
-      (fun ctx -> ctx.Pass.regime.Regime.dce && not ctx.Pass.regime.Regime.retain_all);
+    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p ->
         let before = List.length p.Ops.Program.ops in
@@ -181,8 +180,7 @@ let attention_window =
     p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
     p_enabled =
       (fun ctx ->
-        ctx.Pass.regime.Regime.attention
-        && not ctx.Pass.regime.Regime.retain_all);
+        ctx.Pass.regime.Regime.rewrite && ctx.Pass.regime.Regime.attention);
     p_rewrite =
       (fun ctx p ->
         let p', sites =
@@ -203,9 +201,7 @@ let fusion =
   {
     Pass.p_name = "fusion";
     p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
-    p_enabled =
-      (fun ctx ->
-        ctx.Pass.regime.Regime.fuse && not ctx.Pass.regime.Regime.retain_all);
+    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p -> Substation.Fusion.fuse ~name_table:ctx.Pass.name_table p);
   }
@@ -291,7 +287,7 @@ let tuned_binding =
     Pass.p_name = "tuned-binding";
     p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
     p_enabled =
-      (fun ctx -> ctx.Pass.regime.Regime.tune && ctx.Pass.device <> None);
+      (fun ctx -> ctx.Pass.regime.Regime.rewrite && ctx.Pass.device <> None);
     p_rewrite =
       (fun ctx p ->
         let device = Option.get ctx.Pass.device in
@@ -347,11 +343,7 @@ let memory_plan =
   {
     Pass.p_name = "memory-plan";
     p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
-    p_enabled =
-      (fun ctx ->
-        ctx.Pass.regime.Regime.plan_memory
-        && (not ctx.Pass.regime.Regime.retain_all)
-        && Ops.Memplan.enabled ());
+    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p ->
         let mp = Ops.Memplan.plan ~keep:ctx.Pass.regime.Regime.keep p in
@@ -359,11 +351,9 @@ let memory_plan =
         ctx.Pass.memplan <- Some mp;
         ctx.Pass.peak_override <- Some st.Ops.Memplan.plan_peak_floats;
         ctx.Pass.note <-
-          Printf.sprintf
-            "%d slot(s), peak %d -> %d floats, %d in-place, %d aliased"
+          Printf.sprintf "%d slot(s), peak %d -> %d floats"
             st.Ops.Memplan.slots st.Ops.Memplan.naive_peak_floats
-            st.Ops.Memplan.plan_peak_floats st.Ops.Memplan.inplace
-            st.Ops.Memplan.aliased;
+            st.Ops.Memplan.plan_peak_floats;
         p);
   }
 
@@ -376,7 +366,7 @@ let prepack =
     Pass.p_name = "prepack";
     p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
     p_enabled =
-      (fun ctx -> ctx.Pass.regime.Regime.prepack && ctx.Pass.params <> []);
+      (fun ctx -> ctx.Pass.regime.Regime.rewrite && ctx.Pass.params <> []);
     p_rewrite =
       (fun ctx p ->
         let written = Hashtbl.create 32 in

@@ -1,38 +1,32 @@
 (** Compilation regimes: the execution-environment half of the plan-cache
-    key (fastmode, domain count, guard level) plus the switches deciding
-    which passes run. (program fingerprint x regime) identifies a
-    {!Compiled.plan} completely. *)
+    key (fastmode, domain count, guard level) plus one switch deciding
+    whether the pass pipeline rewrites the program. (program fingerprint
+    x regime) identifies a {!Compiled.plan} completely, and
+    {!Compiled.execute} installs the regime's backend mode and guard
+    level for the run. *)
 
 type t = {
   fast : bool;  (** fast CPU backend vs naive oracle *)
   domains : int;  (** effective worker domain count *)
-  guard : Guard.level;  (** kernel-guard level *)
+  guard : Guard.level;  (** kernel-guard level installed at execute *)
   attention : bool;  (** recognize streaming-attention windows *)
-  fuse : bool;  (** generic fusion engine *)
-  dce : bool;  (** dead-code elimination + CSE *)
-  tune : bool;  (** tuned-parameter binding (engages when a device is
-                    supplied to [compile]) *)
-  plan_memory : bool;  (** static memory planning *)
-  prepack : bool;  (** weight prepack annotation (needs [?params]) *)
   keep : string list;  (** containers the caller reads from the env *)
-  retain_all : bool;  (** keep every intermediate materialized *)
+  rewrite : bool;
+      (** run the full pipeline: DCE/CSE, attention windowing, fusion,
+          tuned binding (when a device is given), memory planning, and
+          prepack (when params are given). [false] is {!passthrough}. *)
 }
 
-(** The full pipeline (attention windowing, fusion, DCE, tuning, memory
-    planning, prepack) under the ambient fastmode / domains / guard
-    settings. *)
-val current : ?attention:bool -> ?fuse:bool -> ?keep:string list -> unit -> t
+(** The full pipeline under the ambient fastmode / domains / guard
+    settings. Dead intermediates recycle memory-plan slots, so only
+    [keep] + terminal outputs survive in the returned environment. *)
+val current : ?attention:bool -> ?keep:string list -> unit -> t
 
 (** No rewriting: the program executes op-for-op as written with every
-    intermediate retained — the executor's run_functional/run_resilient
-    regime, and the training forward's (its backward reads retained
-    intermediates). [fast] defaults to the ambient {!Fastmode} setting. *)
+    intermediate retained — the executor's default, and the training
+    forward's (its backward reads retained intermediates). [fast]
+    defaults to the ambient {!Fastmode} setting. *)
 val passthrough : ?fast:bool -> ?keep:string list -> unit -> t
-
-(** {!passthrough} plus static memory planning (run_planned's regime);
-    dead intermediates recycle slots, so only [keep] + terminal outputs
-    survive in the returned environment. *)
-val planned : ?fast:bool -> ?keep:string list -> unit -> t
 
 (** Canonical cache-key rendering. *)
 val key : t -> string

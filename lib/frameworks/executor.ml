@@ -73,18 +73,11 @@ type resilience = {
   deadline : float option;  (* whole-run wall-clock budget, s *)
   kernel_timeout : float option;  (* per guarded kernel launch, s *)
   retries : int;  (* op-level re-attempts on recoverable failure *)
-  guard : Guard.level;  (* kernel-guard level for the run *)
   fallback : bool;  (* naive-oracle fallback on guarded failures *)
 }
 
 let default_resilience =
-  {
-    deadline = None;
-    kernel_timeout = None;
-    retries = 1;
-    guard = Guard.Nan;
-    fallback = true;
-  }
+  { deadline = None; kernel_timeout = None; retries = 1; fallback = true }
 
 type run_report = {
   rr_fallbacks : Guard.event list;
@@ -117,52 +110,47 @@ let check_op_of check =
         (fun (op : Ops.Op.t) env ->
           List.iter (scan_container ~check env op.Ops.Op.name) op.Ops.Op.writes)
 
-let run_with_policy ~resilience ~check plan inputs =
-  let retried : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  (* The resilience path compiles under the passthrough regime (no
-     rewriting, every intermediate retained): structurally identical runs
-     hit the plan cache, so the compile step is free after the first. *)
-  let regime =
-    { (Compile.Regime.passthrough ()) with Compile.Regime.guard = resilience.guard }
+(* The retry loop rides the compiled executor's [wrap_op] hook: each
+   attempt re-runs the op body plus its numerical scan. A fresh attempt
+   sees fresh fault draws (the injector's per-kernel instance counters
+   advance), so transient failures clear on retry exactly as real ones
+   would. *)
+let retrying ~retries retried (op : Ops.Op.t) body =
+  let rec attempt n =
+    match body () with
+    | () -> ()
+    | exception Pool.Cancelled -> raise Pool.Cancelled
+    | exception (Pool.Deadline_exceeded _ as e) ->
+        (* The kernel guard already absorbed per-kernel timeouts; one
+           that reaches the op loop is the run deadline. *)
+        raise e
+    | exception _ when n < retries ->
+        Hashtbl.replace retried op.Ops.Op.name (n + 1);
+        attempt (n + 1)
   in
+  attempt 0
+
+let run ?(check = Check_nan) ?resilience regime plan inputs =
   let cplan = Compile.Compiled.compile regime plan.program in
-  (* The retry loop rides the compiled executor's [wrap_op] hook: each
-     attempt re-runs the op body plus its numerical scan. A fresh attempt
-     sees fresh fault draws (the injector's per-kernel instance counters
-     advance), so transient failures clear on retry exactly as real ones
-     would. *)
-  let wrap (op : Ops.Op.t) body =
-    let rec attempt n =
-      match body () with
-      | () -> ()
-      | exception Pool.Cancelled -> raise Pool.Cancelled
-      | exception (Pool.Deadline_exceeded _ as e) ->
-          (* The kernel guard already absorbed per-kernel timeouts; one
-             that reaches the op loop is the run deadline. *)
-          raise e
-      | exception _ when n < resilience.retries ->
-          Hashtbl.replace retried op.Ops.Op.name (n + 1);
-          attempt (n + 1)
-    in
-    attempt 0
-  in
+  let check_op = check_op_of check in
+  let retried : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let interpret () =
-    Compile.Compiled.execute ?check_op:(check_op_of check) ~wrap_op:wrap cplan
-      inputs
-  in
-  let under_deadline f =
-    match resilience.deadline with
-    | None -> f ()
-    | Some d -> Pool.with_deadline ~scope:("run:" ^ plan.name) d f
+    match resilience with
+    | None -> Compile.Compiled.execute ?check_op cplan inputs
+    | Some r ->
+        let go () =
+          Compile.Compiled.execute ?check_op
+            ~wrap_op:(retrying ~retries:r.retries retried)
+            cplan inputs
+        in
+        Guard.with_fallback r.fallback (fun () ->
+            Guard.with_kernel_timeout r.kernel_timeout (fun () ->
+                match r.deadline with
+                | None -> go ()
+                | Some d -> Pool.with_deadline ~scope:("run:" ^ plan.name) d go))
   in
   let t0 = Pool.now () in
-  let env, fallbacks =
-    Guard.with_recording (fun () ->
-        Guard.with_level resilience.guard (fun () ->
-            Guard.with_fallback resilience.fallback (fun () ->
-                Guard.with_kernel_timeout resilience.kernel_timeout (fun () ->
-                    under_deadline interpret))))
-  in
+  let env, fallbacks = Guard.with_recording interpret in
   let report =
     {
       rr_fallbacks = fallbacks;
@@ -174,34 +162,6 @@ let run_with_policy ~resilience ~check plan inputs =
     }
   in
   (env, report)
-
-let run_resilient ?(resilience = default_resilience) ?(check = Check_nan) ?fast
-    plan inputs =
-  let go () = run_with_policy ~resilience ~check plan inputs in
-  match fast with None -> go () | Some b -> Fastmode.with_mode b go
-
-let run_functional ?(check = Check_nan) ?resilience ?fast plan inputs =
-  match resilience with
-  | Some r -> fst (run_resilient ~resilience:r ~check ?fast plan inputs)
-  | None ->
-      let cplan =
-        Compile.Compiled.compile (Compile.Regime.passthrough ?fast ())
-          plan.program
-      in
-      Compile.Compiled.execute ?check_op:(check_op_of check) cplan inputs
-
-(* Planned interpretation: same semantics and the same per-op numerical
-   scan as [run_functional], but intermediates live in the memory
-   planner's recycled slots (in-place / aliased where legal) instead of
-   fresh allocations. The planned regime disables its memory-plan pass
-   when planning is off (SUBSTATION_NOPLAN=1), so the compiled plan
-   degrades to the unplanned interpreter by itself. *)
-let run_planned ?(check = Check_nan) ?fast ?keep plan inputs =
-  let cplan =
-    Compile.Compiled.compile (Compile.Regime.planned ?fast ?keep ())
-      plan.program
-  in
-  Compile.Compiled.execute ?check_op:(check_op_of check) cplan inputs
 
 let default_kernels ?quality ~device program ops =
   List.map

@@ -28,40 +28,40 @@ val total_time : report -> float
 (** [time_plan device plan] runs the kernel stream through the simulator. *)
 val time_plan : Gpu.Device.t -> plan -> report
 
-(** Numerical guard level for the functional interpreter. [Check_nan] (the
-    default) flags NaN, which is never legitimate in these programs;
-    [Check_finite] additionally flags infinities (note that masked decoder
-    attention legitimately materializes [-inf] logits, so [Check_finite]
-    is only for programs without additive masks). *)
+(** Per-op numerical scan level. [Check_nan] (the default) flags NaN,
+    which is never legitimate in these programs; [Check_finite]
+    additionally flags infinities (note that masked decoder attention
+    legitimately materializes [-inf] logits, so [Check_finite] is only for
+    programs without additive masks). Unlike {!Guard}, which scans only
+    fast-kernel outputs and heals through the naive oracle, this scan
+    checks every container every op writes and names the op that wrote
+    the bad value. *)
 type numeric_check = No_check | Check_nan | Check_finite
 
-(** Raised by [run_functional] when an operator writes a non-finite value:
-    names the offending operator, the container, and the value class. *)
+(** Raised by {!run} when an operator writes a non-finite value: names
+    the offending operator, the container, and the value class. *)
 exception
   Numerical_fault of { fault_op : string; container : string; value : string }
 
 (** {1 Resilient execution}
 
-    A {!resilience} policy bounds and supervises a functional run: a
-    whole-run deadline, a per-kernel time budget, op-level retries, the
-    kernel-guard level, and whether guarded failures fall back to the
-    naive oracle. {!run_resilient} additionally returns a structured
-    {!run_report} listing every fallback the guard engaged, every
-    operator that needed a retry, and the quarantine state — so a run
-    that survived injected faults is distinguishable from one that never
-    saw any. *)
+    A {!resilience} policy bounds and supervises a run: a whole-run
+    deadline, a per-kernel time budget, op-level retries, and whether
+    guarded failures fall back to the naive oracle. The kernel-guard
+    level is the regime's ([Compile.Regime.guard]). *)
 
 type resilience = {
   deadline : float option;  (** whole-run wall-clock budget, seconds *)
   kernel_timeout : float option;  (** per guarded kernel launch, seconds *)
   retries : int;  (** op-level re-attempts on recoverable failure *)
-  guard : Guard.level;  (** kernel-guard level for the run *)
   fallback : bool;  (** naive-oracle fallback on guarded failures *)
 }
 
-(** No deadline, no kernel budget, one retry, [Guard.Nan], fallback on. *)
+(** No deadline, no kernel budget, one retry, fallback on. *)
 val default_resilience : resilience
 
+(** What the run's resilience machinery engaged — so a run that survived
+    injected faults is distinguishable from one that never saw any. *)
 type run_report = {
   rr_fallbacks : Guard.event list;  (** every fallback, execution order *)
   rr_retried : (string * int) list;  (** op name, retries it consumed *)
@@ -71,55 +71,25 @@ type run_report = {
 
 val pp_run_report : Format.formatter -> run_report -> unit
 
-(** [run_resilient ?resilience ?check ?fast plan inputs] interprets the
-    plan's program under the policy and reports what resilience machinery
-    engaged. [Pool.Cancelled] and a blown {e run} deadline
+(** [run ?check ?resilience regime plan inputs] compiles the plan's
+    program under [regime] through {!Compile.Compiled} (structurally
+    identical runs hit the plan cache and re-run zero passes) and
+    executes it, validating every container an operator writes according
+    to [check] (default [Check_nan]). {!Compile.Regime.passthrough}
+    interprets op-for-op with every intermediate retained;
+    {!Compile.Regime.current} runs the full pipeline, so only terminal
+    outputs and [keep] survive. Without [resilience] no retry, deadline
+    or kernel budget applies and the ambient guard fallback setting
+    holds. [Pool.Cancelled] and a blown {e run} deadline
     ([Pool.Deadline_exceeded]) propagate; kernel-level failures are
     absorbed per policy. *)
-val run_resilient :
-  ?resilience:resilience ->
+val run :
   ?check:numeric_check ->
-  ?fast:bool ->
+  ?resilience:resilience ->
+  Compile.Regime.t ->
   plan ->
   (string * Dense.t) list ->
   Ops.Op.env * run_report
-
-(** [run_functional ?check ?resilience ?fast plan inputs] interprets the
-    plan's program, validating every container an operator writes
-    according to [check] (default [Check_nan]). [resilience] routes the
-    run through {!run_resilient} (dropping the report). [fast] pins the
-    numeric backend for the duration of the run ([true] = blocked-GEMM
-    einsum + fused kernels, [false] = the naive oracle); when omitted,
-    the ambient {!Fastmode.enabled} setting applies.
-
-    All three entry points compile through {!Compile.Compiled} first —
-    [run_functional]/[run_resilient] under the passthrough regime (no
-    rewriting), [run_planned] under the planned one — so structurally
-    identical runs hit the plan cache and re-run zero passes. *)
-val run_functional :
-  ?check:numeric_check ->
-  ?resilience:resilience ->
-  ?fast:bool ->
-  plan ->
-  (string * Dense.t) list ->
-  Ops.Op.env
-
-(** [run_planned ?check ?fast ?keep plan inputs] interprets the plan's
-    program through the static memory planner ({!Ops.Memplan}):
-    bitwise-equal to {!run_functional} with the same per-op numerical
-    scan, but intermediates recycle lifetime-analyzed slot buffers
-    (in-place / aliased where legal) instead of allocating fresh.
-    [keep] names intermediate containers the caller reads from the
-    returned environment (terminal outputs are always kept). Degrades
-    to the unplanned interpreter when planning is disabled
-    ([SUBSTATION_NOPLAN=1]). *)
-val run_planned :
-  ?check:numeric_check ->
-  ?fast:bool ->
-  ?keep:string list ->
-  plan ->
-  (string * Dense.t) list ->
-  Ops.Op.env
 
 (** [default_kernels ?quality program ops ~device] builds one kernel per
     operator using the framework-natural configuration. *)

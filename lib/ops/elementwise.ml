@@ -119,19 +119,6 @@ let dropout_mask ~seed ~name dims ~p =
   (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. *)
   Dense.init dims (fun _ -> if Prng.bernoulli prng ~p then 0.0 else scale)
 
-(* [dropout_mask] into a caller-supplied buffer (the memory planner's slot
-   path). [Dense.init] fills positions 0..n-1 in storage order with one
-   bernoulli draw each, so the flat walk below reproduces it bitwise
-   without allocating. *)
-let dropout_mask_into ~seed ~name dims ~p buf =
-  let scale = dropout_keep_scale p in
-  let prng = Prng.of_key seed name in
-  let t = Dense.of_buffer dims buf in
-  for i = 0 to Array.length buf - 1 do
-    buf.(i) <- (if Prng.bernoulli prng ~p then 0.0 else scale)
-  done;
-  t
-
 let dropout ~name ~x ~out ~mask dims ~p ~seed ?(backward = false) () =
   ignore (dropout_keep_scale p);
   let vjp ~cotangents env =

@@ -104,11 +104,3 @@ val dropout_keep_scale : float -> float
     dropout operator [name] would draw — shared with fused kernels. *)
 val dropout_mask :
   seed:int64 -> name:string -> (Axis.t * int) list -> p:float -> Dense.t
-
-(** [dropout_mask_into ~seed ~name dims ~p buf] writes the identical mask
-    sequence into [buf] (length = volume of [dims]) and wraps it without
-    copying — the memory planner's slot-backed variant of
-    {!dropout_mask}. *)
-val dropout_mask_into :
-  seed:int64 -> name:string -> (Axis.t * int) list -> p:float
-  -> float array -> Dense.t

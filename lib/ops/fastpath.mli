@@ -19,20 +19,3 @@
     always sound because only dead chain intermediates are skipped. *)
 val compile_group :
   external_writes:string list -> Op.t list -> (Op.env -> unit) option
-
-(** {1 Shared interpretation helpers}
-
-    The memory planner ({!Memplan}) re-interprets single element-wise ops
-    against planner-owned buffers; it must apply exactly the per-element
-    function this module applies so planned results stay bitwise equal. *)
-
-(** [apply_fn fn v o] is one element step: [v] the chained value, [o] the
-    operand element (ignored by unary fns). *)
-val apply_fn : Op.elt_fn -> float -> float -> float
-
-(** Row-major strides of [dims] — the layout under which an operand can be
-    indexed by flat position directly. *)
-val canonical_strides : int array -> int array
-
-(** Element volume below which a parallel region costs more than the work. *)
-val par_min_work : int

@@ -6,46 +6,25 @@
    what the dataflow needs. This module runs a lifetime analysis over a
    program (post-fusion), picks a topological schedule that keeps the live
    set small, and emits a placement plan: dead intermediates recycle a
-   bounded pool of planner-owned slot buffers, element-wise ops whose
-   input dies at that op execute in place, pure [Copy] ops become
-   zero-copy aliases, and everything the planner cannot interpret runs its
-   own (guarded) closure with the freshly allocated output adopted into
-   the slot afterwards.
+   bounded pool of planner-owned slot buffers. Contractions write straight
+   into their slot; every other op runs its own (guarded) closure and the
+   freshly allocated output is adopted into the slot afterwards.
 
    Invariants that make planned execution bitwise-equal to the
    allocate-everything oracle:
 
    - The environment stays the source of truth: every op consumes exactly
-     the tensors the oracle would, and planner-produced values are written
-     by loops replicating the naive constructors' per-element float
-     expressions (via {!Fastpath.apply_fn} and the same strided operand
-     walks). Slots only decide *where* bytes land, never *what* they are.
+     the tensors the oracle would, and every value is computed by the op's
+     own closure or by the same einsum the op would call. Slots only
+     decide *where* bytes land, never *what* they are.
    - Scheduling respects read-after-write, write-after-read, and
      write-after-write dependencies; ops are pure functions of their
      inputs (dropout masks draw from a per-op PRNG stream key), so any
      topological order computes identical values.
-   - A fallible kernel never writes through a live alias: in-place
-     placement is reserved for the planner's own infallible scalar loop,
-     contractions write into slot buffers nothing else aliases (a guard
-     fallback re-zeroes that private buffer and recomputes), and opaque
-     ops allocate privately with adoption only after they succeed.
-   - Aliasing is conservative: a [Copy] aliases only a live slot-backed
-     source; pinned inputs and escaping (kept) outputs are copied for
-     real, and a source with live aliases is never overwritten in place.
-
-   Escape hatch: SUBSTATION_NOPLAN=1 disables planning process-wide
-   ({!enabled} returns false; {!Frameworks.Executor.run_planned} then
-   falls back to the unplanned path). *)
-
-(* ------------------------------------------------------------------ *)
-(* Global switches                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let env_disabled = lazy (Substation_env.noplan ())
-
-let state = ref None (* None = follow the env var *)
-let enabled () = match !state with Some b -> b | None -> not (Lazy.force env_disabled)
-let set_enabled b = state := Some b
+   - A fallible kernel never writes through a live tensor: contractions
+     write into slot buffers nothing else holds (a guard fallback
+     re-zeroes that private buffer and recomputes), and other ops allocate
+     privately with adoption only after they succeed. *)
 
 (* Environment keys that shadow a container under a suffix (e.g. the
    streaming-attention op stores per-row logsumexp under "<out>.lse").
@@ -63,13 +42,10 @@ let register_sidecar suffix =
 type dest =
   | Dslot of int  (* write into the slot's (recycled) buffer *)
   | Dfresh  (* escaping output: fresh allocation every run *)
-  | Dinplace of int  (* overwrite the dying chain input's buffer (its slot) *)
 
 type mode =
   | Opaque of (string * int) list
       (* run the op's own closure; adopt each (container, slot) output *)
-  | Celt of { e : Op.elt_sem; out : dest; mask : dest option }
-  | Calias of { e : Op.elt_sem }  (* Copy as a zero-copy view of its source *)
   | Ccontract of { c : Op.contract_sem; out : dest }
 
 type action = {
@@ -86,11 +62,10 @@ type stats = {
   live_peak_floats : int;  (* max simultaneously-named floats in the schedule *)
   slots : int;
   slab_floats : int;  (* total recycled slot storage *)
-  placed : int;  (* sem-interpreted ops writing straight into slots *)
+  placed : int;  (* contractions writing straight into slots *)
   adopted : int;  (* opaque ops with outputs adopted into slots *)
-  inplace : int;  (* element-wise ops overwriting their dying input *)
-  aliased : int;  (* copies elided into zero-copy views *)
-  copies_elided_floats : int;
+  inplace : int;  (* always 0: no op overwrites its input *)
+  aliased : int;  (* always 0: no container aliases another *)
   reordered : bool;  (* schedule differs from program order *)
 }
 
@@ -274,19 +249,6 @@ let greedy_order ops info =
 (* Placement                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An op is sem-placeable only when its declared writes are exactly what
-   the sem describes — fusion-wrapped multi-member groups keep sem = None
-   and fall to [Opaque]. *)
-let elt_of (op : Op.t) =
-  match op.Op.sem with
-  | Some (Op.Elt e) ->
-      let expected =
-        e.Op.e_out :: (match e.Op.e_mask with Some m -> [ m ] | None -> [])
-      in
-      if List.sort compare op.Op.writes = List.sort compare expected then Some e
-      else None
-  | _ -> None
-
 let contract_of (op : Op.t) =
   match op.Op.sem with
   | Some (Op.Contract c)
@@ -294,14 +256,6 @@ let contract_of (op : Op.t) =
          && List.for_all (fun i -> List.mem i op.Op.reads) c.Op.c_inputs ->
       Some c
   | _ -> None
-
-type counters = {
-  mutable c_placed : int;
-  mutable c_adopted : int;
-  mutable c_inplace : int;
-  mutable c_aliased : int;
-  mutable c_elided : int;
-}
 
 let build_for_order (p : Program.t) info order =
   let ops = Array.of_list p.Program.ops in
@@ -346,15 +300,12 @@ let build_for_order (p : Program.t) info order =
     | None -> Hashtbl.add free_by_size size (ref [ sid ])
   in
   let slot_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let slot_rc : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rc sid = try Hashtbl.find slot_rc sid with Not_found -> 0 in
   let acquire c =
     match Hashtbl.find_opt slot_of c with
     | Some sid -> sid (* re-written container keeps its slot *)
     | None ->
         let sid = alloc_slot (vol info c) in
         Hashtbl.replace slot_of c sid;
-        Hashtbl.replace slot_rc sid (rc sid + 1);
         sid
   in
   (* live-float accounting (named tensors, not slab) *)
@@ -363,9 +314,7 @@ let build_for_order (p : Program.t) info order =
     live := !live + v;
     if !live > !live_peak then live_peak := !live
   in
-  let counters =
-    { c_placed = 0; c_adopted = 0; c_inplace = 0; c_aliased = 0; c_elided = 0 }
-  in
+  let placed = ref 0 and adopted = ref 0 in
   let defined : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let first_def c =
     if Hashtbl.mem defined c then false
@@ -381,76 +330,30 @@ let build_for_order (p : Program.t) info order =
   for pos = 0 to n - 1 do
     let j = order.(pos) in
     let op = ops.(j) in
-    let dest_for c =
-      if is_kept info c || is_pinned info c then Dfresh else Dslot (acquire c)
-    in
     let mode =
-      match elt_of op with
-      | Some e ->
-          let x = e.Op.e_x in
-          let out = e.Op.e_out in
-          let x_slot = Hashtbl.find_opt slot_of x in
-          let out_escapes = is_kept info out || is_pinned info out in
-          let same_vol = vol info x = vol info out && vol info x > 0 in
-          if
-            e.Op.e_fn = Op.Copy && e.Op.e_mask = None && (not out_escapes)
-            && same_vol
-            && x_slot <> None
-          then begin
-            (* zero-copy alias: out joins x's slot *)
-            let sid = Option.get x_slot in
-            Hashtbl.replace slot_of out sid;
-            Hashtbl.replace slot_rc sid (rc sid + 1);
-            counters.c_aliased <- counters.c_aliased + 1;
-            counters.c_elided <- counters.c_elided + vol info out;
-            Calias { e }
-          end
-          else if
-            (not out_escapes) && same_vol
-            && (match x_slot with
-               | Some sid ->
-                   (try Hashtbl.find last_use x with Not_found -> -1) = pos
-                   && rc sid = 1
-               | None -> false)
-            && e.Op.e_operand <> Some x
-            && out <> x
-          then begin
-            (* x dies here, nothing aliases it: overwrite its buffer *)
-            let sid = Option.get x_slot in
-            Hashtbl.remove slot_of x;
-            Hashtbl.replace slot_of out sid;
-            counters.c_inplace <- counters.c_inplace + 1;
-            let mask =
-              Option.map (fun m -> dest_for m) e.Op.e_mask
-            in
-            counters.c_placed <- counters.c_placed + 1;
-            Celt { e; out = Dinplace sid; mask }
-          end
-          else begin
-            let out_d = dest_for out in
-            let mask = Option.map (fun m -> dest_for m) e.Op.e_mask in
-            counters.c_placed <- counters.c_placed + 1;
-            Celt { e; out = out_d; mask }
-          end
-      | None -> (
-          match contract_of op with
-          | Some c ->
-              counters.c_placed <- counters.c_placed + 1;
-              Ccontract { c; out = dest_for c.Op.c_out }
-          | None ->
-              let adoptions =
-                List.filter_map
-                  (fun c ->
-                    if is_kept info c || is_pinned info c then None
-                    else Some (c, acquire c))
-                  (distinct op.Op.writes)
-              in
-              if adoptions <> [] then counters.c_adopted <- counters.c_adopted + 1;
-              Opaque adoptions)
+      match contract_of op with
+      | Some c ->
+          incr placed;
+          Ccontract
+            {
+              c;
+              out =
+                (if is_kept info c.Op.c_out || is_pinned info c.Op.c_out then
+                   Dfresh
+                 else Dslot (acquire c.Op.c_out));
+            }
+      | None ->
+          let adoptions =
+            List.filter_map
+              (fun c ->
+                if is_kept info c || is_pinned info c then None
+                else Some (c, acquire c))
+              (distinct op.Op.writes)
+          in
+          if adoptions <> [] then incr adopted;
+          Opaque adoptions
     in
-    (* live accounting: every first write materializes its volume (even
-       in-place and aliased outputs share storage, but the *naive* baseline
-       and live-peak count names; slab accounting below counts storage) *)
+    (* live accounting: every first write materializes its volume *)
     List.iter
       (fun c ->
         if (not (is_pinned info c)) && first_def c then gain (vol info c))
@@ -470,9 +373,7 @@ let build_for_order (p : Program.t) info order =
         match Hashtbl.find_opt slot_of c with
         | Some sid ->
             Hashtbl.remove slot_of c;
-            let r = rc sid - 1 in
-            Hashtbl.replace slot_rc sid r;
-            if r = 0 then release_slot sid
+            release_slot sid
         | None -> ())
       dying;
     actions.(pos) <- { act_op = op; act_mode = mode; act_remove = dying }
@@ -496,23 +397,22 @@ let build_for_order (p : Program.t) info order =
       live_peak_floats = !live_peak;
       slots = Array.length slot_sizes;
       slab_floats = slab;
-      placed = counters.c_placed;
-      adopted = counters.c_adopted;
-      inplace = counters.c_inplace;
-      aliased = counters.c_aliased;
-      copies_elided_floats = counters.c_elided;
+      placed = !placed;
+      adopted = !adopted;
+      inplace = 0;
+      aliased = 0;
       reordered = not (Array.for_all2 ( = ) order (Array.init n (fun i -> i)));
     }
   in
   (actions, slot_sizes, stats)
 
-let plan ?keep ?(reorder = true) (p : Program.t) =
+let plan ?keep (p : Program.t) =
   let ops = Array.of_list p.Program.ops in
   let n = Array.length ops in
   let info = analyze ?keep p in
   let identity = Array.init n (fun i -> i) in
   let candidates =
-    if reorder && n > 1 then [ identity; greedy_order ops info ] else [ identity ]
+    if n > 1 then [ identity; greedy_order ops info ] else [ identity ]
   in
   let built =
     List.map (fun order -> build_for_order p info order) candidates
@@ -535,29 +435,6 @@ let plan ?keep ?(reorder = true) (p : Program.t) =
     p_busy = Atomic.make false;
   }
 
-(* Memoized plans keyed by physical program identity (programs are built
-   once and re-run many times), so slot buffers persist across runs —
-   the steady-state allocation rate of a planned training/serving loop is
-   zero for placed containers. *)
-let memo : (Program.t * string list * bool * t) list ref = ref []
-let memo_cap = 64
-
-let for_program ?(keep = []) ?(reorder = true) p =
-  match
-    List.find_opt
-      (fun (q, k, r, _) -> q == p && k = keep && r = reorder)
-      !memo
-  with
-  | Some (_, _, _, t) -> t
-  | None ->
-      let t = plan ~keep ~reorder p in
-      memo :=
-        (p, keep, reorder, t)
-        :: (if List.length !memo >= memo_cap then
-              List.filteri (fun i _ -> i < memo_cap - 1) !memo
-            else !memo);
-      t
-
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -577,125 +454,6 @@ let adopt env slots sizes (c, sid) =
   | Some t when Array.length (Dense.unsafe_data t) = sizes.(sid) ->
       slots.(sid) <- Some (Dense.unsafe_data t)
   | _ -> ()
-
-(* Interpret one element-wise op against planner-owned storage. Applies
-   exactly {!Fastpath.apply_fn} per element with the operand walked by the
-   same strides the fused chain interpreter uses, so results are bitwise
-   equal to both the naive constructor and the fused fast path. *)
-let run_elt env slots sizes (op : Op.t) (e : Op.elt_sem) out_d mask_d =
-  let x = Op.lookup env e.Op.e_x in
-  let ax = Dense.layout x in
-  let dims = Array.of_list (Shape.sizes (Dense.shape x)) in
-  let total = Dense.volume x in
-  let sem_vol = List.fold_left (fun acc (_, v) -> acc * v) 1 e.Op.e_dims in
-  let compatible =
-    Axis.equal_sets (List.map fst e.Op.e_dims) ax && sem_vol = total
-  in
-  if not compatible then begin
-    (* runtime layout surprise: the op's own closure is always sound *)
-    op.Op.run env;
-    (match out_d with
-    | Dslot sid | Dinplace sid -> adopt env slots sizes (e.Op.e_out, sid)
-    | Dfresh -> ());
-    match (mask_d, e.Op.e_mask) with
-    | Some (Dslot sid), Some m -> adopt env slots sizes (m, sid)
-    | _ -> ()
-  end
-  else begin
-    let opnd =
-      match e.Op.e_fn with
-      | Op.Dropout_gen { p; seed; key } ->
-          let m =
-            match mask_d with
-            | Some (Dslot sid) when sizes.(sid) = sem_vol ->
-                Elementwise.dropout_mask_into ~seed ~name:key e.Op.e_dims ~p
-                  (materialize slots sizes sid)
-            | _ -> Elementwise.dropout_mask ~seed ~name:key e.Op.e_dims ~p
-          in
-          (match e.Op.e_mask with Some mc -> Op.store env mc m | None -> ());
-          Some m
-      | _ -> Option.map (Op.lookup env) e.Op.e_operand
-    in
-    let xd = Dense.unsafe_data x in
-    let ob =
-      match out_d with
-      | Dinplace _ -> xd
-      | Dslot sid ->
-          let b = materialize slots sizes sid in
-          if Array.length b = total then b else Array.make total 0.0
-      | Dfresh -> Array.make total 0.0
-    in
-    (match out_d with
-    | Dinplace sid -> slots.(sid) <- Some ob
-    | _ -> ());
-    let out_t = Dense.of_buffer (Shape.to_list (Dense.shape x)) ob in
-    let fn = e.Op.e_fn in
-    (match opnd with
-    | None ->
-        let run_range lo hi =
-          for pos = lo to hi - 1 do
-            Array.unsafe_set ob pos
-              (Fastpath.apply_fn fn (Array.unsafe_get xd pos) 0.0)
-          done
-        in
-        if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-          Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-            run_range
-        else run_range 0 total
-    | Some o ->
-        let od = Dense.unsafe_data o in
-        let str = Dense.strides_for o ax in
-        if str = Fastpath.canonical_strides dims then begin
-          let run_range lo hi =
-            for pos = lo to hi - 1 do
-              Array.unsafe_set ob pos
-                (Fastpath.apply_fn fn (Array.unsafe_get xd pos)
-                   (Array.unsafe_get od pos))
-            done
-          in
-          if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-            Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-              run_range
-          else run_range 0 total
-        end
-        else begin
-          let ndim = Array.length dims in
-          let run_range lo hi =
-            let idx = Array.make (Stdlib.max ndim 1) 0 in
-            let rem = ref lo in
-            for d = ndim - 1 downto 0 do
-              idx.(d) <- !rem mod dims.(d);
-              rem := !rem / dims.(d)
-            done;
-            let ooff = ref 0 in
-            for d = 0 to ndim - 1 do
-              ooff := !ooff + (idx.(d) * str.(d))
-            done;
-            for pos = lo to hi - 1 do
-              Array.unsafe_set ob pos
-                (Fastpath.apply_fn fn (Array.unsafe_get xd pos)
-                   (Array.unsafe_get od !ooff));
-              let rec bump d =
-                if d >= 0 then begin
-                  idx.(d) <- idx.(d) + 1;
-                  ooff := !ooff + str.(d);
-                  if idx.(d) = dims.(d) then begin
-                    idx.(d) <- 0;
-                    ooff := !ooff - (str.(d) * dims.(d));
-                    bump (d - 1)
-                  end
-                end
-              in
-              bump (ndim - 1)
-            done
-          in
-          if total >= Fastpath.par_min_work && Pool.num_domains () > 1 then
-            Pool.parallel_for ~label:"memplan.elt" ~start:0 ~finish:total
-              run_range
-          else run_range 0 total
-        end);
-    Op.store env e.Op.e_out out_t
-  end
 
 let run_contract env slots sizes (c : Op.contract_sem) out_d =
   let ins = List.map (Op.lookup env) c.Op.c_inputs in
@@ -735,12 +493,6 @@ let execute_with slots t ?check_op ?wrap_op inputs =
         | Opaque adoptions ->
             act.act_op.Op.run env;
             List.iter (adopt env slots sizes) adoptions
-        | Celt { e; out; mask } -> run_elt env slots sizes act.act_op e out mask
-        | Calias { e } ->
-            let x = Op.lookup env e.Op.e_x in
-            Op.store env e.Op.e_out
-              (Dense.of_buffer (Shape.to_list (Dense.shape x))
-                 (Dense.unsafe_data x))
         | Ccontract { c; out } -> run_contract env slots sizes c out);
         match check_op with Some f -> f act.act_op env | None -> ()
       in
@@ -765,4 +517,3 @@ let execute ?check_op ?wrap_op t inputs =
     execute_with (Array.map (fun _ -> None) t.p_slots) t ?check_op ?wrap_op
       inputs
 
-let run ?keep ?reorder p inputs = execute (for_program ?keep ?reorder p) inputs

@@ -1,28 +1,20 @@
-(** Static memory planning: lifetime-analyzed slot placement, in-place and
-    aliased execution, and a schedule chosen to minimize the resident set.
+(** Static memory planning: lifetime-analyzed slot placement and a
+    schedule chosen to minimize the resident set.
 
     {!Program.run} allocates a fresh tensor per op and retains every
     container, so its peak resident set is the sum of all intermediates.
     [plan] analyzes container lifetimes over a (post-fusion) program,
     compares the program order against a greedy peak-minimizing
     topological reorder, and assigns each non-escaping container to a
-    recycled slot buffer: element-wise ops whose input dies at that op
-    run in place, pure copies become zero-copy aliases, contractions
-    write straight into their slot, and ops the planner cannot interpret
-    run their own closure with the output adopted into the slot after the
-    fact. Aliasing is conservative — pinned inputs and outputs that
-    escape to the caller are always copied for real, and a buffer with
-    live aliases is never overwritten.
+    recycled slot buffer: contractions write straight into their slot,
+    and every other op runs its own closure with the output adopted into
+    the slot after the fact. Pinned inputs and outputs that escape to the
+    caller get fresh storage every run.
 
     [execute] is bitwise-equal to {!Program.run} (serial and parallel,
     fast and naive mode): the environment remains the source of truth,
-    planner loops apply exactly the naive constructors' per-element
-    functions, and guarded kernels recover into private storage no live
-    tensor aliases.
-
-    Setting [SUBSTATION_NOPLAN=1] in the environment disables planning
-    process-wide ({!enabled} returns [false]); callers are expected to
-    fall back to the unplanned interpreter. *)
+    every value is computed by the op's own closure or the einsum it
+    calls, and guarded kernels recover into private storage. *)
 
 type t
 (** A compiled plan: a placement-annotated action per op plus the slot
@@ -36,36 +28,24 @@ type stats = {
   live_peak_floats : int;  (** max simultaneously-live floats in the schedule *)
   slots : int;
   slab_floats : int;  (** total recycled slot storage *)
-  placed : int;  (** sem-interpreted ops writing straight into slots *)
-  adopted : int;  (** opaque ops whose outputs were adopted into slots *)
-  inplace : int;  (** element-wise ops overwriting their dying input *)
-  aliased : int;  (** copies elided into zero-copy views *)
-  copies_elided_floats : int;
+  placed : int;  (** contractions writing straight into slots *)
+  adopted : int;  (** other ops whose outputs were adopted into slots *)
+  inplace : int;  (** always 0: no op overwrites its input's buffer *)
+  aliased : int;  (** always 0: no container shares another's buffer *)
   reordered : bool;  (** schedule differs from program order *)
 }
-
-val enabled : unit -> bool
-(** [false] when [SUBSTATION_NOPLAN=1] (or {!set_enabled}[ false]). *)
-
-val set_enabled : bool -> unit
-(** Override the environment switch (tests and benchmarks). *)
 
 val register_sidecar : string -> unit
 (** Register an environment-key suffix that shadows a container (e.g.
     [".lse"] for streaming attention's per-row logsumexp): removing a
     dead container also removes [container ^ suffix]. *)
 
-val plan : ?keep:string list -> ?reorder:bool -> Program.t -> t
+val plan : ?keep:string list -> Program.t -> t
 (** Analyze and place [p]. Containers in [keep] (plus terminal outputs
     that no op reads) escape to the caller: they get fresh storage every
-    run and are never aliased. [reorder] (default [true]) also tries the
-    greedy peak-minimizing schedule and keeps whichever order yields the
-    smaller planned resident set. *)
-
-val for_program : ?keep:string list -> ?reorder:bool -> Program.t -> t
-(** Memoized {!plan}, keyed on the program's physical identity — re-runs
-    of the same program reuse both the analysis and the slot buffers, so
-    steady-state allocation for placed containers is zero. *)
+    run. Both the program order and the greedy peak-minimizing schedule
+    are placed; the one with the smaller planned resident set wins. The
+    plan owns its slot buffers, so re-executing it reuses them. *)
 
 val stats : t -> stats
 
@@ -87,7 +67,3 @@ val execute :
     same plan is safe: the second caller runs against private
     (non-recycled) buffers. *)
 
-val run :
-  ?keep:string list -> ?reorder:bool -> Program.t -> (string * Dense.t) list
-  -> Op.env
-(** [execute (for_program p) inputs]. *)

@@ -4,7 +4,6 @@
 
 let state = ref (not (Substation_env.naive ()))
 let enabled () = !state
-let set b = state := b
 
 let with_mode b f =
   let saved = !state in
@@ -13,7 +12,3 @@ let with_mode b f =
 
 let with_naive f = with_mode false f
 
-(* Scoped domain-count override for the multicore backend, mirroring
-   [with_naive]: tests and benches pin worker counts without touching the
-   SUBSTATION_DOMAINS environment. *)
-let with_domains n f = Pool.with_domains n f

@@ -4,14 +4,11 @@
     The fast paths (blocked GEMM einsum lowering, fused executor kernels,
     stride-plan caching) are on by default; the naive odometer-loop
     implementations remain in-tree as the oracle. Set the environment
-    variable [SUBSTATION_NAIVE=1] to start with the naive backend, or flip
-    at runtime with {!set} / scope with {!with_mode}. *)
+    variable [SUBSTATION_NAIVE=1] to start with the naive backend, or
+    scope a mode with {!with_mode}. *)
 
 val enabled : unit -> bool
 (** Is the fast backend currently active? *)
-
-val set : bool -> unit
-(** [set true] enables the fast backend, [set false] forces naive. *)
 
 val with_mode : bool -> (unit -> 'a) -> 'a
 (** [with_mode b f] runs [f] with the backend toggled to [b], restoring the
@@ -19,9 +16,3 @@ val with_mode : bool -> (unit -> 'a) -> 'a
 
 val with_naive : (unit -> 'a) -> 'a
 (** [with_naive f] is [with_mode false f]: run [f] on the oracle path. *)
-
-val with_domains : int -> (unit -> 'a) -> 'a
-(** [with_domains n f] runs [f] with the multicore backend pinned to [n]
-    domains ([0]/[1] = serial), restoring the previous count afterwards —
-    {!Pool.with_domains}, re-exported next to {!with_naive} so tests and
-    benchmarks control both backend switches from one module. *)

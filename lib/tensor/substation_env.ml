@@ -1,7 +1,7 @@
 (* Single parse point for every SUBSTATION_* environment toggle.
 
    Historically each subsystem read its own variable at module init
-   (fastmode.ml, pool.ml, guard.ml, memplan.ml, flashattn.ml) with
+   (fastmode.ml, pool.ml, guard.ml, flashattn.ml) with
    subtly different parsers, and a typo — SUBSTATION_NAIVE=ture — was
    silently ignored. This module parses the whole environment once,
    records every malformed value as a warning (printed to stderr the
@@ -10,7 +10,7 @@
 
    The parse is lazy-once: [Sys.getenv_opt] at first use, cached for the
    process. Scoped overrides (Fastmode.with_mode, Pool.with_domains,
-   Guard.with_level, Memplan.set_enabled) still win over the environment
+   Guard.with_level) still win over the environment
    exactly as before — this module only replaces where the env values
    come from, not the override layering. *)
 
@@ -18,7 +18,6 @@ type guard_level = Goff | Gexn | Gnan | Gfinite
 
 type t = {
   naive : bool;  (* SUBSTATION_NAIVE: disable the fast CPU backend *)
-  noplan : bool;  (* SUBSTATION_NOPLAN: disable the static memory planner *)
   guard : guard_level option;  (* SUBSTATION_GUARD: kernel-guard level *)
   domains : int option;  (* SUBSTATION_DOMAINS: worker domain count *)
   attn_tiles : (int * int) option;  (* SUBSTATION_ATTN_TILES: "QxK" *)
@@ -94,15 +93,25 @@ let opt ~lookup ~var parse warnings default =
    whole parser as a pure function, so tests can exercise malformed
    values without touching the process environment. *)
 let parse_with lookup =
-  let w = [] in
+  (* A retired variable still set in someone's shell must not pass for a
+     working toggle. *)
+  let w =
+    match lookup "SUBSTATION_NOPLAN" with
+    | None -> []
+    | Some _ ->
+        [
+          "SUBSTATION_NOPLAN is retired and ignored: memory planning is no \
+           longer a process-wide switch (the compiled current regime always \
+           plans; the passthrough regime never does)";
+        ]
+  in
   let naive, w = opt ~lookup ~var:"SUBSTATION_NAIVE" parse_bool w false in
-  let noplan, w = opt ~lookup ~var:"SUBSTATION_NOPLAN" parse_bool w false in
   let guard, w = opt ~lookup ~var:"SUBSTATION_GUARD" parse_guard w None in
   let domains, w = opt ~lookup ~var:"SUBSTATION_DOMAINS" parse_domains w None in
   let attn_tiles, w =
     opt ~lookup ~var:"SUBSTATION_ATTN_TILES" parse_tiles w None
   in
-  { naive; noplan; guard; domains; attn_tiles; warnings = List.rev w }
+  { naive; guard; domains; attn_tiles; warnings = List.rev w }
 
 let parse_environment () = parse_with Sys.getenv_opt
 
@@ -122,7 +131,6 @@ let cached =
 let get () = Lazy.force cached
 
 let naive () = (get ()).naive
-let noplan () = (get ()).noplan
 let guard () = (get ()).guard
 let domains () = (get ()).domains
 let attn_tiles () = (get ()).attn_tiles
@@ -141,9 +149,6 @@ let describe () =
   line "SUBSTATION_NAIVE      %-10s fast CPU backend %s"
     (if t.naive then "1" else "(unset)")
     (if t.naive then "DISABLED (naive oracle only)" else "enabled");
-  line "SUBSTATION_NOPLAN     %-10s static memory planner %s"
-    (if t.noplan then "1" else "(unset)")
-    (if t.noplan then "DISABLED (allocate-everything)" else "enabled");
   line "SUBSTATION_GUARD      %-10s kernel-guard level %s"
     (match t.guard with
     | Some g -> guard_level_to_string g

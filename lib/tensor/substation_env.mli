@@ -4,8 +4,6 @@
 
     - [SUBSTATION_NAIVE] — boolean; disables the fast CPU backend so every
       kernel runs through the naive oracle ({!Fastmode}).
-    - [SUBSTATION_NOPLAN] — boolean; disables the static memory planner
-      ([Ops.Memplan]), reverting to allocate-everything interpretation.
     - [SUBSTATION_GUARD] — [off|exn|nan|finite]; kernel-guard level
       ({!Guard}).
     - [SUBSTATION_DOMAINS] — non-negative integer; worker domain count
@@ -16,16 +14,17 @@
     Booleans accept [1/true/yes/on] and [0/false/no/off],
     case-insensitively. A malformed value is {e never} silently ignored:
     it is recorded as a warning, printed once to stderr the first time any
-    setting is consulted, and included in {!describe}'s dump. The
-    environment is parsed once per process; scoped overrides
-    ([Fastmode.with_mode], [Pool.with_domains], [Guard.with_level],
-    [Memplan.set_enabled]) layer on top exactly as before. *)
+    setting is consulted, and included in {!describe}'s dump. So is a
+    retired variable that is still set ([SUBSTATION_NOPLAN]: memory
+    planning is no longer a process-wide toggle). The environment is
+    parsed once per process; scoped overrides ([Fastmode.with_mode],
+    [Pool.with_domains], [Guard.with_level]) layer on top exactly as
+    before. *)
 
 type guard_level = Goff | Gexn | Gnan | Gfinite
 
 type t = {
   naive : bool;
-  noplan : bool;
   guard : guard_level option;
   domains : int option;
   attn_tiles : (int * int) option;
@@ -41,7 +40,6 @@ val get : unit -> t
 val parse_with : (string -> string option) -> t
 
 val naive : unit -> bool
-val noplan : unit -> bool
 val guard : unit -> guard_level option
 val domains : unit -> int option
 val attn_tiles : unit -> (int * int) option

@@ -17,6 +17,13 @@ let bits_equal a b =
     (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
     (Dense.unsafe_data a) (Dense.unsafe_data b)
 
+(* The envelope for the streaming attention-backward cone. *)
+let within_1e9 a b =
+  let a = Dense.align a b in
+  Array.for_all2
+    (fun x y -> Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.abs x))
+    (Dense.unsafe_data a) (Dense.unsafe_data b)
+
 let tiny = Transformer.Hparams.tiny
 let device = Gpu.Device.v100
 
@@ -54,6 +61,28 @@ let verify_program ~name hp program =
     (name ^ ": every pass traced")
     true
     (List.length plan.Compile.Compiled.trace >= 5);
+  (* the planned peak carries forward: no row after memory planning falls
+     back to the allocate-everything sum *)
+  let planned =
+    match plan.Compile.Compiled.memplan with
+    | Some mp -> (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats
+    | None -> Alcotest.failf "%s: no memory plan" name
+  in
+  let rec from_memory_plan = function
+    | [] -> []
+    | (s : Compile.Pass.stat) :: rest ->
+        if String.equal s.st_pass "memory-plan" then s :: rest
+        else from_memory_plan rest
+  in
+  let rows = from_memory_plan plan.Compile.Compiled.trace in
+  check_bool (name ^ ": trace has rows after memory-plan") true
+    (List.length rows >= 2);
+  List.iter
+    (fun (s : Compile.Pass.stat) ->
+      check_int
+        (Printf.sprintf "%s: %s row reports the planned peak" name s.st_pass)
+        planned s.st_peak_floats)
+    rows;
   plan
 
 (* Randomized geometries: batch/seq/dropout vary, embed/heads stay at the
@@ -232,6 +261,22 @@ let test_tuned_binding_holed_perfdb () =
 
 (* ---------------- executor rewiring ---------------- *)
 
+(* The containers downstream of a streaming attention-backward window,
+   held to the 1e-9 envelope instead of bitwise (see Compiled ~verify). *)
+let attention_backward_cone (cplan : Compile.Compiled.plan) =
+  let cone = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Substation.Fusion.attn_site) ->
+      if s.site_kind = `Bwd then
+        List.iter (fun c -> Hashtbl.replace cone c ()) s.site_writes)
+    cplan.Compile.Compiled.attn_sites;
+  List.iter
+    (fun (o : Ops.Op.t) ->
+      if List.exists (Hashtbl.mem cone) o.reads then
+        List.iter (fun c -> Hashtbl.replace cone c ()) o.writes)
+    cplan.Compile.Compiled.source.Ops.Program.ops;
+  cone
+
 let test_executor_compiled_parity () =
   let inputs = layer_inputs tiny 31L in
   let program = Transformer.Encoder.program tiny in
@@ -244,20 +289,38 @@ let test_executor_compiled_parity () =
       dispatch_overhead = 0.0;
     }
   in
+  let oracle = Fastmode.with_naive (fun () -> Ops.Program.run program inputs) in
   List.iter
-    (fun fast ->
-      let oracle =
-        Fastmode.with_mode fast (fun () -> Ops.Program.run program inputs)
+    (fun (tag, regime) ->
+      let env, _ = Frameworks.Executor.run regime plan inputs in
+      let cone =
+        attention_backward_cone (Compile.Compiled.compile regime program)
       in
-      let env = Frameworks.Executor.run_functional ~fast plan inputs in
       List.iter
         (fun c ->
-          check_bool
-            (Printf.sprintf "run_functional fast=%b %s" fast c)
-            true
-            (bits_equal (Ops.Op.lookup oracle c) (Ops.Op.lookup env c)))
-        [ "y"; "d_x"; "d_wq"; "d_w2" ])
-    [ true; false ]
+          let want = Ops.Op.lookup oracle c and got = Ops.Op.lookup env c in
+          let ok =
+            if Hashtbl.mem cone c then within_1e9 want got
+            else bits_equal want got
+          in
+          check_bool (Printf.sprintf "run %s: %s" tag c) true ok)
+        [ "y"; "d_x"; "d_wq"; "d_w2" ];
+      (* the per-op scan covers every op's writes, planned ones included *)
+      let bad = Dense.copy (List.assoc "x" inputs) in
+      (Dense.unsafe_data bad).(0) <- Float.nan;
+      match
+        Frameworks.Executor.run regime plan
+          (("x", bad) :: List.remove_assoc "x" inputs)
+      with
+      | _ -> Alcotest.failf "run %s: NaN input passed the scan" tag
+      | exception Frameworks.Executor.Numerical_fault _ -> ())
+    [
+      ("passthrough fast", Compile.Regime.passthrough ~fast:true ());
+      ("passthrough naive", Compile.Regime.passthrough ~fast:false ());
+      ("current", Compile.Regime.current ());
+      ( "current naive",
+        Fastmode.with_naive (fun () -> Compile.Regime.current ()) );
+    ]
 
 (* ---------------- environment parsing (Substation.Env) --------------- *)
 
@@ -303,6 +366,15 @@ let test_env_parse () =
     (bad.Substation.Env.attn_tiles = None);
   check_int "four warnings recorded" 4
     (List.length bad.Substation.Env.warnings);
+  (* a retired variable is ignored, but loudly *)
+  let retired =
+    Substation.Env.parse_with (lookup [ ("SUBSTATION_NOPLAN", "1") ])
+  in
+  (match retired.Substation.Env.warnings with
+  | [ w ] ->
+      check_bool "retired variable named in the warning" true
+        (String.starts_with ~prefix:"SUBSTATION_NOPLAN is retired" w)
+  | ws -> Alcotest.failf "expected one retired warning, got %d" (List.length ws));
   check_bool "describe mentions nothing spurious" true
     (String.length (Substation.Env.describe ()) > 0)
 

@@ -239,7 +239,8 @@ let test_numerical_guard_names_offender () =
   (Dense.unsafe_data x).(0) <- Float.nan;
   let inputs = ("x", x) :: ("d_y", d_y) :: params in
   (try
-     ignore (Frameworks.Executor.run_functional plan inputs);
+     ignore
+       (Frameworks.Executor.run (Compile.Regime.passthrough ()) plan inputs);
      Alcotest.fail "expected Numerical_fault"
    with Frameworks.Executor.Numerical_fault { fault_op; container; value } ->
      check_bool "names the offending op" true (fault_op <> "");
@@ -247,7 +248,8 @@ let test_numerical_guard_names_offender () =
      check_string "classifies the value" "NaN" value);
   (* the guard can be bypassed explicitly *)
   ignore
-    (Frameworks.Executor.run_functional ~check:Frameworks.Executor.No_check
+    (Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+       (Compile.Regime.passthrough ())
        plan inputs)
 
 let test_clean_run_passes_guard () =
@@ -262,7 +264,9 @@ let test_clean_run_passes_guard () =
     :: ("d_y", Transformer.Params.random_cotangent tiny prng)
     :: params
   in
-  let env = Frameworks.Executor.run_functional plan inputs in
+  let env, _ =
+    Frameworks.Executor.run (Compile.Regime.passthrough ()) plan inputs
+  in
   check_bool "produced the output" true (Ops.Op.lookup env "y" <> Dense.scalar 0.)
 
 let () =

@@ -36,7 +36,13 @@ let test_all_plans_numerically_agree () =
       Frameworks.Ours.plan ~device ~workload:enc tiny;
     ]
   in
-  let envs = List.map (fun p -> Frameworks.Executor.run_functional p inputs) plans in
+  let envs =
+    List.map
+      (fun p ->
+        fst
+          (Frameworks.Executor.run (Compile.Regime.passthrough ()) p inputs))
+      plans
+  in
   let base = List.hd envs in
   List.iteri
     (fun i env ->
@@ -62,7 +68,13 @@ let test_mha_plans_numerically_agree () =
       Frameworks.Ours.plan ~device ~workload:mha tiny;
     ]
   in
-  let envs = List.map (fun p -> Frameworks.Executor.run_functional p inputs) plans in
+  let envs =
+    List.map
+      (fun p ->
+        fst
+          (Frameworks.Executor.run (Compile.Regime.passthrough ()) p inputs))
+      plans
+  in
   let base = List.hd envs in
   List.iter
     (fun env ->

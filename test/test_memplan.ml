@@ -1,9 +1,8 @@
 (* Tests for the static memory planner and weight prepacking: planned
    execution must be bitwise-equal to the allocate-everything oracle
-   (serial and parallel, fast and naive, unfused and fused), in-place and
-   alias placement must respect lifetime legality, prepacked GEMM images
-   must match per-call packing bitwise and survive optimizer updates via
-   invalidation, and the einsum plan cache must key on the execution
+   (serial and parallel, fast and naive, unfused and fused), prepacked
+   GEMM images must match per-call packing bitwise and survive optimizer
+   updates via invalidation, and the einsum plan cache must key on the execution
    regime (fast mode, domain count). *)
 
 let check_bool = Alcotest.(check bool)
@@ -16,7 +15,6 @@ let bits_equal a b =
     (Dense.unsafe_data a) (Dense.unsafe_data b)
 
 let tiny = Transformer.Hparams.tiny
-let device = Gpu.Device.v100
 
 let layer_inputs hp seed =
   let prng = Prng.create seed in
@@ -120,30 +118,6 @@ let chain_inputs seed =
   let prng = Prng.create seed in
   [ ("x0", Dense.rand prng dims ~lo:(-1.0) ~hi:1.0) ]
 
-let test_inplace_taken_when_legal () =
-  (* x0 -> relu t1 -> gelu t2 -> tanh t3 -> sigmoid y: t1 and t2 each die
-     at their consumer, whose output does not escape, so both interior
-     consumers overwrite their input. The final op's output [y] escapes to
-     the caller and must NOT be produced in place. *)
-  let ops =
-    [
-      Ops.Elementwise.relu ~name:"r" ~x:"x0" ~out:"t1" dims ();
-      Ops.Elementwise.gelu ~name:"g" ~x:"t1" ~out:"t2" dims ();
-      Ops.Elementwise.tanh_ ~name:"t" ~x:"t2" ~out:"t3" dims ();
-      Ops.Elementwise.sigmoid ~name:"s" ~x:"t3" ~out:"y" dims ();
-    ]
-  in
-  let program =
-    Ops.Program.make
-      ~containers:
-        [ ("x0", dims); ("t1", dims); ("t2", dims); ("t3", dims); ("y", dims) ]
-      ops
-  in
-  let _, s =
-    planned_agrees ~name:"inplace chain" program (chain_inputs 3L) ~fast:false
-  in
-  check_int "both interior ops run in place" 2 s.Ops.Memplan.inplace
-
 let test_inplace_refused_for_live_source () =
   (* t1 is read again after the gelu, and both outputs escape: nothing may
      run in place or alias. *)
@@ -166,43 +140,10 @@ let test_inplace_refused_for_live_source () =
   check_int "no in-place with a later reader" 0 s.Ops.Memplan.inplace;
   check_int "no aliasing of escaping outputs" 0 s.Ops.Memplan.aliased
 
-let test_alias_vs_copy_fallback () =
-  (* copy of a slot-backed intermediate aliases; copy of a pinned input
-     must be a real copy (a later in-place op would otherwise clobber the
-     caller's tensor). *)
-  let alias_prog =
-    Ops.Program.make
-      ~containers:
-        [ ("x0", dims); ("t1", dims); ("t2", dims); ("y", dims) ]
-      [
-        Ops.Elementwise.relu ~name:"r" ~x:"x0" ~out:"t1" dims ();
-        Ops.Elementwise.copy ~name:"c" ~x:"t1" ~out:"t2" dims ();
-        Ops.Elementwise.gelu ~name:"g" ~x:"t2" ~out:"y" dims ();
-      ]
-  in
-  let _, s =
-    planned_agrees ~name:"alias copy" alias_prog (chain_inputs 7L) ~fast:false
-  in
-  check_int "slot-backed copy aliased" 1 s.Ops.Memplan.aliased;
-  let copy_prog =
-    Ops.Program.make
-      ~containers:[ ("x0", dims); ("t2", dims); ("y", dims) ]
-      [
-        Ops.Elementwise.copy ~name:"c" ~x:"x0" ~out:"t2" dims ();
-        Ops.Elementwise.gelu ~name:"g" ~x:"t2" ~out:"y" dims ();
-      ]
-  in
-  let _, s2 =
-    planned_agrees ~name:"pinned copy" copy_prog (chain_inputs 9L) ~fast:false
-  in
-  check_int "pinned source copied for real" 0 s2.Ops.Memplan.aliased
-
-(* ---------------- randomized layouts through dropout ---------------- *)
-
 let test_random_layout_chains () =
   (* Element-wise chains (including dropout's mask stream) over inputs in
-     permuted storage orders: planned interpretation walks operands by
-     strides, so every layout must still match the oracle bitwise. *)
+     permuted storage orders: adopting each op's output into a recycled
+     slot must keep every layout bitwise-equal to the oracle. *)
   List.iter
     (fun seed ->
       let prng = Prng.create (Int64.of_int seed) in
@@ -256,38 +197,36 @@ let test_planned_serial_equals_parallel () =
 
 (* ---------------- executor integration ---------------- *)
 
+(* The planned path is [Regime.current]; the no-plan path that the old
+   escape hatch selected is [Regime.passthrough]. *)
 let test_run_planned_guard_and_fallback () =
+  let device = Gpu.Device.v100 in
   let plan =
     Frameworks.Pytorch_sim.plan ~device
       ~workload:Frameworks.Executor.Encoder_layer tiny
   in
   let inputs = layer_inputs tiny 19L in
-  let env_ref = Frameworks.Executor.run_functional ~fast:true plan inputs in
-  let env_pl = Frameworks.Executor.run_planned ~fast:true plan inputs in
-  check_bool "run_planned matches run_functional on y" true
-    (bits_equal
-       (Ops.Op.lookup env_ref "y")
-       (Ops.Op.lookup env_pl "y"));
+  let current = Compile.Regime.current () in
+  let passthrough = Compile.Regime.passthrough () in
+  let env_ref, _ = Frameworks.Executor.run passthrough plan inputs in
+  let env_pl, _ = Frameworks.Executor.run current plan inputs in
+  check_bool "planned run matches the unplanned run on y" true
+    (bits_equal (Ops.Op.lookup env_ref "y") (Ops.Op.lookup env_pl "y"));
   (* the numerical guard scans planned writes too *)
   let prng = Prng.create 23L in
   let bad = Transformer.Params.random_input tiny prng in
   (Dense.unsafe_data bad).(0) <- Float.nan;
-  let bad_inputs =
-    ("x", bad) :: List.remove_assoc "x" inputs
-  in
+  let bad_inputs = ("x", bad) :: List.remove_assoc "x" inputs in
   (try
-     ignore (Frameworks.Executor.run_planned ~fast:true plan bad_inputs);
+     ignore (Frameworks.Executor.run current plan bad_inputs);
      Alcotest.fail "expected Numerical_fault through the planned path"
    with Frameworks.Executor.Numerical_fault _ -> ());
-  (* SUBSTATION_NOPLAN escape hatch: disabled planning falls back to the
-     unplanned interpreter, which retains every intermediate *)
-  Ops.Memplan.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Ops.Memplan.set_enabled true)
-    (fun () ->
-      let env_off = Frameworks.Executor.run_planned ~fast:true plan inputs in
-      check_bool "disabled planner retains intermediates" true
-        (Hashtbl.mem env_off "ln1_out"))
+  (* the unplanned regime retains every intermediate; the planned one
+     drops dead ones *)
+  check_bool "unplanned run retains intermediates" true
+    (Hashtbl.mem env_ref "ln1_out");
+  check_bool "planned run drops dead intermediates" false
+    (Hashtbl.mem env_pl "ln1_out")
 
 (* ---------------- plan-cache regime keying ---------------- *)
 
@@ -458,12 +397,8 @@ let () =
         ] );
       ( "placement",
         [
-          Alcotest.test_case "in-place when legal" `Quick
-            test_inplace_taken_when_legal;
           Alcotest.test_case "in-place refused for live source" `Quick
             test_inplace_refused_for_live_source;
-          Alcotest.test_case "alias vs conservative copy" `Quick
-            test_alias_vs_copy_fallback;
           Alcotest.test_case "random layouts + dropout" `Quick
             test_random_layout_chains;
         ] );

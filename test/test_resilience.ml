@@ -294,6 +294,10 @@ let envs_bitwise_equal a b =
             Alcotest.failf "container %s differs by %g (not bitwise)" c d)
     a
 
+(* The fast passthrough regime under kernel-guard level [guard]. *)
+let guarded_fast guard =
+  { (Compile.Regime.passthrough ~fast:true ()) with Compile.Regime.guard }
+
 (* The acceptance matrix: under a crash-every-kernel campaign, the guard
    routes every fast kernel to the oracle, so the faulted fast run is
    bitwise identical to the clean naive-oracle run — and the run report
@@ -303,17 +307,17 @@ let run_recovery_matrix ~domains () =
       Guard.reset ();
       let plan = encoder_plan () in
       let inputs = encoder_inputs () in
-      let clean_naive =
-        Frameworks.Executor.run_functional ~check:Frameworks.Executor.No_check
-          ~fast:false plan inputs
+      let clean_naive, _ =
+        Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+          (Compile.Regime.passthrough ~fast:false ())
+          plan inputs
       in
       let faults = Gpu.Faults.make_exec ~seed:13L ~crash_rate:1.0 () in
-      let resilience =
-        { Frameworks.Executor.default_resilience with guard = Guard.Finite }
-      in
       let faulted, report =
         Gpu.Faults.with_exec_faults faults (fun () ->
-            Frameworks.Executor.run_resilient ~resilience ~fast:true plan inputs)
+            Frameworks.Executor.run
+              ~resilience:Frameworks.Executor.default_resilience
+              (guarded_fast Guard.Finite) plan inputs)
       in
       envs_bitwise_equal clean_naive faulted;
       check_bool "run report lists engaged fallbacks" true
@@ -338,9 +342,10 @@ let test_mixed_campaign_completes () =
   Guard.reset ();
   let plan = encoder_plan () in
   let inputs = encoder_inputs () in
-  let clean =
-    Frameworks.Executor.run_functional ~check:Frameworks.Executor.No_check
-      ~fast:true plan inputs
+  let clean, _ =
+    Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+      (Compile.Regime.passthrough ~fast:true ())
+      plan inputs
   in
   let faults =
     Gpu.Faults.make_exec ~seed:29L ~crash_rate:0.3 ~corrupt_rate:0.3
@@ -349,14 +354,14 @@ let test_mixed_campaign_completes () =
   let resilience =
     {
       Frameworks.Executor.default_resilience with
-      guard = Guard.Finite;
       kernel_timeout = Some 0.01;
       retries = 2;
     }
   in
   let faulted, report =
     Gpu.Faults.with_exec_faults faults (fun () ->
-        Frameworks.Executor.run_resilient ~resilience ~fast:true plan inputs)
+        Frameworks.Executor.run ~resilience (guarded_fast Guard.Finite) plan
+          inputs)
   in
   check_bool "mixed campaign engaged at least one fallback" true
     (report.Frameworks.Executor.rr_fallbacks <> []);
@@ -387,7 +392,8 @@ let test_run_deadline_propagates () =
   in
   (match
      Gpu.Faults.with_exec_faults faults (fun () ->
-         Frameworks.Executor.run_resilient ~resilience ~fast:true plan inputs)
+         Frameworks.Executor.run ~resilience (guarded_fast Guard.Nan) plan
+           inputs)
    with
   | _ -> Alcotest.fail "blown run deadline should propagate"
   | exception Pool.Deadline_exceeded _ -> ());
