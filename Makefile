@@ -68,9 +68,9 @@ attn-smoke:
 bench-attn:
 	$(DUNE) exec bench/main.exe -- attn-json
 
-# <1 s: memory-planned execution (Memplan.plan: recycled slots, no
-# in-place or aliased placement) of the fused tiny encoder checked bitwise
-# against the allocate-everything interpreter (fast and naive), the >=25%
+# <1 s: memory-planned execution (Memplan.plan: each container dropped
+# after its last use) of the fused tiny encoder checked bitwise against
+# the allocate-everything interpreter (fast and naive), the >=25%
 # resident-set reduction, and a prepacked 8-token decode checked bitwise
 # against per-call packing (nonzero exit on divergence).
 plan-smoke:
@@ -80,7 +80,8 @@ plan-smoke:
 # regime (memory-planned) vs passthrough (unplanned), plan-vs-naive peak
 # resident floats (asserts >=25% reduction), and decode tokens/s with
 # weight prepacking on vs off; regenerates BENCH_pr9.json (the committed
-# file predates the removal of in-place/alias placement).
+# file was recorded with slot recycling and in-place/alias placement, both
+# since removed, so its slot counts are history).
 bench-plan:
 	$(DUNE) exec bench/main.exe -- plan-json
 

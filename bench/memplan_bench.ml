@@ -1,8 +1,9 @@
 (* Memory-planner benchmark: the allocator-side face of the data-movement
    argument. The functional interpreter materializes a fresh tensor per
    op and retains every intermediate; the static planner ({!Ops.Memplan})
-   recycles lifetime-analyzed slots, and one-time weight prepacking stops
-   the decode GEMV from re-packing its out-projection on every token.
+   drops each container after its last use, and one-time weight
+   prepacking stops the decode GEMV from re-packing its out-projection on
+   every token.
 
    [run ~mode]:
    - [`Json]: encoder-layer fwd+bwd wall-clock planned vs unplanned (fast
@@ -120,10 +121,9 @@ let smoke () =
   ignore t_decode;
   Printf.printf
     "plan smoke: parity fast=%b naive=%b | resident %d -> %d floats \
-     (-%.0f%%), %d slots | decode bitwise=%b (prepack hits %d) | %.2f s\n"
+     (-%.0f%%) | decode bitwise=%b (prepack hits %d) | %.2f s\n"
     ok_fast ok_naive stats.Ops.Memplan.naive_peak_floats
-    stats.Ops.Memplan.plan_peak_floats (100.0 *. reduction)
-    stats.Ops.Memplan.slots decode_bitwise hits
+    stats.Ops.Memplan.plan_peak_floats (100.0 *. reduction) decode_bitwise hits
     (now () -. t0);
   if not (ok_fast && ok_naive) then begin
     Printf.eprintf "plan smoke FAILED: planned execution diverged\n";
@@ -189,13 +189,7 @@ let json () =
               ("speedup", Num (t_unplanned /. t_planned));
               ("naive_peak_floats", Int stats.Ops.Memplan.naive_peak_floats);
               ("plan_peak_floats", Int stats.Ops.Memplan.plan_peak_floats);
-              ("live_peak_floats", Int stats.Ops.Memplan.live_peak_floats);
               ("reduction_pct", Num (100.0 *. reduction));
-              ("slots", Int stats.Ops.Memplan.slots);
-              ("slab_floats", Int stats.Ops.Memplan.slab_floats);
-              ( "reordered",
-                Str (if stats.Ops.Memplan.reordered then "true" else "false")
-              );
               ("bitwise_equal", Str (if parity_ok then "true" else "false"));
             ] );
         ( "decode",

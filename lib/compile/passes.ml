@@ -351,8 +351,7 @@ let memory_plan =
         ctx.Pass.memplan <- Some mp;
         ctx.Pass.peak_override <- Some st.Ops.Memplan.plan_peak_floats;
         ctx.Pass.note <-
-          Printf.sprintf "%d slot(s), peak %d -> %d floats"
-            st.Ops.Memplan.slots st.Ops.Memplan.naive_peak_floats
+          Printf.sprintf "peak %d -> %d floats" st.Ops.Memplan.naive_peak_floats
             st.Ops.Memplan.plan_peak_floats;
         p);
   }

@@ -2,8 +2,8 @@
    key, plus the one switch that decides whether the program is rewritten
    at all. Fingerprint x regime identifies a plan completely — the same
    program compiled fast vs naive, serial vs parallel, or with different
-   guard levels yields distinct cache entries (the regimes cannot share a
-   Memplan, whose slot shapes depend on the schedule, nor pass traces). *)
+   guard levels yields distinct cache entries (the regimes cannot share
+   pass traces). *)
 
 type t = {
   fast : bool;  (* fast CPU backend vs naive oracle *)

@@ -18,8 +18,9 @@ type t = {
 }
 
 (** The full pipeline under the ambient fastmode / domains / guard
-    settings. Dead intermediates recycle memory-plan slots, so only
-    [keep] + terminal outputs survive in the returned environment. *)
+    settings. The memory plan drops each intermediate after its last
+    use, so only [keep] + terminal outputs survive in the returned
+    environment. *)
 val current : ?attention:bool -> ?keep:string list -> unit -> t
 
 (** No rewriting: the program executes op-for-op as written with every

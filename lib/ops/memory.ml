@@ -4,6 +4,7 @@ type lifetime = {
   first_use : int;
   last_use : int;
   persistent : bool;
+  input : bool;
 }
 
 type profile = {
@@ -14,7 +15,7 @@ type profile = {
   total_bytes : int;
 }
 
-let profile ?(bytes_per_elem = 2) (p : Program.t) =
+let profile ?(bytes_per_elem = 2) ?(keep = []) (p : Program.t) =
   let ops = Array.of_list p.Program.ops in
   let n = Array.length ops in
   let first_write = Hashtbl.create 64 in
@@ -57,12 +58,13 @@ let profile ?(bytes_per_elem = 2) (p : Program.t) =
           else match fw with Some w -> w | None -> 0
         in
         let never_read = Hashtbl.find_opt last_read c = None in
-        let persistent = is_input || never_read in
+        let persistent = is_input || never_read || List.mem c keep in
         let last_use =
           if persistent then n - 1
           else match Hashtbl.find_opt last_read c with Some r -> r | None -> n - 1
         in
-        { container = c; bytes; first_use; last_use; persistent } :: acc)
+        { container = c; bytes; first_use; last_use; persistent; input = is_input }
+        :: acc)
       touched []
     |> List.sort (fun a b -> compare (a.first_use, a.container) (b.first_use, b.container))
   in

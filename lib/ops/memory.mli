@@ -18,7 +18,9 @@ type lifetime = {
   bytes : int;
   first_use : int;  (** op index where it becomes resident (0 for inputs) *)
   last_use : int;  (** op index after which it can be freed *)
-  persistent : bool;  (** survives to the end (input, output, or gradient) *)
+  persistent : bool;
+      (** survives to the end (input, output, gradient, or kept) *)
+  input : bool;  (** read before any operator writes it: caller-owned *)
 }
 
 type profile = {
@@ -29,7 +31,9 @@ type profile = {
   total_bytes : int;  (** sum over all touched containers (no freeing) *)
 }
 
-val profile : ?bytes_per_elem:int -> Program.t -> profile
+val profile : ?bytes_per_elem:int -> ?keep:string list -> Program.t -> profile
+(** [keep] names containers the caller wants back: they persist to the end
+    like outputs nothing reads. *)
 
 (** [fits profile ~capacity] checks the peak against a device capacity. *)
 val fits : profile -> capacity:int -> bool

@@ -1,38 +1,31 @@
-(** Static memory planning: lifetime-analyzed slot placement and a
-    schedule chosen to minimize the resident set.
+(** Static memory planning as liveness: drop each container after its
+    last use.
 
     {!Program.run} allocates a fresh tensor per op and retains every
     container, so its peak resident set is the sum of all intermediates.
-    [plan] analyzes container lifetimes over a (post-fusion) program,
-    compares the program order against a greedy peak-minimizing
-    topological reorder, and assigns each non-escaping container to a
-    recycled slot buffer: contractions write straight into their slot,
-    and every other op runs its own closure with the output adopted into
-    the slot after the fact. Pinned inputs and outputs that escape to the
-    caller get fresh storage every run.
+    [plan] runs {!Memory.profile}'s lifetime analysis over a (post-fusion)
+    program and records, for each op, the containers whose last use it is.
+    [execute] runs each op's own closure in program order and then drops
+    that op's dead containers (and their sidecars) from the environment.
+    The plan holds no buffers and searches no schedule.
 
     [execute] is bitwise-equal to {!Program.run} (serial and parallel,
-    fast and naive mode): the environment remains the source of truth,
-    every value is computed by the op's own closure or the einsum it
-    calls, and guarded kernels recover into private storage. *)
+    fast and naive mode): every value is computed by the op's own closure
+    over the same environment. *)
 
 type t
-(** A compiled plan: a placement-annotated action per op plus the slot
-    buffers it recycles across runs. *)
+(** A compiled plan: the program's ops plus each op's dead containers. *)
 
 type stats = {
   ops : int;
-  containers : int;  (** materialized (written) containers *)
+  containers : int;  (** materialized (non-input) containers *)
   naive_peak_floats : int;  (** allocate-everything resident set *)
-  plan_peak_floats : int;  (** slab + escaping outputs under the plan *)
-  live_peak_floats : int;  (** max simultaneously-live floats in the schedule *)
-  slots : int;
-  slab_floats : int;  (** total recycled slot storage *)
-  placed : int;  (** contractions writing straight into slots *)
-  adopted : int;  (** other ops whose outputs were adopted into slots *)
+  plan_peak_floats : int;
+      (** most floats the planned environment holds at once, inputs
+          excluded *)
+  slots : int;  (** always 0: no buffer is recycled *)
   inplace : int;  (** always 0: no op overwrites its input's buffer *)
   aliased : int;  (** always 0: no container shares another's buffer *)
-  reordered : bool;  (** schedule differs from program order *)
 }
 
 val register_sidecar : string -> unit
@@ -41,11 +34,8 @@ val register_sidecar : string -> unit
     dead container also removes [container ^ suffix]. *)
 
 val plan : ?keep:string list -> Program.t -> t
-(** Analyze and place [p]. Containers in [keep] (plus terminal outputs
-    that no op reads) escape to the caller: they get fresh storage every
-    run. Both the program order and the greedy peak-minimizing schedule
-    are placed; the one with the smaller planned resident set wins. The
-    plan owns its slot buffers, so re-executing it reuses them. *)
+(** Analyze [p]. Containers in [keep] (plus terminal outputs that no op
+    reads, and the caller's inputs) are never dropped. *)
 
 val stats : t -> stats
 
@@ -58,12 +48,10 @@ val execute :
 (** Run the plan over [inputs]. [check_op], called after each op with the
     environment still holding that op's outputs (and before dead
     containers are dropped), hosts the executor's numerical guards.
-    [wrap_op op body] wraps each op's execution (action body + check, but
-    not the dead-container removal, so a retrying wrapper sees a
-    consistent environment); the compiled-plan executor uses it to scope
-    per-op tuned bindings and resilience retries. [wrap_op] must call
-    [body] exactly once on the success path. The returned environment
-    holds the inputs plus kept containers. A concurrent [execute] of the
-    same plan is safe: the second caller runs against private
-    (non-recycled) buffers. *)
-
+    [wrap_op op body] wraps each op's execution (op body + check, but not
+    the dead-container removal, so a retrying wrapper sees a consistent
+    environment); the compiled-plan executor uses it to scope per-op tuned
+    bindings and resilience retries. [wrap_op] must call [body] exactly
+    once on the success path. The returned environment holds the inputs
+    plus kept containers. A plan is immutable, so concurrent [execute]s
+    are safe. *)

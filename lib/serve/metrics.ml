@@ -164,10 +164,6 @@ let to_json t =
         "\"arena\":{\"retained_floats\":%d,\"classes\":%d,\"evictions\":%d,\"capacity_floats\":%d,\"live_floats\":%d,\"peak_floats\":%d},"
         a.Arena.retained_floats a.Arena.classes a.Arena.evictions
         a.Arena.capacity_floats a.Arena.live_floats a.Arena.peak_floats;
-      (let g = Arena.plan_gauge () in
-       Printf.sprintf
-         "\"memplan\":{\"plan_peak_floats\":%d,\"naive_peak_floats\":%d,\"plan_runs\":%d},"
-         g.Arena.plan_peak_floats g.Arena.naive_peak_floats g.Arena.plan_runs);
       (let p = Einsum.prepack_stats () in
        Printf.sprintf
          "\"prepack\":{\"registered\":%d,\"images\":%d,\"floats\":%d,\"hits\":%d,\"builds\":%d}"

@@ -163,28 +163,3 @@ let reset t =
   d.peak <- 0
 
 let global = create ()
-
-(* ------------------------------------------------------------------ *)
-(* Plan gauge: the memory planner (lib/ops/memplan.ml) reports the peak
-   resident floats of its last computed plan against the naive
-   allocate-everything peak here, so serving metrics and benches can
-   surface the reduction without depending on the ops library. *)
-
-type plan_gauge = {
-  plan_peak_floats : int;  (* peak live floats under the planned schedule *)
-  naive_peak_floats : int;  (* sum of every materialized container *)
-  plan_runs : int;  (* planned executions since start *)
-}
-
-let gauge = ref { plan_peak_floats = 0; naive_peak_floats = 0; plan_runs = 0 }
-
-let record_plan ~plan_peak ~naive_peak =
-  gauge :=
-    {
-      plan_peak_floats = plan_peak;
-      naive_peak_floats = naive_peak;
-      plan_runs = !gauge.plan_runs;
-    }
-
-let record_plan_run () = gauge := { !gauge with plan_runs = !gauge.plan_runs + 1 }
-let plan_gauge () = !gauge

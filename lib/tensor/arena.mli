@@ -57,20 +57,3 @@ val reset_peak : t -> unit
 val set_max_retained : int -> unit
 (** Set the per-domain retention cap, in floats ([>= 0]; 0 disables
     pooling entirely). Applies to all arenas. *)
-
-(** {1 Memory-plan gauge}
-
-    The static memory planner ([Ops.Memplan]) lives above this library but
-    serving metrics live beside it; the gauge is the meeting point. The
-    planner records each plan's peak resident floats against the naive
-    allocate-everything peak, and bumps [plan_runs] per planned execution. *)
-
-type plan_gauge = {
-  plan_peak_floats : int;  (** peak live floats under the planned schedule *)
-  naive_peak_floats : int;  (** sum of every materialized container *)
-  plan_runs : int;  (** planned executions since process start *)
-}
-
-val record_plan : plan_peak:int -> naive_peak:int -> unit
-val record_plan_run : unit -> unit
-val plan_gauge : unit -> plan_gauge

@@ -57,16 +57,6 @@ let of_flat dims values =
     invalid_arg "Dense.of_flat: value count does not match shape volume";
   { shape; data = Array.copy values }
 
-(* Unlike [of_flat] this takes ownership of [buf] without copying: the
-   memory planner backs planned containers with recycled slot buffers, so
-   the wrap must not allocate. Callers guarantee nothing else mutates the
-   buffer while the tensor is live. *)
-let of_buffer dims buf =
-  let shape = Shape.create dims in
-  if Array.length buf <> Shape.volume shape then
-    invalid_arg "Dense.of_buffer: buffer length does not match shape volume";
-  { shape; data = buf }
-
 let rand prng dims ~lo ~hi =
   let t = zeros dims in
   for i = 0 to Array.length t.data - 1 do

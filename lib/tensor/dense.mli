@@ -21,12 +21,6 @@ val init : (Axis.t * int) list -> ((Axis.t * int) list -> float) -> t
 (** [of_flat dims values] interprets [values] row-major in [dims] order. *)
 val of_flat : (Axis.t * int) list -> float array -> t
 
-(** [of_buffer dims buf] wraps [buf] (row-major in [dims] order) without
-    copying; the tensor aliases [buf] from then on. Length must equal the
-    shape volume. Used by the memory planner to back planned containers
-    with recycled slot storage. *)
-val of_buffer : (Axis.t * int) list -> float array -> t
-
 (** [rand prng dims ~lo ~hi] and [randn prng dims ~stddev] fill with uniform
     and gaussian noise respectively. *)
 val rand : Prng.t -> (Axis.t * int) list -> lo:float -> hi:float -> t

@@ -26,17 +26,10 @@ val spec_to_string : spec -> string
     into batch/m/n/k groups) onto the cache-blocked {!Gemm} kernel, packing
     non-contiguous operands through arena scratch; everything else runs the
     general odometer loop with its plan precomputed. [~fast:false] is the
-    naive reference oracle.
-
-    [into] supplies the result's storage: a buffer of exactly the result
-    volume, zero-filled and wrapped instead of a fresh allocation (the
-    memory planner's slot path). The caller guarantees no live tensor
-    aliases it; on a guard fallback the naive oracle re-zeroes and reuses
-    the same buffer, so recovery never leaks a partial fast result. *)
+    naive reference oracle. *)
 val contract :
   ?scale:float ->
   ?fast:bool ->
-  ?into:float array ->
   Dense.t list ->
   out:Axis.t list ->
   Dense.t

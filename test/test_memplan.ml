@@ -1,9 +1,11 @@
 (* Tests for the static memory planner and weight prepacking: planned
-   execution must be bitwise-equal to the allocate-everything oracle
-   (serial and parallel, fast and naive, unfused and fused), prepacked
-   GEMM images must match per-call packing bitwise and survive optimizer
-   updates via invalidation, and the einsum plan cache must key on the execution
-   regime (fast mode, domain count). *)
+   execution (drop each container after its last use) must be
+   bitwise-equal to the allocate-everything oracle (serial and parallel,
+   fast and naive, unfused and fused), the reported planned peak must be
+   the peak the planned environment really holds, prepacked GEMM images
+   must match per-call packing bitwise and survive optimizer updates via
+   invalidation, and the einsum plan cache must key on shapes and layouts
+   only (one plan serves every domain count). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -110,6 +112,45 @@ let test_peak_reduction () =
       ("encoder fused", encoder_fused tiny);
     ]
 
+(* ---------------- the reported peak is observed ---------------- *)
+
+(* The largest total volume of non-input program containers the planned
+   environment holds after any op (before that op's dead containers are
+   dropped) must equal the plan's [plan_peak_floats]. *)
+let test_reported_peak_observed () =
+  let inputs = layer_inputs tiny 37L in
+  List.iter
+    (fun (tag, keep, program) ->
+      let mp = Ops.Memplan.plan ?keep program in
+      let observed = ref 0 in
+      let check_op _ env =
+        let held =
+          List.fold_left
+            (fun acc (c, _) ->
+              match Hashtbl.find_opt env c with
+              | Some t when not (List.mem_assoc c inputs) ->
+                  acc + Array.length (Dense.unsafe_data t)
+              | _ -> acc)
+            0 program.Ops.Program.containers
+        in
+        observed := max !observed held
+      in
+      ignore
+        (Fastmode.with_mode true (fun () ->
+             Ops.Memplan.execute ~check_op mp inputs));
+      check_int
+        (Printf.sprintf "%s: reported peak equals observed peak" tag)
+        !observed (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats)
+    [
+      ("unfused", None, Transformer.Encoder.program tiny);
+      ("unfused, keep ln1_out", Some [ "ln1_out" ], Transformer.Encoder.program tiny);
+      ("fused", None, encoder_fused tiny);
+      ( "fused with attention",
+        None,
+        Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
+          ~attention:true (Transformer.Encoder.program tiny) );
+    ]
+
 (* ---------------- hand-built programs: legality ---------------- *)
 
 let dims = [ ("a", 4); ("b", 6) ]
@@ -142,8 +183,8 @@ let test_inplace_refused_for_live_source () =
 
 let test_random_layout_chains () =
   (* Element-wise chains (including dropout's mask stream) over inputs in
-     permuted storage orders: adopting each op's output into a recycled
-     slot must keep every layout bitwise-equal to the oracle. *)
+     permuted storage orders: dropping dead intermediates mid-chain must
+     keep every layout bitwise-equal to the oracle. *)
   List.iter
     (fun seed ->
       let prng = Prng.create (Int64.of_int seed) in
@@ -243,7 +284,7 @@ let test_plan_cache_keys_on_domains () =
   let m1 = (Einsum.cache_stats ()).Einsum.misses in
   let r4 = eval 4 in
   let m2 = (Einsum.cache_stats ()).Einsum.misses in
-  check_int "distinct domain counts compile distinct plans" (m1 + 1) m2;
+  check_int "a second domain count reuses the plan (no new miss)" m1 m2;
   let r1' = eval 1 in
   let s = Einsum.cache_stats () in
   check_int "repeat under the same regime misses nothing" m2 s.Einsum.misses;
@@ -392,6 +433,8 @@ let () =
           Alcotest.test_case "keep-list" `Quick test_encoder_keep;
           Alcotest.test_case "peak reduction >= 25%" `Quick
             test_peak_reduction;
+          Alcotest.test_case "reported peak is observed" `Quick
+            test_reported_peak_observed;
           Alcotest.test_case "serial == parallel" `Quick
             test_planned_serial_equals_parallel;
         ] );
