@@ -239,7 +239,7 @@ let run mode =
           [ (128, 3); (512, 2); (2048, 1) ]
       in
       let decode, decode_drift = bench_decode ~reps:3 2048 in
-      let q_tile, kv_tile = Flashattn.default_tiles () in
+      let q_tile, kv_tile = Flashattn.default_tiles in
       let doc =
         Obj
           [

@@ -2,7 +2,7 @@
    buys. Times the cold compile (every pass), the cached compile (must be
    a hit re-running zero passes), the [~verify:true] proof, and the
    execute-side payoff of the compiled plan (fusion + attention windowing
-   + tuned bindings + memory plan + prepack) against the uncompiled
+   + memory plan + prepack) against the uncompiled
    interpreter on the same program.
 
    [run ~mode]:
@@ -25,10 +25,8 @@ let encoder_inputs hp seed =
   let d_y = Transformer.Params.random_cotangent hp prng in
   ("x", x) :: ("d_y", d_y) :: params
 
-let device = Gpu.Device.v100
-
 let compile_encoder ?verify ?verify_inputs ?use_cache hp =
-  Compile.Compiled.compile ~device ?verify ?verify_inputs ?use_cache
+  Compile.Compiled.compile ?verify ?verify_inputs ?use_cache
     ~name_table:Transformer.Encoder.kernel_names
     ~params:Transformer.Encoder.param_names
     (Compile.Regime.current ())
@@ -116,14 +114,6 @@ let json () =
         ("note", Str s.Compile.Pass.st_note);
       ]
   in
-  let gemm_binding =
-    List.fold_left
-      (fun acc (_, (b : Tuning.t)) ->
-        match (acc, b.Tuning.gemm) with
-        | None, Some g -> Some (Printf.sprintf "kc=%d nc=%d" g.Tuning.kc g.Tuning.nc)
-        | acc, _ -> acc)
-      None plan.Compile.Compiled.bindings
-  in
   let doc =
     Obj
       [
@@ -162,9 +152,6 @@ let json () =
               ("uncompiled_ms", Num (t_uncompiled *. 1e3));
               ("compiled_ms", Num (t_compiled *. 1e3));
               ("speedup", Num (t_uncompiled /. t_compiled));
-              ("bound_ops", Int (List.length plan.Compile.Compiled.bindings));
-              ( "gemm_binding",
-                Str (Option.value gemm_binding ~default:"(none)") );
               ("prepacked", Int (List.length plan.Compile.Compiled.prepack));
               ( "attn_sites",
                 Int (List.length plan.Compile.Compiled.attn_sites) );

@@ -479,17 +479,17 @@ let serve hp trace_spec max_batch max_delay_ms queue_cap deadline_ms real
     (Serve.Metrics.quantile mt.Serve.Metrics.latency 0.99 *. 1e3)
 
 (* [compile]: lower a program through the staged pipeline and report the
-   plan — per-pass stats, tuned bindings, cache behavior, optional
+   plan — per-pass stats, cache behavior, optional
    per-stage SDFG export and bitwise verification against the uncompiled
    interpreter. *)
-let compile_run hp device mha do_verify show_trace dot_dir =
+let compile_run hp mha do_verify show_trace dot_dir =
   let params =
     if mha then Transformer.Mha.param_names else Transformer.Encoder.param_names
   in
   let keep_stages = dot_dir <> None in
   let regime = Compile.Regime.current ~attention:!flash_attn () in
   let go () =
-    Compile.Compiled.compile ~device ~name_table:(table_of ~mha) ~params
+    Compile.Compiled.compile ~name_table:(table_of ~mha) ~params
       ~verify:do_verify ~keep_stages regime (program_of ~mha hp)
   in
   let t0 = Pool.now () in
@@ -765,7 +765,7 @@ let compile_trace_arg =
     & info [ "trace" ]
         ~doc:
           "Print the per-pass trace: operator counts before/after, peak \
-           floats, elapsed time, and the tuned kernel bindings.")
+           floats, elapsed time, and each pass's note.")
 
 let dot_dir_arg =
   Arg.(
@@ -779,10 +779,10 @@ let dot_dir_arg =
 let compile_cmd =
   cmd "compile"
     "Lower a program through the staged compiler pipeline (canonicalize, \
-     DCE/CSE, attention windowing, fusion, tuned binding, memory planning, \
-     prepack) and report the cached plan."
+     DCE/CSE, attention windowing, fusion, memory planning, prepack) and \
+     report the cached plan."
     Term.(
-      const compile_run $ hp_arg $ device_arg $ mha_arg $ verify_arg
+      const compile_run $ hp_arg $ mha_arg $ verify_arg
       $ compile_trace_arg $ dot_dir_arg)
 
 let env_cmd =
@@ -820,7 +820,7 @@ let summary_cmd =
     Term.(const summary $ hp_arg $ device_arg)
 
 let cost_cmd =
-  cmd "cost" "Training-cost savings estimate (the paper's $85k claim)."
+  cmd "cost" "Training-cost savings estimate (the paper's \\$85k claim)."
     Term.(const cost $ hp_arg $ device_arg)
 
 let presets_cmd =

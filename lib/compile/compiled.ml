@@ -9,7 +9,6 @@ type plan = {
   fingerprint : string;
   cache_key : string;
   trace : Pass.stat list;
-  bindings : (string * Tuning.t) list;  (* op name -> tuned binding *)
   memplan : Ops.Memplan.t option;
   prepack : string list;  (* weight containers registered at execute *)
   attn_sites : Substation.Fusion.attn_site list;
@@ -121,18 +120,10 @@ let execute ?check_op ?wrap_op (plan : plan) inputs =
       | Some t -> Einsum.register_prepacked t
       | None -> ())
     plan.prepack;
-  let wrap (op : Ops.Op.t) body =
-    let body =
-      match List.assoc_opt op.Ops.Op.name plan.bindings with
-      | Some b when not (Tuning.is_none b) ->
-          fun () -> Tuning.with_binding b body
-      | _ -> body
-    in
-    match wrap_op with Some w -> w op body | None -> body ()
-  in
+  let wrap op body = match wrap_op with Some w -> w op body | None -> body () in
   let go () =
     match plan.memplan with
-    | Some mp -> Ops.Memplan.execute ?check_op ~wrap_op:wrap mp inputs
+    | Some mp -> Ops.Memplan.execute ?check_op ?wrap_op mp inputs
     | None ->
         let env = Ops.Op.env_of_list inputs in
         List.iter
@@ -223,28 +214,8 @@ let tainted_containers (plan : plan) =
       plan.source.Ops.Program.ops;
   tainted
 
-(* The exact-mode ambient binding the verification runs execute under:
-   streamed KV tiles agree with the naive chain only within ulps, so the
-   bitwise check pins every recognized window to single-pass exact mode
-   (kv_tile >= L_k). The tuned-binding pass restricts itself to the same
-   envelope, so verified plans stay verified in production. *)
-let verify_binding sites =
-  match sites with
-  | [] -> Tuning.none
-  | _ ->
-      let max_kv =
-        List.fold_left
-          (fun acc (s : Substation.Fusion.attn_site) ->
-            max acc s.site_seq_k)
-          1 sites
-      in
-      Tuning.make ~attn:(32, max_kv) ()
-
 let verify_stage ~pass_name ~reference ~outputs plan inputs =
-  let env =
-    Tuning.with_binding (verify_binding plan.attn_sites) (fun () ->
-        execute plan inputs)
-  in
+  let env = execute plan inputs in
   List.iter
     (fun c ->
       match Hashtbl.find_opt env c with
@@ -270,14 +241,23 @@ let verify_stage ~pass_name ~reference ~outputs plan inputs =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let cache_key_of ~fingerprint ~regime ~params =
-  fingerprint ^ "|" ^ Regime.key regime ^ "|params:"
-  ^ Digest.to_hex (Digest.string (String.concat "," params))
+(* The name table decides the fused ops' names, so it keys the plan too. *)
+let cache_key_of ~fingerprint ~regime ~name_table ~params =
+  let digest s = Digest.to_hex (Digest.string s) in
+  let names =
+    List.map
+      (fun (members, name) -> String.concat "+" members ^ "=" ^ name)
+      name_table
+  in
+  fingerprint ^ "|" ^ Regime.key regime ^ "|names:"
+  ^ digest (String.concat "," names)
+  ^ "|params:"
+  ^ digest (String.concat "," params)
 
-let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
-    ~keep_stages ~fingerprint ~cache_key regime source =
+let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
+    ~cache_key regime source =
   incr compiles;
-  let ctx = Pass.make_ctx ?device ?db ~name_table ~params regime in
+  let ctx = Pass.make_ctx ~name_table ~params regime in
   let interim ~program ~trace ~stages =
     {
       source;
@@ -286,7 +266,6 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
       fingerprint;
       cache_key;
       trace = List.rev trace;
-      bindings = ctx.Pass.bindings;
       memplan = ctx.Pass.memplan;
       prepack = ctx.Pass.prepack;
       attn_sites = ctx.Pass.attn_sites;
@@ -353,16 +332,16 @@ let build ?device ?db ?(name_table = []) ?(params = []) ~verify ?verify_inputs
   let plan = interim ~program ~trace ~stages in
   { plan with verified = verify }
 
-let compile ?device ?db ?name_table ?(params = []) ?(verify = false)
+let compile ?device:_ ?(name_table = []) ?(params = []) ?(verify = false)
     ?verify_inputs ?(use_cache = true) ?(keep_stages = false) regime program =
   let fingerprint = Fingerprint.of_program program in
-  let cache_key = cache_key_of ~fingerprint ~regime ~params in
+  let cache_key = cache_key_of ~fingerprint ~regime ~name_table ~params in
   match if use_cache && not verify then find_cached cache_key else None with
   | Some plan -> plan
   | None ->
       let plan =
-        build ?device ?db ?name_table ~params ~verify ?verify_inputs
-          ~keep_stages ~fingerprint ~cache_key regime program
+        build ~name_table ~params ~verify ?verify_inputs ~keep_stages
+          ~fingerprint ~cache_key regime program
       in
       if use_cache then insert_cached cache_key plan;
       plan
@@ -375,12 +354,6 @@ let pp_trace ppf (plan : plan) =
   Format.fprintf ppf "plan %s  regime[%s]%s@." (String.sub plan.fingerprint 0 12)
     (Regime.key plan.regime)
     (if plan.verified then "  verified" else "");
-  List.iter (fun s -> Format.fprintf ppf "  %a@." Pass.pp_stat s) plan.trace;
-  if plan.bindings <> [] then begin
-    Format.fprintf ppf "  tuned bindings:@.";
-    List.iter
-      (fun (op, b) -> Format.fprintf ppf "    %-32s %s@." op (Tuning.to_string b))
-      plan.bindings
-  end
+  List.iter (fun s -> Format.fprintf ppf "  %a@." Pass.pp_stat s) plan.trace
 
 let trace_to_string plan = Format.asprintf "%a" pp_trace plan

@@ -2,11 +2,10 @@
 
     [compile regime program] lowers a program through the standard pass
     pipeline ({!Passes.pipeline}) and returns a {!plan}: the staged
-    program plus every non-program artifact the passes produced — tuned
-    per-op kernel bindings, the static memory plan, prepack annotations,
-    recognized attention windows, and a per-pass stats trace. Plans are
-    cached in an LRU keyed by (structural program fingerprint x regime x
-    params), so consumers that rebuild structurally-identical programs
+    program plus every non-program artifact the passes produced — the
+    static memory plan, prepack annotations, recognized attention windows,
+    and a per-pass stats trace. Plans are cached in an LRU keyed by
+    (structural program fingerprint x regime x name table x params), so consumers that rebuild structurally-identical programs
     every step (the training loop, serving sessions) compile once and
     execute many: a cache hit re-runs zero passes (observable through
     {!pass_runs}).
@@ -19,11 +18,9 @@
     envelope: the streaming backward recomputes probabilities as
     [exp(score - logsumexp)], mathematically identical but ulps apart
     from the naive chain's stored [exp(s - max)/sum] softmax (observed
-    drift <= 4.4e-16, the repo's PR-8 contract). Verification pins
-    recognized attention windows to single-pass exact mode (kv_tile >=
-    L_k) — the envelope within which the streaming {e forward} is
-    bitwise; the tuned-binding pass restricts itself to the same
-    envelope, so a verified plan keeps its guarantees in production. *)
+    drift <= 4.4e-16). The streaming {e forward} always runs the
+    single-KV-tile exact mode, so it is bitwise in verification and in
+    production alike. *)
 
 type plan = {
   source : Ops.Program.t;
@@ -32,7 +29,6 @@ type plan = {
   fingerprint : string;
   cache_key : string;
   trace : Pass.stat list;  (** one entry per executed pass, in order *)
-  bindings : (string * Tuning.t) list;  (** op name -> tuned binding *)
   memplan : Ops.Memplan.t option;
   prepack : string list;  (** weight containers registered at execute *)
   attn_sites : Substation.Fusion.attn_site list;
@@ -44,10 +40,10 @@ type plan = {
     verified envelope (bitwise; ulps for the attention-backward cone). *)
 exception Verification_failed of { vf_pass : string; vf_container : string }
 
-(** Compile [program] under [regime]. [device] enables the tuned-binding
-    pass (and [db], when given, lets it degrade gracefully on holed perf
-    databases). [params] names the weight containers eligible for
-    prepacking. [verify_inputs] supplies the verification run's inputs
+(** Compile [program] under [regime]. [device] is accepted and ignored:
+    kernels choose their own tiles, so no pass depends on a device.
+    [name_table] names the fused kernels (it is part of the cache key).
+    [params] names the weight containers eligible for prepacking. [verify_inputs] supplies the verification run's inputs
     (synthesized deterministically from the program's pinned input
     containers when omitted). [keep_stages] records each pass's output
     program (for per-stage SDFG export). [use_cache] (default [true])
@@ -55,7 +51,6 @@ exception Verification_failed of { vf_pass : string; vf_container : string }
     recompiles (and re-proves) but still caches the result. *)
 val compile :
   ?device:Gpu.Device.t ->
-  ?db:Substation.Perfdb.t ->
   ?name_table:(string list * string) list ->
   ?params:string list ->
   ?verify:bool ->
@@ -67,9 +62,8 @@ val compile :
   plan
 
 (** Execute a plan: registers prepacked weights, pins the regime's
-    backend mode and guard level, scopes each op's tuned binding
-    ({!Tuning.with_binding}), and interprets through the memory plan when
-    one was produced (else op-for-op). [check_op op env] runs after each
+    backend mode and guard level, and interprets through the memory plan
+    when one was produced (else op-for-op). [check_op op env] runs after each
     op with its outputs still present (numerical guards); [wrap_op op
     body] wraps each op's execution + check (resilience retries) and must
     call [body] exactly once on the success path. *)

@@ -1,19 +1,7 @@
-(* The typed pass interface: a named rewrite over [Ops.Program.t] with
-   declared invariants, threaded through a mutable compilation context
-   that accumulates the non-program plan artifacts (attention sites,
-   tuned bindings, the memory plan, prepack annotations). *)
-
-type invariant =
-  | Bitwise_semantics
-      (* the rewritten program computes bitwise-identical values for
-         every container both versions materialize *)
-  | Ops_not_increased  (* |ops| after <= |ops| before *)
-  | Metadata_only  (* does not rewrite the program at all *)
-
-let invariant_to_string = function
-  | Bitwise_semantics -> "bitwise-semantics"
-  | Ops_not_increased -> "ops-not-increased"
-  | Metadata_only -> "metadata-only"
+(* The typed pass interface: a named rewrite over [Ops.Program.t],
+   threaded through a mutable compilation context that accumulates the
+   non-program plan artifacts (attention sites, the memory plan, prepack
+   annotations). *)
 
 type stat = {
   st_pass : string;
@@ -22,17 +10,14 @@ type stat = {
   st_peak_floats : int;  (* allocate-everything resident set after the pass;
                             from memory planning on, the planned peak *)
   st_elapsed : float;  (* seconds spent in the rewrite *)
-  st_note : string;  (* pass-specific: windows found, bindings bound, ... *)
+  st_note : string;  (* pass-specific: windows found, peak drop, ... *)
 }
 
 type ctx = {
   regime : Regime.t;
-  device : Gpu.Device.t option;
-  db : Substation.Perfdb.t option;
   name_table : (string list * string) list;
   params : string list;  (* weight containers eligible for prepacking *)
   mutable attn_sites : Substation.Fusion.attn_site list;
-  mutable bindings : (string * Tuning.t) list;  (* op name -> binding *)
   mutable memplan : Ops.Memplan.t option;
   mutable prepack : string list;  (* containers to register prepacked *)
   mutable note : string;  (* the running pass's [st_note] *)
@@ -40,15 +25,12 @@ type ctx = {
                                           planning has run *)
 }
 
-let make_ctx ?device ?db ?(name_table = []) ?(params = []) regime =
+let make_ctx ?(name_table = []) ?(params = []) regime =
   {
     regime;
-    device;
-    db;
     name_table;
     params;
     attn_sites = [];
-    bindings = [];
     memplan = None;
     prepack = [];
     note = "";
@@ -57,7 +39,6 @@ let make_ctx ?device ?db ?(name_table = []) ?(params = []) regime =
 
 type t = {
   p_name : string;
-  p_invariants : invariant list;
   p_enabled : ctx -> bool;
   p_rewrite : ctx -> Ops.Program.t -> Ops.Program.t;
 }

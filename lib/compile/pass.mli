@@ -1,16 +1,8 @@
-(** The typed pass interface: a named rewrite over [Ops.Program.t] with
-    declared invariants, threaded through a mutable compilation context
-    accumulating the non-program plan artifacts. *)
-
-type invariant =
-  | Bitwise_semantics
-      (** the rewritten program computes bitwise-identical values for
-          every container both versions materialize (what
-          [Compiled.compile ~verify:true] checks) *)
-  | Ops_not_increased
-  | Metadata_only  (** does not rewrite the program at all *)
-
-val invariant_to_string : invariant -> string
+(** The typed pass interface: a named rewrite over [Ops.Program.t],
+    threaded through a mutable compilation context accumulating the
+    non-program plan artifacts. Every pass must leave the values of every
+    container both versions materialize bitwise unchanged; that is what
+    [Compiled.compile ~verify:true] checks. *)
 
 type stat = {
   st_pass : string;
@@ -25,12 +17,9 @@ type stat = {
 
 type ctx = {
   regime : Regime.t;
-  device : Gpu.Device.t option;
-  db : Substation.Perfdb.t option;
   name_table : (string list * string) list;
   params : string list;
   mutable attn_sites : Substation.Fusion.attn_site list;
-  mutable bindings : (string * Tuning.t) list;
   mutable memplan : Ops.Memplan.t option;
   mutable prepack : string list;
   mutable note : string;
@@ -38,8 +27,6 @@ type ctx = {
 }
 
 val make_ctx :
-  ?device:Gpu.Device.t ->
-  ?db:Substation.Perfdb.t ->
   ?name_table:(string list * string) list ->
   ?params:string list ->
   Regime.t ->
@@ -47,7 +34,6 @@ val make_ctx :
 
 type t = {
   p_name : string;
-  p_invariants : invariant list;
   p_enabled : ctx -> bool;
   p_rewrite : ctx -> Ops.Program.t -> Ops.Program.t;
 }

@@ -16,7 +16,6 @@
 let canonicalize =
   {
     Pass.p_name = "canonicalize";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
     p_enabled = (fun _ -> true);
     p_rewrite =
       (fun ctx p ->
@@ -153,7 +152,6 @@ let cse (p : Ops.Program.t) =
 let dce_cse =
   {
     Pass.p_name = "dce-cse";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
     p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p ->
@@ -177,7 +175,6 @@ let dce_cse =
 let attention_window =
   {
     Pass.p_name = "attention-window";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
     p_enabled =
       (fun ctx ->
         ctx.Pass.regime.Regime.rewrite && ctx.Pass.regime.Regime.attention);
@@ -200,139 +197,9 @@ let attention_window =
 let fusion =
   {
     Pass.p_name = "fusion";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Ops_not_increased ];
     p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p -> Substation.Fusion.fuse ~name_table:ctx.Pass.name_table p);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* tuned-parameter binding                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The cache-residency budget of the paper's selection model (the same
-   128 KiB Config_space prices streaming-attention tiles against). *)
-let cache_budget_bytes = 128 * 1024
-
-(* Block shape for a (n, k) GEMM footprint: the streamed B panel
-   (kc x nc floats) should stay cache-resident, so nc takes the column
-   block up to the static 512 and kc shrinks until the panel fits half
-   the budget. Any shape is bitwise-neutral (ascending-k contract). *)
-let gemm_blocks_for ~n ~k =
-  let nc = max 16 (min Tuning.default_gemm_blocks.Tuning.nc (max 1 n)) in
-  let budget_floats = cache_budget_bytes / 8 / 2 in
-  let kc = max 16 (min (max 1 k) (budget_floats / nc)) in
-  { Tuning.kc; nc }
-
-let axis_extent (p : Ops.Program.t) containers axis =
-  let rec find = function
-    | [] -> None
-    | c :: rest -> (
-        match List.assoc_opt axis (Ops.Program.container_dims p c) with
-        | Some n -> Some n
-        | None -> find rest)
-  in
-  find containers
-
-let gemm_geometry p (r : Ops.Op.gemm_roles) =
-  let containers = (r.a :: r.b :: r.c :: r.a_list) @ r.b_list @ r.c_list in
-  let product axes =
-    List.fold_left
-      (fun acc a ->
-        match axis_extent p containers a with
-        | Some n -> acc * n
-        | None -> acc)
-      1 axes
-  in
-  (product r.n_axes, product r.k_axes)
-
-let bind_attention ctx device =
-  List.filter_map
-    (fun (s : Substation.Fusion.attn_site) ->
-      if s.site_d_head <= 0 || s.site_heads <= 0 || s.site_batch <= 0 then None
-      else
-        let seq = s.site_seq_k in
-        let exact =
-          List.filter
-            (fun (a : Substation.Config_space.attn_config) ->
-              a.akv_tile >= seq)
-            (Substation.Config_space.attn_configs ~seq)
-        in
-        let candidates =
-          if exact = [] then
-            [ { Substation.Config_space.aq_tile = 32; akv_tile = seq } ]
-          else exact
-        in
-        let best =
-          List.fold_left
-            (fun acc cfg ->
-              let m =
-                Substation.Config_space.measure_attn ~device
-                  ~d_head:s.site_d_head ~heads:s.site_heads
-                  ~batch:s.site_batch ~seq cfg
-              in
-              match acc with
-              | Some (_, t) when t <= m.Substation.Config_space.time -> acc
-              | _ -> Some (cfg, m.Substation.Config_space.time))
-            None candidates
-        in
-        Option.map
-          (fun ((cfg : Substation.Config_space.attn_config), _) ->
-            (s.site_op, (cfg.aq_tile, cfg.akv_tile)))
-          best)
-    ctx.Pass.attn_sites
-
-let tuned_binding =
-  {
-    Pass.p_name = "tuned-binding";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
-    p_enabled =
-      (fun ctx -> ctx.Pass.regime.Regime.rewrite && ctx.Pass.device <> None);
-    p_rewrite =
-      (fun ctx p ->
-        let device = Option.get ctx.Pass.device in
-        let holes =
-          match ctx.Pass.db with
-          | Some db -> Substation.Perfdb.holes db
-          | None -> []
-        in
-        let attn = bind_attention ctx device in
-        let holed = ref 0 and gemms = ref 0 in
-        let bindings =
-          List.filter_map
-            (fun (op : Ops.Op.t) ->
-              let gemm =
-                match op.kind with
-                | Ops.Op.Gemm r when not (List.mem op.name holes) ->
-                    let n, k = gemm_geometry p r in
-                    if n <= 1 || k <= 1 then None
-                    else begin
-                      incr gemms;
-                      Some (gemm_blocks_for ~n ~k)
-                    end
-                | Ops.Op.Gemm _ ->
-                    (* the perf database was swept but this op's rows are
-                       all holes: degrade to the static defaults rather
-                       than trusting geometry the sweep could not
-                       confirm *)
-                    incr holed;
-                    None
-                | _ -> None
-              in
-              let attn_tiles = List.assoc_opt op.name attn in
-              match (gemm, attn_tiles) with
-              | None, None -> None
-              | _ -> Some (op.name, Tuning.make ?gemm ?attn:attn_tiles ()))
-            p.Ops.Program.ops
-        in
-        ctx.Pass.bindings <- bindings;
-        ctx.Pass.note <-
-          Printf.sprintf "%d gemm op(s) bound, %d attention window(s)%s"
-            !gemms (List.length attn)
-            (if !holed > 0 then
-               Printf.sprintf ", %d holed op(s) kept static" !holed
-             else "");
-        p);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -342,7 +209,6 @@ let tuned_binding =
 let memory_plan =
   {
     Pass.p_name = "memory-plan";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
     p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
       (fun ctx p ->
@@ -363,7 +229,6 @@ let memory_plan =
 let prepack =
   {
     Pass.p_name = "prepack";
-    p_invariants = [ Pass.Bitwise_semantics; Pass.Metadata_only ];
     p_enabled =
       (fun ctx -> ctx.Pass.regime.Regime.rewrite && ctx.Pass.params <> []);
     p_rewrite =
@@ -395,7 +260,6 @@ let pipeline =
     dce_cse;
     attention_window;
     fusion;
-    tuned_binding;
     memory_plan;
     prepack;
   ]

@@ -1,6 +1,6 @@
 (** The standard pass pipeline: canonicalize -> dead-code/CSE ->
-    attention windowing -> generic fusion -> tuned-parameter binding ->
-    memory planning -> prepack annotation.
+    attention windowing -> generic fusion -> memory planning -> prepack
+    annotation.
 
     Attention windowing runs {e before} the generic engine (window
     recognition needs the raw [Op.sem] chains, which fusion erases); the
@@ -12,7 +12,6 @@ val canonicalize : Pass.t
 val dce_cse : Pass.t
 val attention_window : Pass.t
 val fusion : Pass.t
-val tuned_binding : Pass.t
 val memory_plan : Pass.t
 val prepack : Pass.t
 
@@ -23,10 +22,3 @@ val pipeline : Pass.t list
     plus every container written but never read by any op (the repo's
     terminal-output convention, shared with [Ops.Memplan]). *)
 val live_out : keep:string list -> Ops.Program.t -> string list
-
-(** Cache-aware GEMM block shape for an [n x k] footprint: the streamed
-    [kc x nc] B panel is sized to stay resident in half the 128 KiB
-    selection-model budget (bitwise-neutral by the ascending-k
-    contract). Exposed for callers that tune kernels outside a compiled
-    program — e.g. the serving scheduler's decode GEMVs. *)
-val gemm_blocks_for : n:int -> k:int -> Tuning.gemm_blocks

@@ -13,8 +13,8 @@ type t = {
   keep : string list;  (** containers the caller reads from the env *)
   rewrite : bool;
       (** run the full pipeline: DCE/CSE, attention windowing, fusion,
-          tuned binding (when a device is given), memory planning, and
-          prepack (when params are given). [false] is {!passthrough}. *)
+          memory planning, and prepack (when params are given). [false]
+          is {!passthrough}. *)
 }
 
 (** The full pipeline under the ambient fastmode / domains / guard

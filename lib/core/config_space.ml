@@ -14,12 +14,9 @@ type fused_config = {
   warp_axis : Axis.t option;
 }
 
-type attn_config = { aq_tile : int; akv_tile : int }
-
 type config =
   | Gemm_cfg of gemm_config
   | Fused_cfg of fused_config
-  | Attn_cfg of attn_config
 
 type measured = {
   op_name : string;
@@ -356,79 +353,6 @@ let fused_kernel ?(quality = 1.0) ~device program (op : Ops.Op.t) cfg =
     ~unit_:Gpu.Device.Fp16_simd ~compute_efficiency:0.55 accesses
 
 (* ------------------------------------------------------------------ *)
-(* Streaming attention (Flashattn tile sweep)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Working set of one streaming step for a single (head, batch) pair: the
-   Q tile with its output accumulator and online-softmax stats, plus one
-   K/V tile panel. The kernel only streams when this stays cache-resident;
-   spilling tiles fall back to DRAM-speed re-reads. *)
-let attn_working_set_bytes ~d_head cfg =
-  let floats =
-    (cfg.aq_tile * ((2 * d_head) + 2)) + (cfg.akv_tile * 2 * d_head)
-  in
-  floats * bytes_per_elem
-
-let attn_cache_bytes = 1 lsl 17 (* 128 KiB: one core's slice of the LLC *)
-
-(* Tile-shape axis for the autotuner. Candidates are clamped to the
-   sequence length and deduplicated; [seq] itself is always a KV
-   candidate (the exact single-pass mode of {!Flashattn}). *)
-let attn_configs ~seq =
-  if seq <= 0 then invalid_arg "Config_space.attn_configs: seq must be > 0";
-  let clamp ts = List.sort_uniq compare (List.map (fun t -> min t seq) ts) in
-  let q_tiles = clamp [ 1; 8; 16; 32; 64 ] in
-  let kv_tiles = clamp [ 32; 64; 128; 256; 512; seq ] in
-  List.concat_map
-    (fun q -> List.map (fun kv -> { aq_tile = q; akv_tile = kv }) kv_tiles)
-    q_tiles
-
-(* Synthetic kernel descriptor for the streaming-attention interior
-   softmax(scale * QK^T) . V over [heads * batch] independent problems.
-   Q and the output move once; K and V are re-streamed once per Q-tile
-   pass — the tile sweep trades that re-read factor (small Q tiles)
-   against cache residency (small KV tiles). The L x L score matrix never
-   touches memory, which is the point: [min_bytes] is the four logical
-   tensors exactly once. *)
-let attn_kernel ?(quality = 1.0) ~d_head ~heads ~batch ~seq cfg =
-  let nq_tiles = (seq + cfg.aq_tile - 1) / cfg.aq_tile in
-  let hb = heads * batch in
-  let q_elems = hb * seq * d_head in
-  let kv_elems = hb * nq_tiles * seq * d_head in
-  let out_elems = hb * seq * d_head in
-  let resident = attn_working_set_bytes ~d_head cfg <= attn_cache_bytes in
-  let eff base =
-    clamp_eff (quality *. (if resident then base else 0.35 *. base))
-  in
-  let flop = (4 * hb * seq * seq * d_head) + (10 * hb * seq * seq) in
-  Gpu.Kernel.make
-    ~name:(Printf.sprintf "flashattn|q=%d|kv=%d" cfg.aq_tile cfg.akv_tile)
-    ~cls:Sdfg.Opclass.Contraction ~flop ~unit_:Gpu.Device.Fp16_simd
-    ~compute_efficiency:0.55
-    ~min_bytes:(4 * hb * seq * d_head * bytes_per_elem)
-    [
-      Gpu.Kernel.access ~bytes_per_elem ~efficiency:(eff 0.9) "q"
-        Gpu.Kernel.Read q_elems;
-      Gpu.Kernel.access ~bytes_per_elem ~efficiency:(eff 0.9) "k"
-        Gpu.Kernel.Read kv_elems;
-      Gpu.Kernel.access ~bytes_per_elem ~efficiency:(eff 0.9) "v"
-        Gpu.Kernel.Read kv_elems;
-      Gpu.Kernel.access ~bytes_per_elem ~efficiency:(eff 0.9) "out"
-        Gpu.Kernel.Write out_elems;
-    ]
-
-let measure_attn ?(quality = 1.0) ~device ~d_head ~heads ~batch ~seq cfg =
-  let kernel = attn_kernel ~quality ~d_head ~heads ~batch ~seq cfg in
-  let timing = Gpu.Cost_model.time device kernel in
-  {
-    op_name = "flashattn";
-    config = Attn_cfg cfg;
-    kernel;
-    time = timing.Gpu.Cost_model.time;
-    layouts = [];
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -469,20 +393,12 @@ let resolve_layouts program (op : Ops.Op.t) config =
         groups
   | Gemm_cfg _, (Ops.Op.Map | Ops.Op.Reduce) | Fused_cfg _, Ops.Op.Gemm _ ->
       invalid_arg "Config_space.resolve_layouts: config kind mismatch"
-  | Attn_cfg _, _ ->
-      (* Tile shapes carry no container layouts: the streaming kernel
-         gathers K/V panels itself, so every layout is admissible. *)
-      []
 
 let measure ?(quality = 1.0) ~device program (op : Ops.Op.t) config =
   let kernel =
     match config with
     | Gemm_cfg cfg -> gemm_kernel ~quality ~device program op cfg
     | Fused_cfg cfg -> fused_kernel ~quality ~device program op cfg
-    | Attn_cfg _ ->
-        invalid_arg
-          "Config_space.measure: attention tile configs are priced with \
-           measure_attn"
   in
   let timing = Gpu.Cost_model.time device kernel in
   {
@@ -512,7 +428,6 @@ let config_key = function
            (List.map
               (fun (rep, l) -> rep ^ "=" ^ Layout.to_string l)
               c.group_layouts))
-  | Attn_cfg c -> Printf.sprintf "attn|q=%d|kv=%d" c.aq_tile c.akv_tile
 
 type measure_error = {
   failed_op : string;

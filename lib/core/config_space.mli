@@ -30,15 +30,9 @@ type fused_config = {
   warp_axis : Axis.t option;
 }
 
-(** Tile shape of the streaming attention kernel ({!Flashattn}): rows of Q
-    processed per pass x K/V columns resident per tile. [akv_tile >= seq]
-    selects the single-pass exact mode. *)
-type attn_config = { aq_tile : int; akv_tile : int }
-
 type config =
   | Gemm_cfg of gemm_config
   | Fused_cfg of fused_config
-  | Attn_cfg of attn_config
 
 type measured = {
   op_name : string;
@@ -59,29 +53,6 @@ val fused_configs : Ops.Program.t -> Ops.Op.t -> fused_config list
 
 (** [configs program op] dispatches on the operator kind. *)
 val configs : Ops.Program.t -> Ops.Op.t -> config list
-
-(** {1 Streaming attention tile sweep}
-
-    The tile-shape axis the autotuner searches for {!Flashattn}: Q-tile and
-    KV-tile candidates clamped to [seq] (which is always a KV candidate —
-    the exact single-pass mode). Unlike the per-operator spaces above, tile
-    shapes carry no container layouts: the kernel gathers its K/V panels,
-    so every layout is admissible. *)
-val attn_configs : seq:int -> attn_config list
-
-(** Per-(head, batch) bytes a streaming step keeps hot: the Q tile with
-    its accumulator and online-softmax stats, plus one K/V panel. *)
-val attn_working_set_bytes : d_head:int -> attn_config -> int
-
-(** [measure_attn ?quality ~device ~d_head ~heads ~batch ~seq cfg] prices
-    the streaming-attention interior under tile shape [cfg] through the
-    roofline model: Q and the output move once, K/V are re-streamed once
-    per Q-tile pass, and tiles whose working set spills the cache pay
-    DRAM-speed re-reads. The L x L score matrix never appears in the
-    traffic — [min_bytes] is the four logical tensors exactly once. *)
-val measure_attn :
-  ?quality:float -> device:Gpu.Device.t -> d_head:int -> heads:int
-  -> batch:int -> seq:int -> attn_config -> measured
 
 (** [measure ?quality ~device program op config] builds the kernel
     descriptor and times it. [quality] (default 1.0) scales achievable

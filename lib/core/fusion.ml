@@ -491,9 +491,15 @@ let attn_steps members =
     (fun (o : Ops.Op.t) -> (o.Ops.Op.name, Streaming_attention))
     (List.tl members)
 
-let build_attn_fwd name_table w =
+(* The forward streams one KV tile spanning all of L_k: the exact mode,
+   bitwise equal to the member chain it replaces. *)
+let build_attn_fwd name_table (program : Ops.Program.t) w =
   let members = w.aw_fwd in
   let name = canonical_name name_table members in
+  let seq_k =
+    List.assoc Flashattn.paper_axes.k_seq
+      (Ops.Program.container_dims program w.aw_k)
+  in
   let seq env = List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members in
   let run env =
     if not (Fastmode.enabled ()) then seq env
@@ -507,8 +513,8 @@ let build_attn_fwd name_table w =
         ~fallback:(fun () -> seq env)
         (fun () ->
           let out, lse =
-            Flashattn.forward ~causal:w.aw_causal ?dropout:w.aw_dropout
-              ~prescale:w.aw_prescale
+            Flashattn.forward ~kv_tile:seq_k ~causal:w.aw_causal
+              ?dropout:w.aw_dropout ~prescale:w.aw_prescale
               ~q:(Ops.Op.lookup env w.aw_q)
               ~k:(Ops.Op.lookup env w.aw_k)
               ~v:(Ops.Op.lookup env w.aw_v)
@@ -615,7 +621,7 @@ let groups ?(name_table = []) ?(attention = false) (program : Ops.Program.t) =
           | Some (_, n, which) ->
               let g =
                 match which with
-                | `Fwd w -> build_attn_fwd name_table w
+                | `Fwd w -> build_attn_fwd name_table program w
                 | `Bwd w -> build_attn_bwd name_table w
               in
               walk ([ g ] :: flush acc current) [] (drop (n - 1) rest)
@@ -632,9 +638,9 @@ let fuse ?name_table ?attention program =
 (* Staged variant for the compiler pipeline: replace ONLY the attention
    windows with their streaming fused ops, leaving every other operator
    untouched (the generic engine runs as a separate, later pass), and
-   report where the windows are so the tuned-binding pass can size their
-   tiles. Fused attention ops carry [cls = Contraction], so the generic
-   engine downstream treats them as barriers and never re-fuses them. *)
+   report where the windows are. Fused attention ops carry
+   [cls = Contraction], so the generic engine downstream treats them as
+   barriers and never re-fuses them. *)
 
 type attn_site = {
   site_op : string;  (* fused op name *)
@@ -687,7 +693,7 @@ let prefuse_attention ?(name_table = []) (program : Ops.Program.t) =
           | Some (_, n, which) ->
               let g, w, kind =
                 match which with
-                | `Fwd w -> (build_attn_fwd name_table w, w, `Fwd)
+                | `Fwd w -> (build_attn_fwd name_table program w, w, `Fwd)
                 | `Bwd w -> (build_attn_bwd name_table w, w, `Bwd)
               in
               walk (g.fused :: acc)

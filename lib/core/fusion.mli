@@ -56,7 +56,8 @@ type group = {
     interior — qkt / softmax(+causal) / dropout / gamma and, when present,
     their six backward mirrors — and pins each window as one fused group
     running the streaming tiled kernel ({!Flashattn}) under the kernel
-    guard, with sequential member replay as the oracle fallback (the
+    guard — the forward in exact mode (one KV tile spanning L_k, bitwise
+    equal to the member chain) — with sequential member replay as the oracle fallback (the
     backward's replay first re-runs the forward members to rematerialize
     the elided score containers). Windows whose intermediates leak outside
     the pair are left to the generic engine. Opt-in because the streaming
@@ -73,7 +74,7 @@ val groups : ?name_table:(string list * string) list -> ?attention:bool
 (** {2 Staged attention windowing (compiler pipeline)} *)
 
 (** Where a streaming-attention window was recognized: the fused op's name
-    plus the geometry the tuned-binding pass needs to size its tiles. *)
+    plus its geometry. *)
 type attn_site = {
   site_op : string;  (** name of the fused op in the rewritten program *)
   site_kind : [ `Fwd | `Bwd ];

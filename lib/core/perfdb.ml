@@ -459,8 +459,6 @@ let config_fields (m : Config_space.measured) =
       ( "fused",
         Printf.sprintf "vec=%s;warp=%s" c.vec_axis
           (match c.warp_axis with None -> "grid" | Some a -> a) )
-  | Config_space.Attn_cfg c ->
-      ("attn", Printf.sprintf "q=%d;kv=%d" c.aq_tile c.akv_tile)
 
 let export_csv t =
   let buf = Buffer.create (1 lsl 16) in

@@ -50,8 +50,8 @@ val execute :
     containers are dropped), hosts the executor's numerical guards.
     [wrap_op op body] wraps each op's execution (op body + check, but not
     the dead-container removal, so a retrying wrapper sees a consistent
-    environment); the compiled-plan executor uses it to scope per-op tuned
-    bindings and resilience retries. [wrap_op] must call [body] exactly
+    environment); the compiled-plan executor uses it for resilience
+    retries. [wrap_op] must call [body] exactly
     once on the success path. The returned environment holds the inputs
     plus kept containers. A plan is immutable, so concurrent [execute]s
     are safe. *)

@@ -72,7 +72,6 @@ type t = {
   model : Model.t;
   clock : Clock.t;
   policy : policy;
-  decode_binding : Tuning.t;  (* cache-resident GEMM blocks for decode *)
   step_cost : batch:int -> max_len:int -> float;
   metrics : Metrics.t;
   queue : request Queue.t;
@@ -102,17 +101,6 @@ let create ?(policy = default_policy) ?(step_cost = default_step_cost) ~clock
     model;
     clock;
     policy;
-    (* Tuned once at creation for the decode GEMV geometry (n = the batch
-       cap's activation columns, k = the embedding contraction): the
-       streamed B panel stays cache-resident instead of using the static
-       kc x nc default. Bitwise-neutral by the ascending-k contract, so
-       the decode-oracle equality is untouched. *)
-    decode_binding =
-      Tuning.make
-        ~gemm:
-          (Compile.Passes.gemm_blocks_for ~n:policy.max_batch
-             ~k:model.Model.hp.Transformer.Hparams.embed)
-        ();
     step_cost;
     metrics = Metrics.create ();
     queue = Queue.create ~capacity:policy.queue_capacity;
@@ -302,10 +290,7 @@ let step t =
   (* Real mode: the step itself runs under the tightest per-request
      deadline via the resilience runtime — a blown budget aborts the step
      before any K/V column commits. *)
-  let run () =
-    Tuning.with_binding t.decode_binding (fun () ->
-        Model.decode_batch t.model sessions ~tokens)
-  in
+  let run () = Model.decode_batch t.model sessions ~tokens in
   let outcome =
     if Clock.is_sim t.clock then Ok (run ())
     else

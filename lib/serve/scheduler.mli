@@ -46,12 +46,7 @@ type t
 (** The serving model must have [dropout_p = 0]. [step_cost] is the
     simulated per-step service time (defaults to a dispatch overhead plus
     a term proportional to batch x cached length — time proportional to
-    bytes moved); ignored in real-clock mode.
-
-    Creation also binds cache-resident GEMM block sizes for the decode
-    GEMV geometry ({!Compile.Passes.gemm_blocks_for} at n = [max_batch],
-    k = embed); every decode step runs under that binding. Bitwise-neutral
-    (ascending-k contract), so the decode oracle still matches. *)
+    bytes moved); ignored in real-clock mode. *)
 val create :
   ?policy:policy -> ?step_cost:(batch:int -> max_len:int -> float)
   -> clock:Clock.t -> Transformer.Model.t -> t

@@ -42,22 +42,8 @@ type dropout = {
 (* Tile defaults                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let tiles =
-  ref
-    (match Substation_env.attn_tiles () with
-    | Some t -> t
-    | None -> (32, 128))
-
-(* The ambient tuned binding (installed per-op by the compiled-plan
-   executor) wins over the process-wide default; explicit ?q_tile/?kv_tile
-   arguments win over both. *)
-let default_tiles () =
-  match Tuning.attn_tiles () with Some t -> t | None -> !tiles
-
-let set_default_tiles ~q_tile ~kv_tile =
-  if q_tile <= 0 || kv_tile <= 0 then
-    invalid_arg "Flashattn.set_default_tiles: tiles must be positive";
-  tiles := (q_tile, kv_tile)
+(* Used when ?q_tile/?kv_tile are omitted. *)
+let default_tiles = (32, 128)
 
 (* ------------------------------------------------------------------ *)
 (* Tile-visit counters                                                 *)
@@ -601,7 +587,7 @@ let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
     ~prescale ~q ~k ~v () =
   let axes_v = Option.value axes ~default:paper_axes in
   let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
-  let dq_tile, dkv_tile = default_tiles () in
+  let dq_tile, dkv_tile = default_tiles in
   let qt = max 1 (min g.nj (Option.value q_tile ~default:dq_tile)) in
   let kvt = max 1 (min g.nk (Option.value kv_tile ~default:dkv_tile)) in
   let out =
@@ -939,9 +925,7 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
           done
         done))))))))))
 
-let backward ?axes ?kv_tile ?causal ?valid ?dropout ?lse ~prescale ~q ~k ~v
-    ~d_out () =
-  ignore kv_tile;
+let backward ?axes ?causal ?valid ?dropout ?lse ~prescale ~q ~k ~v ~d_out () =
   let axes_v = Option.value axes ~default:paper_axes in
   let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
   if extent d_out axes_v.feat_v <> g.nw || extent d_out axes_v.q_seq <> g.nj

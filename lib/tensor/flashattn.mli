@@ -55,14 +55,9 @@ type dropout = {
 
 (** {1 Tile defaults} *)
 
-(** Process-wide default tile shape, used when [?q_tile]/[?kv_tile] are
-    omitted. Initialized from [SUBSTATION_ATTN_TILES="QxK"] when set,
-    else (32, 128). The autotuner ({!Config_space.attn_configs} sweep)
-    and the bench pick per-shape tiles explicitly. *)
-val default_tiles : unit -> int * int
-
-val set_default_tiles : q_tile:int -> kv_tile:int -> unit
-(** Raises [Invalid_argument] on non-positive tiles. *)
+(** The tile shape used when [?q_tile]/[?kv_tile] are omitted: (32, 128).
+    Callers that need the bitwise exact mode pass [~kv_tile] >= L_k. *)
+val default_tiles : int * int
 
 (** {1 Tile-visit counters} *)
 
@@ -108,7 +103,6 @@ val forward :
 
 val backward :
   ?axes:axes ->
-  ?kv_tile:int ->
   ?causal:bool ->
   ?valid:int array ->
   ?dropout:dropout ->

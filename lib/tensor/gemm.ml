@@ -17,19 +17,16 @@
    identical to the serial one. A and B are only read; C row-blocks are
    disjoint; no synchronization is needed inside the kernel. *)
 
-(* The static block shape lives in {!Tuning.default_gemm_blocks}; the
-   compiled-plan executor may scope a different shape per op via
-   [Tuning.with_binding]. Any (kc, nc) yields bitwise-identical C by the
-   ascending-k contract above. *)
-let kc () = (Tuning.gemm_blocks ()).Tuning.kc
-let nc () = (Tuning.gemm_blocks ()).Tuning.nc
+(* Block shape: a kc-deep k panel by an nc-wide column block. Any
+   (kc, nc) yields bitwise-identical C by the ascending-k contract above. *)
+let kc = 128
+let nc = 512
 
 (* Below this m*n*k volume the dispatch overhead of a parallel region
    outweighs the work. *)
 let par_min_work = 8192
 
 let gemm_rows ~a_off ~b_off ~c_off ~i_lo ~i_hi ~n ~k a b c =
-  let kc = kc () and nc = nc () in
   let kb = ref 0 in
   while !kb < k do
     let k_hi = Stdlib.min k (!kb + kc) in

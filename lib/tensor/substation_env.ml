@@ -1,7 +1,7 @@
 (* Single parse point for every SUBSTATION_* environment toggle.
 
    Historically each subsystem read its own variable at module init
-   (fastmode.ml, pool.ml, guard.ml, flashattn.ml) with
+   (fastmode.ml, pool.ml, guard.ml) with
    subtly different parsers, and a typo — SUBSTATION_NAIVE=ture — was
    silently ignored. This module parses the whole environment once,
    records every malformed value as a warning (printed to stderr the
@@ -20,7 +20,6 @@ type t = {
   naive : bool;  (* SUBSTATION_NAIVE: disable the fast CPU backend *)
   guard : guard_level option;  (* SUBSTATION_GUARD: kernel-guard level *)
   domains : int option;  (* SUBSTATION_DOMAINS: worker domain count *)
-  attn_tiles : (int * int) option;  (* SUBSTATION_ATTN_TILES: "QxK" *)
   warnings : string list;  (* malformed values, variable-labelled *)
 }
 
@@ -61,33 +60,21 @@ let parse_domains ~var warnings s =
           var s
         :: warnings )
 
-let parse_tiles ~var warnings s =
-  let parsed =
-    match String.index_opt s 'x' with
-    | Some i -> (
-        match
-          ( int_of_string_opt (String.sub s 0 i),
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          )
-        with
-        | Some q, Some k when q > 0 && k > 0 -> Some (q, k)
-        | _ -> None)
-    | None -> None
-  in
-  match parsed with
-  | Some _ as t -> (t, warnings)
-  | None ->
-      ( None,
-        Printf.sprintf
-          "%s=%S is not a tile shape (want \"QxK\" with positive integers, \
-           e.g. 32x128); using the default"
-          var s
-        :: warnings )
-
 let opt ~lookup ~var parse warnings default =
   match lookup var with
   | None -> (default, warnings)
   | Some s -> parse ~var warnings s
+
+let retired =
+  [
+    ( "SUBSTATION_NOPLAN",
+      "memory planning is no longer a process-wide switch (the compiled \
+       current regime always plans; the passthrough regime never does)" );
+    ( "SUBSTATION_ATTN_TILES",
+      "streaming-attention tiles are no longer a process-wide setting (a \
+       compiled attention window always runs the exact single-KV-tile mode; \
+       direct Flashattn callers pass ?q_tile/?kv_tile)" );
+  ]
 
 (* [parse_with lookup] parses from an arbitrary variable source — the
    whole parser as a pure function, so tests can exercise malformed
@@ -96,22 +83,18 @@ let parse_with lookup =
   (* A retired variable still set in someone's shell must not pass for a
      working toggle. *)
   let w =
-    match lookup "SUBSTATION_NOPLAN" with
-    | None -> []
-    | Some _ ->
-        [
-          "SUBSTATION_NOPLAN is retired and ignored: memory planning is no \
-           longer a process-wide switch (the compiled current regime always \
-           plans; the passthrough regime never does)";
-        ]
+    List.filter_map
+      (fun (var, why) ->
+        Option.map
+          (fun _ -> Printf.sprintf "%s is retired and ignored: %s" var why)
+          (lookup var))
+      retired
+    |> List.rev
   in
   let naive, w = opt ~lookup ~var:"SUBSTATION_NAIVE" parse_bool w false in
   let guard, w = opt ~lookup ~var:"SUBSTATION_GUARD" parse_guard w None in
   let domains, w = opt ~lookup ~var:"SUBSTATION_DOMAINS" parse_domains w None in
-  let attn_tiles, w =
-    opt ~lookup ~var:"SUBSTATION_ATTN_TILES" parse_tiles w None
-  in
-  { naive; guard; domains; attn_tiles; warnings = List.rev w }
+  { naive; guard; domains; warnings = List.rev w }
 
 let parse_environment () = parse_with Sys.getenv_opt
 
@@ -133,7 +116,6 @@ let get () = Lazy.force cached
 let naive () = (get ()).naive
 let guard () = (get ()).guard
 let domains () = (get ()).domains
-let attn_tiles () = (get ()).attn_tiles
 let warnings () = (get ()).warnings
 
 let guard_level_to_string = function
@@ -146,27 +128,20 @@ let describe () =
   let t = get () in
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "SUBSTATION_NAIVE      %-10s fast CPU backend %s"
+  line "SUBSTATION_NAIVE   %-10s fast CPU backend %s"
     (if t.naive then "1" else "(unset)")
     (if t.naive then "DISABLED (naive oracle only)" else "enabled");
-  line "SUBSTATION_GUARD      %-10s kernel-guard level %s"
+  line "SUBSTATION_GUARD   %-10s kernel-guard level %s"
     (match t.guard with
     | Some g -> guard_level_to_string g
     | None -> "(unset)")
     (match t.guard with
     | Some g -> guard_level_to_string g
     | None -> "exn (default)");
-  line "SUBSTATION_DOMAINS    %-10s worker domains %s"
+  line "SUBSTATION_DOMAINS %-10s worker domains %s"
     (match t.domains with Some n -> string_of_int n | None -> "(unset)")
     (match t.domains with
     | Some n -> string_of_int n
     | None -> "recommended count");
-  line "SUBSTATION_ATTN_TILES %-10s streaming-attention tiles %s"
-    (match t.attn_tiles with
-    | Some (q, k) -> Printf.sprintf "%dx%d" q k
-    | None -> "(unset)")
-    (match t.attn_tiles with
-    | Some (q, k) -> Printf.sprintf "%dx%d" q k
-    | None -> "32x128 (default)");
   List.iter (fun msg -> line "warning: %s" msg) t.warnings;
   Buffer.contents b

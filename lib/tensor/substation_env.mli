@@ -8,15 +8,14 @@
       ({!Guard}).
     - [SUBSTATION_DOMAINS] — non-negative integer; worker domain count
       ({!Pool}; 0 and 1 both mean serial).
-    - [SUBSTATION_ATTN_TILES] — ["QxK"] (e.g. [32x128]); default
-      streaming-attention tile shape ({!Flashattn}).
 
     Booleans accept [1/true/yes/on] and [0/false/no/off],
     case-insensitively. A malformed value is {e never} silently ignored:
     it is recorded as a warning, printed once to stderr the first time any
     setting is consulted, and included in {!describe}'s dump. So is a
     retired variable that is still set ([SUBSTATION_NOPLAN]: memory
-    planning is no longer a process-wide toggle). The environment is
+    planning is no longer a process-wide toggle; [SUBSTATION_ATTN_TILES]:
+    attention tiles are no longer a process-wide setting). The environment is
     parsed once per process; scoped overrides ([Fastmode.with_mode],
     [Pool.with_domains], [Guard.with_level]) layer on top exactly as
     before. *)
@@ -27,7 +26,6 @@ type t = {
   naive : bool;
   guard : guard_level option;
   domains : int option;
-  attn_tiles : (int * int) option;
   warnings : string list;
 }
 
@@ -42,7 +40,6 @@ val parse_with : (string -> string option) -> t
 val naive : unit -> bool
 val guard : unit -> guard_level option
 val domains : unit -> int option
-val attn_tiles : unit -> (int * int) option
 
 (** Warnings for malformed values, in variable order. *)
 val warnings : unit -> string list
