@@ -56,9 +56,9 @@ serve-smoke:
 bench-serve:
 	$(DUNE) exec bench/main.exe -- serve-json
 
-# <1 s: streaming tiled attention (exact mode) checked bitwise against the
-# naive QK^T -> softmax -> dropout -> V chain at L=64, causal + dropout,
-# forward and backward (nonzero exit on divergence).
+# <1 s: streaming tiled attention checked against the naive
+# QK^T -> softmax -> dropout -> V chain at L=64 (1e-10 relative), causal +
+# dropout, forward and backward (nonzero exit on divergence).
 attn-smoke:
 	$(DUNE) exec bench/main.exe -- attn-smoke
 
@@ -87,7 +87,7 @@ bench-plan:
 
 # <1 s: verified compile of the L=64 encoder — after every pipeline pass
 # the staged program is checked against the uncompiled interpreter
-# (bitwise outside the documented attention-backward ulps cone) — plus
+# (bitwise for every container) — plus
 # the plan-cache hit with zero passes re-run (nonzero exit otherwise).
 compile-smoke:
 	$(DUNE) exec bench/main.exe -- compile-smoke

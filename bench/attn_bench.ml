@@ -2,14 +2,14 @@
    data-movement argument. The unfused attention interior materializes
    the L x L score matrix four times over (scores, softmax, dropout mask,
    dropped probabilities) and re-reads it between kernels; the streaming
-   kernel ({!Flashattn}) keeps one (Q-tile x KV-tile) pair resident and
-   never stores the matrix.
+   kernel ({!Flashattn}) packs the K/V panels of a Q-row tile's key
+   prefix, walks the rows against them, and never stores the matrix.
 
    [run ~mode]:
    - [`Json]: fused vs unfused forward+backward wall-clock and effective
      bandwidth at L in {128, 512, 2048} (training-shaped: causal mask +
      dropout), the cached-decode step (L_q = 1 against a long prefix),
-     and the Arena high-water mark showing the O(L * tile) working set.
+     and the Arena high-water mark showing the O(L * d_head) working set.
      Writes BENCH_pr8.json; asserts the >=3x fused speedup at L=2048 and
      the sub-quadratic peak scratch.
    - [`Smoke]: <1 s — fused fwd+bwd vs the naive chain at L=64 within
@@ -125,10 +125,10 @@ let bench_point ~causal ~reps l =
         Flashattn.forward ~causal ?dropout ~prescale ~q ~k ~v ())
   in
   Arena.reset_peak Arena.global;
-  let out, lse = Flashattn.forward ~causal ?dropout ~prescale ~q ~k ~v () in
+  let out = Flashattn.forward ~causal ?dropout ~prescale ~q ~k ~v () in
   let t_fused_bwd =
     best_of ~reps (fun () ->
-        Flashattn.backward ~causal ?dropout ?lse ~prescale ~q ~k ~v ~d_out ())
+        Flashattn.backward ~causal ?dropout ~prescale ~q ~k ~v ~d_out ())
   in
   let peak_floats = (Arena.stats Arena.global).Arena.peak_floats in
   let drift = max_rel_diff gam_naive out in
@@ -172,10 +172,7 @@ let bench_decode ~reps l =
     let alpha = N.softmax_masked beta ~axis:"k" ~prescale in
     Einsum.eval "whbk,hbjk->whbj" [ v; alpha ]
   in
-  let fused () =
-    fst
-      (Flashattn.forward ~kv_tile:l ~valid ~stats:false ~prescale ~q ~k ~v ())
-  in
+  let fused () = Flashattn.forward ~valid ~prescale ~q ~k ~v () in
   let t_naive = best_of ~reps (fun () -> naive ()) in
   let t_fused = best_of ~reps (fun () -> fused ()) in
   let drift = max_rel_diff (naive ()) (fused ()) in
@@ -198,9 +195,9 @@ let smoke () =
   let dropout = dropout_for l in
   let alpha_sm, alpha, gam_naive = naive_fwd ~causal:true ~l ~q ~k ~v in
   let ndq, ndk, ndv = naive_bwd ~l ~q ~k ~v ~alpha_sm ~alpha ~d_out in
-  let out, lse = Flashattn.forward ~causal:true ?dropout ~prescale ~q ~k ~v () in
+  let out = Flashattn.forward ~causal:true ?dropout ~prescale ~q ~k ~v () in
   let dq, dk, dv =
-    Flashattn.backward ~causal:true ?dropout ?lse ~prescale ~q ~k ~v ~d_out ()
+    Flashattn.backward ~causal:true ?dropout ~prescale ~q ~k ~v ~d_out ()
   in
   let checks =
     [
@@ -239,7 +236,6 @@ let run mode =
           [ (128, 3); (512, 2); (2048, 1) ]
       in
       let decode, decode_drift = bench_decode ~reps:3 2048 in
-      let q_tile, kv_tile = Flashattn.default_tiles in
       let doc =
         Obj
           [
@@ -248,8 +244,6 @@ let run mode =
             ("d_head", Int d_head);
             ("heads", Int heads);
             ("batch", Int batch);
-            ("q_tile", Int q_tile);
-            ("kv_tile", Int kv_tile);
             ("domains", Int (Pool.num_domains ()));
             ("points", Arr (List.map (fun (j, _, _, _) -> j) points));
             ("cached_decode", decode);

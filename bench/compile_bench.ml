@@ -12,9 +12,9 @@
      asserts the cache hit re-runs zero passes and that verification
      passed (exit 1 otherwise).
    - [`Smoke]: <1 s — a verified compile on L=64 (every pass checked
-     against the uncompiled interpreter, bitwise outside the documented
-     attention-backward ulps cone) plus the cache-hit/zero-re-runs
-     assertion — wired into `make compile-smoke` / `make check`. *)
+     against the uncompiled interpreter, bitwise) plus the
+     cache-hit/zero-re-runs assertion — wired into `make compile-smoke` /
+     `make check`. *)
 
 open Cpu_bench
 

@@ -756,8 +756,8 @@ let verify_arg =
     & info [ "verify" ]
         ~doc:
           "Prove the lowering: after every pass, execute the staged program \
-           and check it against the uncompiled interpreter (bitwise, ulps \
-           for the streaming attention-backward cone).")
+           and check every container against the uncompiled interpreter, \
+           bitwise.")
 
 let compile_trace_arg =
   Arg.(

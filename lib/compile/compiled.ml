@@ -25,8 +25,7 @@ let () =
         Some
           (Printf.sprintf
              "Compile.Verification_failed: pass %s changed container %s \
-              beyond the verified envelope (bitwise, or ulps for the \
-              streaming attention-backward cone)"
+              (not bitwise equal to the uncompiled interpreter)"
              vf_pass vf_container)
     | _ -> None)
 
@@ -174,46 +173,6 @@ let bitwise_equal a b =
     true
   with Exit | Invalid_argument _ | Not_found -> false
 
-(* Tolerance for the attention-backward cone: the streaming backward
-   recomputes probabilities as exp(score - logsumexp), which agrees with
-   the naive chain's stored exp(s - max)/sum softmax only within ulps.
-   1e-9 relative is ~6 orders above the observed drift and ~6 below any
-   real numerical bug. *)
-let ulps_close a b =
-  Dense.volume a = Dense.volume b
-  &&
-  try
-    Dense.iter a (fun idx v ->
-        let w = Dense.get b idx in
-        let tol = 1e-9 *. Float.max 1.0 (Float.abs v) in
-        if not (Float.abs (v -. w) <= tol) then raise Exit);
-    true
-  with Exit | Invalid_argument _ | Not_found -> false
-
-(* The containers downstream of a streaming attention-backward window:
-   its dq/dk/dv outputs plus everything dataflow-reachable from them in
-   the source schedule (one forward sweep suffices — the schedule is the
-   dataflow order). These are checked within ulps; everything else must
-   match the uncompiled interpreter bitwise. *)
-let tainted_containers (plan : plan) =
-  let tainted = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Substation.Fusion.attn_site) ->
-      match s.Substation.Fusion.site_kind with
-      | `Bwd ->
-          List.iter
-            (fun c -> Hashtbl.replace tainted c ())
-            s.Substation.Fusion.site_writes
-      | `Fwd -> ())
-    plan.attn_sites;
-  if Hashtbl.length tainted > 0 then
-    List.iter
-      (fun (o : Ops.Op.t) ->
-        if List.exists (Hashtbl.mem tainted) o.Ops.Op.reads then
-          List.iter (fun c -> Hashtbl.replace tainted c ()) o.Ops.Op.writes)
-      plan.source.Ops.Program.ops;
-  tainted
-
 let verify_stage ~pass_name ~reference ~outputs plan inputs =
   let env = execute plan inputs in
   List.iter
@@ -222,19 +181,12 @@ let verify_stage ~pass_name ~reference ~outputs plan inputs =
       | None -> raise (Verification_failed { vf_pass = pass_name; vf_container = c })
       | Some _ -> ())
     outputs;
-  let tainted = tainted_containers plan in
   Hashtbl.iter
     (fun c ref_t ->
       match Hashtbl.find_opt env c with
-      | Some got ->
-          let ok =
-            if Hashtbl.mem tainted c then ulps_close ref_t got
-            else bitwise_equal ref_t got
-          in
-          if not ok then
-            raise
-              (Verification_failed { vf_pass = pass_name; vf_container = c })
-      | None -> ())
+      | Some got when not (bitwise_equal ref_t got) ->
+          raise (Verification_failed { vf_pass = pass_name; vf_container = c })
+      | _ -> ())
     reference
 
 (* ------------------------------------------------------------------ *)

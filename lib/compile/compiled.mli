@@ -13,14 +13,8 @@
     [~verify:true] proves the lowering: after {e every} pass the staged
     program is executed and checked against the uncompiled interpreter
     ([Ops.Program.run] on the source). The check is bitwise for every
-    container {e except} the dataflow cone downstream of a streaming
-    attention-{e backward} window, which is held to a 1e-9 relative
-    envelope: the streaming backward recomputes probabilities as
-    [exp(score - logsumexp)], mathematically identical but ulps apart
-    from the naive chain's stored [exp(s - max)/sum] softmax (observed
-    drift <= 4.4e-16). The streaming {e forward} always runs the
-    single-KV-tile exact mode, so it is bitwise in verification and in
-    production alike. *)
+    container, streaming-attention windows included: their forward and
+    backward reproduce the member chains they replace bit for bit. *)
 
 type plan = {
   source : Ops.Program.t;
@@ -36,8 +30,8 @@ type plan = {
   verified : bool;
 }
 
-(** Raised by [~verify:true] when a pass changes a container beyond the
-    verified envelope (bitwise; ulps for the attention-backward cone). *)
+(** Raised by [~verify:true] when a pass changes a container: its value
+    differs from the uncompiled interpreter's in some bit. *)
 exception Verification_failed of { vf_pass : string; vf_container : string }
 
 (** Compile [program] under [regime]. [device] is accepted and ignored:

@@ -476,30 +476,16 @@ let find_attention (program : Ops.Program.t) =
   in
   scan [] ops |> List.map pair |> List.filter (window_closed program)
 
-(* The forward stat container: per-row logsumexp the streaming backward
-   reuses. Stored in the environment only (not a declared program
-   container); the backward recomputes it when a fallback replay ran the
-   forward members instead. *)
-let lse_container w = w.aw_out ^ ".lse"
-
-(* Tell the memory planner about the sidecar so a planned run drops the
-   logsumexp together with its (dead) attention output. *)
-let () = Ops.Memplan.register_sidecar ".lse"
-
 let attn_steps members =
   List.map
     (fun (o : Ops.Op.t) -> (o.Ops.Op.name, Streaming_attention))
     (List.tl members)
 
-(* The forward streams one KV tile spanning all of L_k: the exact mode,
-   bitwise equal to the member chain it replaces. *)
-let build_attn_fwd name_table (program : Ops.Program.t) w =
+(* The streaming forward is bitwise equal to the member chain it
+   replaces. *)
+let build_attn_fwd name_table w =
   let members = w.aw_fwd in
   let name = canonical_name name_table members in
-  let seq_k =
-    List.assoc Flashattn.paper_axes.k_seq
-      (Ops.Program.container_dims program w.aw_k)
-  in
   let seq env = List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members in
   let run env =
     if not (Fastmode.enabled ()) then seq env
@@ -512,16 +498,13 @@ let build_attn_fwd name_table (program : Ops.Program.t) w =
             [ w.aw_out ])
         ~fallback:(fun () -> seq env)
         (fun () ->
-          let out, lse =
-            Flashattn.forward ~kv_tile:seq_k ~causal:w.aw_causal
-              ?dropout:w.aw_dropout ~prescale:w.aw_prescale
-              ~q:(Ops.Op.lookup env w.aw_q)
-              ~k:(Ops.Op.lookup env w.aw_k)
-              ~v:(Ops.Op.lookup env w.aw_v)
-              ()
-          in
-          Ops.Op.store env w.aw_out out;
-          Option.iter (Hashtbl.replace env (lse_container w)) lse)
+          Ops.Op.store env w.aw_out
+            (Flashattn.forward ~causal:w.aw_causal ?dropout:w.aw_dropout
+               ~prescale:w.aw_prescale
+               ~q:(Ops.Op.lookup env w.aw_q)
+               ~k:(Ops.Op.lookup env w.aw_k)
+               ~v:(Ops.Op.lookup env w.aw_v)
+               ()))
   in
   let gamma = List.nth members 3 in
   let fused =
@@ -562,7 +545,6 @@ let build_attn_bwd name_table w =
         (fun () ->
           let dq, dk, dv =
             Flashattn.backward ~causal:w.aw_causal ?dropout:w.aw_dropout
-              ?lse:(Hashtbl.find_opt env (lse_container w))
               ~prescale:w.aw_prescale
               ~q:(Ops.Op.lookup env w.aw_q)
               ~k:(Ops.Op.lookup env w.aw_k)
@@ -621,7 +603,7 @@ let groups ?(name_table = []) ?(attention = false) (program : Ops.Program.t) =
           | Some (_, n, which) ->
               let g =
                 match which with
-                | `Fwd w -> build_attn_fwd name_table program w
+                | `Fwd w -> build_attn_fwd name_table w
                 | `Bwd w -> build_attn_bwd name_table w
               in
               walk ([ g ] :: flush acc current) [] (drop (n - 1) rest)
@@ -693,7 +675,7 @@ let prefuse_attention ?(name_table = []) (program : Ops.Program.t) =
           | Some (_, n, which) ->
               let g, w, kind =
                 match which with
-                | `Fwd w -> (build_attn_fwd name_table program w, w, `Fwd)
+                | `Fwd w -> (build_attn_fwd name_table w, w, `Fwd)
                 | `Bwd w -> (build_attn_bwd name_table w, w, `Bwd)
               in
               walk (g.fused :: acc)

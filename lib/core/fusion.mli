@@ -55,13 +55,13 @@ type group = {
     [attention] (default [false]) additionally recognizes the attention
     interior — qkt / softmax(+causal) / dropout / gamma and, when present,
     their six backward mirrors — and pins each window as one fused group
-    running the streaming tiled kernel ({!Flashattn}) under the kernel
-    guard — the forward in exact mode (one KV tile spanning L_k, bitwise
-    equal to the member chain) — with sequential member replay as the oracle fallback (the
-    backward's replay first re-runs the forward members to rematerialize
-    the elided score containers). Windows whose intermediates leak outside
-    the pair are left to the generic engine. Opt-in because the streaming
-    kernel elides the L x L score containers from the environment. *)
+    running the streaming tiled kernel ({!Flashattn}, bitwise equal to
+    the member chain in both directions) under the kernel guard, with
+    sequential member replay as the oracle fallback (the backward's replay
+    first re-runs the forward members to rematerialize the elided score
+    containers). Windows whose intermediates leak outside the pair are
+    left to the generic engine. Opt-in because the streaming kernel
+    elides the L x L score containers from the environment. *)
 val fuse : ?name_table:(string list * string) list -> ?attention:bool
   -> Ops.Program.t -> Ops.Program.t
 
@@ -80,10 +80,7 @@ type attn_site = {
   site_kind : [ `Fwd | `Bwd ];
   site_writes : string list;
       (** the window's external outputs — fwd: the attention output;
-          bwd: [dq; dk; dv]. The streaming {e backward} recomputes
-          probabilities from the saved logsumexp, so its outputs (and
-          their dataflow cone) agree with the naive chain within ulps,
-          not bitwise — verification treats that cone specially. *)
+          bwd: [dq; dk; dv] *)
   site_heads : int;
   site_batch : int;
   site_seq_q : int;

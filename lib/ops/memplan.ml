@@ -14,15 +14,6 @@
    environment, and a container leaves the environment only once no later
    op reads it. *)
 
-(* Environment keys that shadow a container under a suffix (e.g. the
-   streaming-attention op stores per-row logsumexp under "<out>.lse").
-   Removing a dead container also removes its sidecars so a planned run
-   does not leak them. Producers register their suffix at module init. *)
-let sidecars : string list ref = ref []
-
-let register_sidecar suffix =
-  if not (List.mem suffix !sidecars) then sidecars := suffix :: !sidecars
-
 type stats = {
   ops : int;
   containers : int;
@@ -68,10 +59,6 @@ let plan ?keep (p : Program.t) =
   in
   { p_ops = ops; p_dead = dead; p_stats = stats }
 
-let drop env c =
-  Hashtbl.remove env c;
-  List.iter (fun suffix -> Hashtbl.remove env (c ^ suffix)) !sidecars
-
 let execute ?check_op ?wrap_op t inputs =
   let env = Op.env_of_list inputs in
   Array.iteri
@@ -81,6 +68,6 @@ let execute ?check_op ?wrap_op t inputs =
         Option.iter (fun f -> f op env) check_op
       in
       (match wrap_op with Some w -> w op body | None -> body ());
-      List.iter (drop env) t.p_dead.(i))
+      List.iter (Hashtbl.remove env) t.p_dead.(i))
     t.p_ops;
   env

@@ -6,8 +6,8 @@
     [plan] runs {!Memory.profile}'s lifetime analysis over a (post-fusion)
     program and records, for each op, the containers whose last use it is.
     [execute] runs each op's own closure in program order and then drops
-    that op's dead containers (and their sidecars) from the environment.
-    The plan holds no buffers and searches no schedule.
+    that op's dead containers from the environment. The plan holds no
+    buffers and searches no schedule.
 
     [execute] is bitwise-equal to {!Program.run} (serial and parallel,
     fast and naive mode): every value is computed by the op's own closure
@@ -27,11 +27,6 @@ type stats = {
   inplace : int;  (** always 0: no op overwrites its input's buffer *)
   aliased : int;  (** always 0: no container shares another's buffer *)
 }
-
-val register_sidecar : string -> unit
-(** Register an environment-key suffix that shadows a container (e.g.
-    [".lse"] for streaming attention's per-row logsumexp): removing a
-    dead container also removes [container ^ suffix]. *)
 
 val plan : ?keep:string list -> Program.t -> t
 (** Analyze [p]. Containers in [keep] (plus terminal outputs that no op

@@ -12,11 +12,12 @@
      alpha   = (exp *. (1.0 /. sum)) [*. maskv]
      context = ascending-k fold of (v *. alpha) from 0.0
 
-   — so the single-KV-tile ("exact") forward is bitwise equal to the
-   oracle, and the multi-tile online path only reassociates the k sums.
-   Masked-out positions are skipped rather than computed: they contribute
-   exp(-inf + nm) = 0.0 to an ascending sum of non-negatives and leave a
-   Float.max fold unchanged, so skipping preserves every bit. *)
+   — so the forward is bitwise equal to the oracle, and the backward,
+   which recomputes each row's probabilities with the same recipe, feeds
+   the oracle's softmax_dx the oracle's own values. Masked-out positions
+   are skipped rather than computed: they contribute exp(-inf + nm) = 0.0
+   to an ascending sum of non-negatives and leave a Float.max fold
+   unchanged, so skipping preserves every bit. *)
 
 type axes = {
   feat_qk : Axis.t;
@@ -37,29 +38,6 @@ type dropout = {
   key : string;
   dims : (Axis.t * int) list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Tile defaults                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Used when ?q_tile/?kv_tile are omitted. *)
-let default_tiles = (32, 128)
-
-(* ------------------------------------------------------------------ *)
-(* Tile-visit counters                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type counters = { tiles_visited : int; tiles_skipped : int }
-
-let visited = Atomic.make 0
-let skipped = Atomic.make 0
-
-let counters () =
-  { tiles_visited = Atomic.get visited; tiles_skipped = Atomic.get skipped }
-
-let reset_counters () =
-  Atomic.set visited 0;
-  Atomic.set skipped 0
 
 (* ------------------------------------------------------------------ *)
 (* Shared geometry                                                     *)
@@ -190,13 +168,13 @@ let kmax_of g ~b ~jj =
   let m = match g.valid with Some a -> min g.nk a.(b) | None -> g.nk in
   if g.causal then min m (jj + 1) else m
 
-(* Pack K/V columns [klo, khi) of (h, b) into contiguous [col][feat]
-   panels. One tile's panels are the kernel's cache-resident working set. *)
-let pack_panel data (str : int array) ~h ~b ~klo ~khi ~nf dst =
+(* Pack K/V columns [0, n) of (h, b) into contiguous [col][feat] panels:
+   the kernel's cache-resident working set. *)
+let pack_panel data (str : int array) ~h ~b ~n ~nf dst =
   let base = (h * str.(1)) + (b * str.(2)) in
   let sf = str.(0) and sk = str.(3) in
-  for kk = 0 to khi - klo - 1 do
-    let src = base + ((klo + kk) * sk) in
+  for kk = 0 to n - 1 do
+    let src = base + (kk * sk) in
     let row = kk * nf in
     for f = 0 to nf - 1 do
       Array.unsafe_set dst (row + f) (Array.unsafe_get data (src + (f * sf)))
@@ -218,28 +196,19 @@ let par_min_flop = 4096
    row order, so blocked runs stay bitwise identical to row-at-a-time. *)
 let row_block = 4
 
-(* Exact path: the whole valid key range of each row in one tile, with
-   per-element normalization before the V products — bitwise the naive
-   chain. Handles one (h, b, q-tile) work item. *)
-let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
+(* One (h, b, Q-tile) work item: each row against its whole unmasked
+   key prefix, normalized per element before the V products — bitwise the
+   naive chain. Rows with no valid key keep the output's zeros. *)
+let fwd_item g ~od ~h ~b ~qlo ~qhi =
   let kmax_tile = kmax_of g ~b ~jj:(qhi - 1) in
-  if kmax_tile = 0 then begin
-    Atomic.incr skipped;
-    for jj = qlo to qhi - 1 do
-      match lsed with
-      | Some l -> l.((((h * g.nb) + b) * g.nj) + jj) <- neg_infinity
-      | None -> ()
-    done
-  end
-  else begin
-    Atomic.incr visited;
+  if kmax_tile > 0 then
     Arena.with_scratch Arena.global (kmax_tile * g.np) (fun kp ->
     Arena.with_scratch Arena.global (kmax_tile * g.nw) (fun vp ->
     Arena.with_scratch Arena.global (row_block * kmax_tile) (fun sb ->
     Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
     Arena.with_scratch Arena.global (row_block * g.nw) (fun ob ->
-        pack_panel g.kd g.ks ~h ~b ~klo:0 ~khi:kmax_tile ~nf:g.np kp;
-        pack_panel g.vd g.vs ~h ~b ~klo:0 ~khi:kmax_tile ~nf:g.nw vp;
+        pack_panel g.kd g.ks ~h ~b ~n:kmax_tile ~nf:g.np kp;
+        pack_panel g.vd g.vs ~h ~b ~n:kmax_tile ~nf:g.nw vp;
         let np = g.np and nw = g.nw in
         let nkt = kmax_tile in
         let km = Array.make row_block 0 in
@@ -310,12 +279,7 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
           for r = 0 to jn - 1 do
             let kmr = km.(r) in
             let jj = j0v + r in
-            if kmr = 0 then begin
-              match lsed with
-              | Some l -> l.((((h * g.nb) + b) * g.nj) + jj) <- neg_infinity
-              | None -> ()
-            end
-            else begin
+            if kmr > 0 then begin
               let srow = r * nkt in
               let mx = ref neg_infinity in
               for kk = 0 to kmr - 1 do
@@ -337,10 +301,7 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
                   else alpha
                 in
                 Array.unsafe_set sb (srow + kk) alpha
-              done;
-              match lsed with
-              | Some l -> l.((((h * g.nb) + b) * g.nj) + jj) <- !mx +. log !s
-              | None -> ()
+              done
             end
           done;
           (* context accumulation: block-local output rows, ascending k *)
@@ -385,237 +346,29 @@ let fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi =
           done;
           j0 := j0v + jn
         done)))))
-  end
 
-(* Online path: KV tiles streamed with running row max/sum; normalization
-   deferred to the end (within ulps of the oracle). Q rows move through
-   each tile in register blocks: the score dots and V products for the
-   block's common key prefix are 1-load / 4-FMA loops; the running
-   max/sum/rescale bookkeeping stays strictly per-row, so values are
-   identical to a row-at-a-time walk. *)
-let fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi =
-  let nq = qhi - qlo in
-  Arena.with_scratch Arena.global (kvt * g.np) (fun kp ->
-  Arena.with_scratch Arena.global (kvt * g.nw) (fun vp ->
-  Arena.with_scratch Arena.global (row_block * kvt) (fun sb ->
-  Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
-  Arena.with_scratch Arena.global nq (fun m ->
-  Arena.with_scratch Arena.global nq (fun s ->
-  Arena.with_zeroed Arena.global (nq * g.nw) (fun acc ->
-      Array.fill m 0 nq neg_infinity;
-      Array.fill s 0 nq 0.0;
-      (* Longest valid key range of any row in this Q tile: later tiles
-         are entirely masked for the whole tile and are never visited. *)
-      let kmax_tile = kmax_of g ~b ~jj:(qhi - 1) in
-      let nkv = (g.nk + kvt - 1) / kvt in
-      let np = g.np and nw = g.nw in
-      let nv = Array.make row_block 0 in
-      let sp = g.qs.(0) in
-      for t = 0 to nkv - 1 do
-        let klo = t * kvt in
-        if klo >= kmax_tile then Atomic.incr skipped
-        else begin
-          Atomic.incr visited;
-          let khi = min (klo + kvt) kmax_tile in
-          pack_panel g.kd g.ks ~h ~b ~klo ~khi ~nf:g.np kp;
-          pack_panel g.vd g.vs ~h ~b ~klo ~khi ~nf:g.nw vp;
-          let j0 = ref 0 in
-          while !j0 < nq do
-            let j0v = !j0 in
-            let jn = min row_block (nq - j0v) in
-            for r = 0 to jn - 1 do
-              let jj = qlo + j0v + r in
-              nv.(r) <- max 0 (min khi (kmax_of g ~b ~jj) - klo);
-              let qbase =
-                (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3))
-              in
-              for p = 0 to np - 1 do
-                Array.unsafe_set qb ((r * np) + p)
-                  (Array.unsafe_get g.qd (qbase + (p * sp)))
-              done
-            done;
-            (* [kmax] is nondecreasing in j: row 0's in-tile key count is
-               the block's common prefix; an inactive row 0 forces the
-               whole block onto the scalar path. *)
-            let common = if jn = row_block then nv.(0) else 0 in
-            if common > 0 then
-              for kk = 0 to common - 1 do
-                let row = kk * np in
-                let a0 = ref 0.0 and a1 = ref 0.0 in
-                let a2 = ref 0.0 and a3 = ref 0.0 in
-                for p = 0 to np - 1 do
-                  let kv = Array.unsafe_get kp (row + p) in
-                  a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                  a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                  a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                  a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-                done;
-                let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-                let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-                if g.masking then begin
-                  Array.unsafe_set sb kk (s0 +. 0.0);
-                  Array.unsafe_set sb (kvt + kk) (s1 +. 0.0);
-                  Array.unsafe_set sb ((2 * kvt) + kk) (s2 +. 0.0);
-                  Array.unsafe_set sb ((3 * kvt) + kk) (s3 +. 0.0)
-                end
-                else begin
-                  Array.unsafe_set sb kk s0;
-                  Array.unsafe_set sb (kvt + kk) s1;
-                  Array.unsafe_set sb ((2 * kvt) + kk) s2;
-                  Array.unsafe_set sb ((3 * kvt) + kk) s3
-                end
-              done;
-            for r = 0 to jn - 1 do
-              let qrow = r * np and srow = r * kvt in
-              for kk = common to nv.(r) - 1 do
-                let row = kk * np in
-                let a = ref 0.0 in
-                for p = 0 to np - 1 do
-                  a :=
-                    !a
-                    +. (Array.unsafe_get kp (row + p)
-                       *. Array.unsafe_get qb (qrow + p))
-                done;
-                let sv = g.prescale *. !a in
-                Array.unsafe_set sb (srow + kk)
-                  (if g.masking then sv +. 0.0 else sv)
-              done
-            done;
-            (* per-row: running max, rescale, exp/sum; scores become
-               dropout-masked probabilities in place *)
-            for r = 0 to jn - 1 do
-              let n = nv.(r) in
-              if n > 0 then begin
-                let j = j0v + r in
-                let jj = qlo + j in
-                let srow = r * kvt in
-                let mold = Array.unsafe_get m j in
-                let mx = ref mold in
-                for kk = 0 to n - 1 do
-                  mx := Float.max !mx (Array.unsafe_get sb (srow + kk))
-                done;
-                let mnew = !mx in
-                let nm = -1.0 *. mnew in
-                if mnew > mold then begin
-                  (* rescale running sum and accumulator; exp(-inf) = 0
-                     cleanly zeroes a row that had no mass yet *)
-                  let c = exp (mold +. nm) in
-                  Array.unsafe_set s j (Array.unsafe_get s j *. c);
-                  let arow = j * nw in
-                  for w = 0 to nw - 1 do
-                    Array.unsafe_set acc (arow + w)
-                      (Array.unsafe_get acc (arow + w) *. c)
-                  done
-                end;
-                let ebase = ((((h * g.nb) + b) * g.nj) + jj) * g.nk in
-                for kk = 0 to n - 1 do
-                  let ev = exp (Array.unsafe_get sb (srow + kk) +. nm) in
-                  Array.unsafe_set s j (Array.unsafe_get s j +. ev);
-                  Array.unsafe_set sb (srow + kk)
-                    (if g.drop_p > 0.0 then
-                       ev *. mask_at g (ebase + klo + kk)
-                     else ev)
-                done;
-                Array.unsafe_set m j mnew
-              end
-            done;
-            (* V products: each row's accumulator advances in ascending k
-               exactly as the scalar walk does *)
-            let abase = j0v * nw in
-            if common > 0 then
-              for kk = 0 to common - 1 do
-                let vrow = kk * nw in
-                let p0 = Array.unsafe_get sb kk
-                and p1 = Array.unsafe_get sb (kvt + kk)
-                and p2 = Array.unsafe_get sb ((2 * kvt) + kk)
-                and p3 = Array.unsafe_get sb ((3 * kvt) + kk) in
-                for w = 0 to nw - 1 do
-                  let vv = Array.unsafe_get vp (vrow + w) in
-                  let o0 = abase + w in
-                  Array.unsafe_set acc o0
-                    (Array.unsafe_get acc o0 +. (vv *. p0));
-                  let o1 = abase + nw + w in
-                  Array.unsafe_set acc o1
-                    (Array.unsafe_get acc o1 +. (vv *. p1));
-                  let o2 = abase + (2 * nw) + w in
-                  Array.unsafe_set acc o2
-                    (Array.unsafe_get acc o2 +. (vv *. p2));
-                  let o3 = abase + (3 * nw) + w in
-                  Array.unsafe_set acc o3
-                    (Array.unsafe_get acc o3 +. (vv *. p3))
-                done
-              done;
-            for r = 0 to jn - 1 do
-              let srow = r * kvt in
-              let arow = (j0v + r) * nw in
-              for kk = common to nv.(r) - 1 do
-                let pelt = Array.unsafe_get sb (srow + kk) in
-                let vrow = kk * nw in
-                for w = 0 to nw - 1 do
-                  Array.unsafe_set acc (arow + w)
-                    (Array.unsafe_get acc (arow + w)
-                    +. (Array.unsafe_get vp (vrow + w) *. pelt))
-                done
-              done
-            done;
-            j0 := j0v + jn
-          done
-        end
-      done;
-      let ostep = g.nh * g.nb * g.nj in
-      for j = 0 to nq - 1 do
-        let jj = qlo + j in
-        let sj = Array.unsafe_get s j in
-        let obase = (h * g.nb * g.nj) + (b * g.nj) + jj in
-        if sj > 0.0 then begin
-          let inv = 1.0 /. sj in
-          let arow = j * g.nw in
-          for w = 0 to g.nw - 1 do
-            Array.unsafe_set od (obase + (w * ostep))
-              (Array.unsafe_get acc (arow + w) *. inv)
-          done
-        end;
-        match lsed with
-        | Some l ->
-            l.((((h * g.nb) + b) * g.nj) + jj) <-
-              (if sj > 0.0 then Array.unsafe_get m j +. log sj
-               else neg_infinity)
-        | None -> ()
-      done)))))))
+(* Q rows per forward work item: the parallel sharding unit. *)
+let q_tile = 32
 
-let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
-    ~prescale ~q ~k ~v () =
+let forward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
   let axes_v = Option.value axes ~default:paper_axes in
   let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
-  let dq_tile, dkv_tile = default_tiles in
-  let qt = max 1 (min g.nj (Option.value q_tile ~default:dq_tile)) in
-  let kvt = max 1 (min g.nk (Option.value kv_tile ~default:dkv_tile)) in
   let out =
     Dense.zeros
       [ (axes_v.feat_v, g.nw); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
         (axes_v.q_seq, g.nj) ]
   in
-  let lse =
-    if stats then
-      Some
-        (Dense.zeros
-           [ (axes_v.heads, g.nh); (axes_v.batch, g.nb); (axes_v.q_seq, g.nj) ])
-    else None
-  in
   let od = Dense.unsafe_data out in
-  let lsed = Option.map Dense.unsafe_data lse in
-  let exact = kvt >= g.nk in
-  let nq_tiles = (g.nj + qt - 1) / qt in
+  let nq_tiles = (g.nj + q_tile - 1) / q_tile in
   let work = g.nh * g.nb * nq_tiles in
   let item it =
     let qi = it mod nq_tiles in
     let hb = it / nq_tiles in
     let b = hb mod g.nb in
     let h = hb / g.nb in
-    let qlo = qi * qt in
-    let qhi = min (qlo + qt) g.nj in
-    if exact then fwd_exact_item g ~od ~lsed ~h ~b ~qlo ~qhi
-    else fwd_online_item g ~kvt ~od ~lsed ~h ~b ~qlo ~qhi
+    let qlo = qi * q_tile in
+    let qhi = min (qlo + q_tile) g.nj in
+    fwd_item g ~od ~h ~b ~qlo ~qhi
   in
   let flops = g.nj * g.nk * (g.np + g.nw) in
   if work >= 2 && flops >= par_min_flop && Pool.num_domains () > 1 then
@@ -628,7 +381,7 @@ let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
     for it = 0 to work - 1 do
       item it
     done;
-  (out, lse)
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Backward                                                            *)
@@ -642,7 +395,7 @@ let forward ?axes ?q_tile ?kv_tile ?causal ?valid ?dropout ?(stats = true)
    causal tail of each block replays rows one at a time, so blocked runs
    are bitwise identical to a row-at-a-time walk (and items own disjoint
    (h, b) slabs, so sharding is bitwise too). *)
-let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
+let bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
   let nk = kmax_of g ~b ~jj:(g.nj - 1) in
   (* widest key range any row of this slot touches *)
   if nk > 0 then
@@ -656,8 +409,8 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
     Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
     Arena.with_scratch Arena.global (row_block * g.np) (fun dqb ->
     Arena.with_scratch Arena.global (row_block * g.nw) (fun dgb ->
-        pack_panel g.kd g.ks ~h ~b ~klo:0 ~khi:nk ~nf:g.np kp;
-        pack_panel g.vd g.vs ~h ~b ~klo:0 ~khi:nk ~nf:g.nw vp;
+        pack_panel g.kd g.ks ~h ~b ~n:nk ~nf:g.np kp;
+        pack_panel g.vd g.vs ~h ~b ~n:nk ~nf:g.nw vp;
         let np = g.np and nw = g.nw in
         let km = Array.make row_block 0 in
         let dqstep = g.nh * g.nb * g.nj in
@@ -728,31 +481,27 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
                 (if g.masking then s +. 0.0 else s)
             done
           done;
-          (* y_k = exp(score - lse): the probabilities, recomputed *)
+          (* y_k: the probabilities, recomputed with the forward's recipe
+             (max, exp in place, sum, then [*. (1.0 /. sum)]) *)
           for r = 0 to jn - 1 do
             let kmr = km.(r) in
             if kmr > 0 then begin
-              let jj = j0v + r in
               let yrow = r * nk in
-              let lse_j =
-                match lsed with
-                | Some l -> l.((((h * g.nb) + b) * g.nj) + jj)
-                | None ->
-                    let mx = ref neg_infinity in
-                    for kk = 0 to kmr - 1 do
-                      mx := Float.max !mx (Array.unsafe_get yb (yrow + kk))
-                    done;
-                    let nm = -1.0 *. !mx in
-                    let s = ref 0.0 in
-                    for kk = 0 to kmr - 1 do
-                      s := !s +. exp (Array.unsafe_get yb (yrow + kk) +. nm)
-                    done;
-                    !mx +. log !s
-              in
-              let nlse = -1.0 *. lse_j in
+              let mx = ref neg_infinity in
+              for kk = 0 to kmr - 1 do
+                mx := Float.max !mx (Array.unsafe_get yb (yrow + kk))
+              done;
+              let nm = -1.0 *. !mx in
+              let s = ref 0.0 in
+              for kk = 0 to kmr - 1 do
+                let ev = exp (Array.unsafe_get yb (yrow + kk) +. nm) in
+                Array.unsafe_set yb (yrow + kk) ev;
+                s := !s +. ev
+              done;
+              let inv = 1.0 /. !s in
               for kk = 0 to kmr - 1 do
                 Array.unsafe_set yb (yrow + kk)
-                  (exp (Array.unsafe_get yb (yrow + kk) +. nlse))
+                  (Array.unsafe_get yb (yrow + kk) *. inv)
               done
             end
           done;
@@ -925,16 +674,11 @@ let bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
           done
         done))))))))))
 
-let backward ?axes ?causal ?valid ?dropout ?lse ~prescale ~q ~k ~v ~d_out () =
+let backward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v ~d_out () =
   let axes_v = Option.value axes ~default:paper_axes in
   let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
   if extent d_out axes_v.feat_v <> g.nw || extent d_out axes_v.q_seq <> g.nj
   then invalid_arg "Flashattn.backward: d_out is not shaped like the context";
-  (match lse with
-  | Some l ->
-      if Dense.volume l <> g.nh * g.nb * g.nj then
-        invalid_arg "Flashattn.backward: lse has the wrong volume"
-  | None -> ());
   let dq =
     Dense.zeros
       [ (axes_v.feat_qk, g.np); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
@@ -955,29 +699,6 @@ let backward ?axes ?causal ?valid ?dropout ?lse ~prescale ~q ~k ~v ~d_out () =
     Dense.strides_for d_out
       [ axes_v.feat_v; axes_v.heads; axes_v.batch; axes_v.q_seq ]
   in
-  let lsed =
-    Option.map
-      (fun l ->
-        let d = Dense.unsafe_data l in
-        let str =
-          Dense.strides_for l [ axes_v.heads; axes_v.batch; axes_v.q_seq ]
-        in
-        (* re-expose through canonical (h,b,j) indexing *)
-        if str = [| g.nb * g.nj; g.nj; 1 |] then d
-        else begin
-          let c = Array.make (g.nh * g.nb * g.nj) 0.0 in
-          for h = 0 to g.nh - 1 do
-            for b = 0 to g.nb - 1 do
-              for j = 0 to g.nj - 1 do
-                c.((((h * g.nb) + b) * g.nj) + j) <-
-                  d.((h * str.(0)) + (b * str.(1)) + (j * str.(2)))
-              done
-            done
-          done;
-          c
-        end)
-      lse
-  in
   let dqd = Dense.unsafe_data dq in
   let dkd = Dense.unsafe_data dk in
   let dvd = Dense.unsafe_data dv in
@@ -985,7 +706,7 @@ let backward ?axes ?causal ?valid ?dropout ?lse ~prescale ~q ~k ~v ~d_out () =
   let item it =
     let b = it mod g.nb in
     let h = it / g.nb in
-    bwd_item g ~lsed ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b
+    bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b
   in
   let flops = g.nj * g.nk * (g.np + g.nw) in
   if work >= 2 && flops >= par_min_flop && Pool.num_domains () > 1 then

@@ -5,24 +5,22 @@
     The naive chain materializes the full L_q x L_k score matrix four
     times over (scores, softmax, dropout mask, dropped probabilities) and
     re-reads it for the V contraction — O(L^2) bytes moved per head each
-    direction. [forward] instead streams KV tiles against resident Q
-    tiles with an online softmax (running row max / sum renormalization),
-    so the scratch working set is O(tile * d_head), independent of L^2.
-    [backward] recomputes tile scores on the fly from Q/K and the saved
-    per-row logsumexp statistics, producing dQ/dK/dV without ever storing
-    the L^2 probabilities.
+    direction. [forward] instead takes a tile of Q rows at a time against
+    packed K/V panels of each row's unmasked key prefix, so the scratch
+    working set is O(L * d_head), independent of L^2. [backward]
+    recomputes scores and probabilities on the fly from Q/K, producing
+    dQ/dK/dV without ever storing the L^2 probabilities.
 
-    Numerics contract: with [kv_tile >= L_k] the forward reproduces the
-    naive einsum + softmax(+mask) + dropout + einsum chain {b bitwise}
+    Numerics contract: both directions are {b bitwise} equal to the naive
+    einsum + softmax(+mask) + dropout + einsum chain and its backward
     (same operation order: ascending-k accumulation, [-1.0 *. m] sign
-    flips, per-element normalization before the V products). With smaller
-    tiles the online renormalization reassociates the same sums, so
-    results agree within a few ulps per row. Dropout is counter-based
-    ({!Prng.float_at}): tiles draw mask elements at arbitrary positions
-    yet agree bitwise with the sequential mask walk of
-    [Elementwise.dropout_mask].
+    flips, per-element normalization before the V products). The backward
+    recomputes each row's probabilities exactly as the forward computes
+    them. Dropout is counter-based ({!Prng.float_at}): rows draw mask
+    elements at arbitrary positions yet agree bitwise with the sequential
+    mask walk of [Elementwise.dropout_mask].
 
-    Parallelism: the forward shards over (head, batch, Q-tile), the
+    Parallelism: the forward shards over (head, batch, 32-row Q tile), the
     backward over (head, batch); work items write disjoint output slabs
     and draw scratch from the domain-local {!Arena}, so parallel runs are
     bitwise identical to serial ones. *)
@@ -53,60 +51,36 @@ type dropout = {
   dims : (Axis.t * int) list;
 }
 
-(** {1 Tile defaults} *)
-
-(** The tile shape used when [?q_tile]/[?kv_tile] are omitted: (32, 128).
-    Callers that need the bitwise exact mode pass [~kv_tile] >= L_k. *)
-val default_tiles : int * int
-
-(** {1 Tile-visit counters} *)
-
-type counters = { tiles_visited : int; tiles_skipped : int }
-
-val counters : unit -> counters
-(** Cumulative (KV-tile x Q-row-range) visits and causal/ragged skips
-    since the last {!reset_counters} — observability for the per-tile
-    mask resolution. Atomically updated, so parallel runs count too. *)
-
-val reset_counters : unit -> unit
-
 (** {1 The kernel} *)
 
 val forward :
   ?axes:axes ->
-  ?q_tile:int ->
-  ?kv_tile:int ->
   ?causal:bool ->
   ?valid:int array ->
   ?dropout:dropout ->
-  ?stats:bool ->
   prescale:float ->
   q:Dense.t ->
   k:Dense.t ->
   v:Dense.t ->
   unit ->
-  Dense.t * Dense.t option
+  Dense.t
 (** [forward ~prescale ~q ~k ~v ()] computes
-    [softmax(prescale * q.k + mask) . v] one (Q-tile x KV-tile) pair at a
-    time. Returns the context (dims (feat_v, heads, batch, q_seq)) and,
-    when [stats] (default [true]), the per-row logsumexp of the masked
-    prescaled scores (dims (heads, batch, q_seq)) — what [backward] needs
-    to recompute probabilities without the L^2 matrix.
+    [softmax(prescale * q.k + mask) . v] and returns the context, dims
+    (feat_v, heads, batch, q_seq).
 
-    [causal] masks key positions [k > j] per tile: KV tiles entirely in
-    the masked triangle are skipped without touching K/V. [valid.(b)]
-    limits slot [b] to its first [valid.(b)] key columns (the ragged
-    serving case; combines with [causal]). Rows with no valid keys yield
-    zeros and a [-inf] stat (the naive chain yields NaN there; such rows
-    cannot arise from the encoder/decoder graphs). [dropout] applies the
-    counter-based mask to the normalized probabilities. *)
+    [causal] masks key positions [k > j]: each row reads only its first
+    [j + 1] keys, so masked scores are never computed. [valid.(b)] limits
+    slot [b] to its first [valid.(b)] key columns (the ragged serving
+    case; combines with [causal]). Rows with no valid keys yield zeros
+    (the naive chain yields NaN there; such rows cannot arise from the
+    encoder/decoder graphs). [dropout] applies the counter-based mask to
+    the normalized probabilities. *)
 
 val backward :
   ?axes:axes ->
   ?causal:bool ->
   ?valid:int array ->
   ?dropout:dropout ->
-  ?lse:Dense.t ->
   prescale:float ->
   q:Dense.t ->
   k:Dense.t ->
@@ -114,11 +88,9 @@ val backward :
   d_out:Dense.t ->
   unit ->
   Dense.t * Dense.t * Dense.t
-(** [backward ~prescale ~q ~k ~v ~d_out ()] recomputes tile scores and
-    probabilities on the fly and returns [(dq, dk, dv)] with dims
-    (feat_qk, heads, batch, q_seq) / (feat_qk, heads, batch, k_seq) /
-    (feat_v, heads, batch, k_seq). [lse] is the forward's saved stat
-    (dims (heads, batch, q_seq)); when absent it is recomputed from Q/K,
-    bit-for-bit the value the exact-mode forward saves. Scratch is
-    O(L * d_head) per (head, batch) work item — row score/probability
-    buffers and packed K/V panels — never O(L^2). *)
+(** [backward ~prescale ~q ~k ~v ~d_out ()] recomputes scores and
+    probabilities on the fly, exactly as [forward] computes them, and
+    returns [(dq, dk, dv)] with dims (feat_qk, heads, batch, q_seq) /
+    (feat_qk, heads, batch, k_seq) / (feat_v, heads, batch, k_seq).
+    Scratch is O(L * d_head) per (head, batch) work item — row
+    score/probability buffers and packed K/V panels — never O(L^2). *)

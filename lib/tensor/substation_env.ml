@@ -71,9 +71,8 @@ let retired =
       "memory planning is no longer a process-wide switch (the compiled \
        current regime always plans; the passthrough regime never does)" );
     ( "SUBSTATION_ATTN_TILES",
-      "streaming-attention tiles are no longer a process-wide setting (a \
-       compiled attention window always runs the exact single-KV-tile mode; \
-       direct Flashattn callers pass ?q_tile/?kv_tile)" );
+      "streaming-attention tiles are no longer a setting (the kernel has \
+       one mode: each row against its whole unmasked key prefix)" );
   ]
 
 (* [parse_with lookup] parses from an arbitrary variable source — the

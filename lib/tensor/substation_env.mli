@@ -15,7 +15,7 @@
     setting is consulted, and included in {!describe}'s dump. So is a
     retired variable that is still set ([SUBSTATION_NOPLAN]: memory
     planning is no longer a process-wide toggle; [SUBSTATION_ATTN_TILES]:
-    attention tiles are no longer a process-wide setting). The environment is
+    the attention kernel has no tile setting). The environment is
     parsed once per process; scoped overrides ([Fastmode.with_mode],
     [Pool.with_domains], [Guard.with_level]) layer on top exactly as
     before. *)

@@ -166,9 +166,9 @@ let attend (hp : Hparams.t) ~params ~caches x =
     in
     Einsum.eval "whbk,hbjk->whbj" [ vvb_pad; alpha ]
   in
-  (* Streaming kernel, single KV tile spanning the padded length: exact
-     mode, so the ragged [valid] limits reproduce the pad mask bitwise and
-     the decode step stays bitwise equal to the recompute oracle. *)
+  (* Streaming kernel: the ragged [valid] limits reproduce the pad mask
+     bitwise, so the decode step stays bitwise equal to the recompute
+     oracle. *)
   let gam =
     if Fastmode.enabled () then
       Guard.protected ~kernel:"flashattn.attend"
@@ -176,9 +176,8 @@ let attend (hp : Hparams.t) ~params ~caches x =
         ~fallback:naive_gam
         (fun () ->
           let valid = Array.map (fun c -> c.len + 1) caches in
-          fst
-            (Flashattn.forward ~kv_tile:lmax ~valid ~stats:false
-               ~prescale:(Hparams.scaler hp) ~q:qqb ~k:kkb_pad ~v:vvb_pad ()))
+          Flashattn.forward ~valid ~prescale:(Hparams.scaler hp) ~q:qqb
+            ~k:kkb_pad ~v:vvb_pad ())
     else naive_gam ()
   in
   (* The out-projection reads [wo] through a non-direct row view ([i;w;h]
@@ -188,32 +187,3 @@ let attend (hp : Hparams.t) ~params ~caches x =
      einsum reuses the one packed image until the optimizer updates it. *)
   let attn = Einsum.eval "whi,whbj->ibj" [ p "wo"; gam ] in
   (Dense.add_bcast attn (p "bo"), kkb, vvb)
-
-(* Full-sequence attention context through the streaming kernel: the
-   prefill counterpart of [attend]. The guard falls back to the naive
-   einsum + softmax + einsum chain; with the default tiles the kernel
-   streams KV tiles (online softmax), so results are within ulps of the
-   oracle rather than bitwise — callers needing bitwise parity (tests)
-   run under [Fastmode.with_naive]. *)
-let context (hp : Hparams.t) ?(causal = false) ~q ~k ~v () =
-  let prescale = Hparams.scaler hp in
-  let naive () =
-    let beta = Einsum.eval "phbk,phbj->hbjk" [ k; q ] in
-    let mask =
-      if causal then
-        let dims = Shape.to_list (Dense.shape beta) in
-        Some
-          (Ops.Normalization.causal_mask ~q:"j" ~k:"k"
-             (List.filter (fun (a, _) -> a = "j" || a = "k") dims))
-      else None
-    in
-    let alpha = Ops.Normalization.softmax_masked ?mask beta ~axis:"k" ~prescale in
-    Einsum.eval "whbk,hbjk->whbj" [ v; alpha ]
-  in
-  if Fastmode.enabled () then
-    Guard.protected ~kernel:"flashattn.context"
-      ~outputs:(fun g -> [ Dense.unsafe_data g ])
-      ~fallback:naive
-      (fun () ->
-        fst (Flashattn.forward ~causal ~stats:false ~prescale ~q ~k ~v ()))
-  else naive ()

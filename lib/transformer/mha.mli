@@ -50,14 +50,3 @@ val cache_append : cache -> k:Dense.t -> v:Dense.t -> b:int -> unit
 val attend :
   Hparams.t -> params:(string * Dense.t) list -> caches:cache array
   -> Dense.t -> Dense.t * Dense.t * Dense.t
-
-(** [context hp ?causal ~q ~k ~v ()] is the full-sequence attention
-    interior [softmax(scale * QK^T + causal mask) . V] (dims
-    [(w,h,b,j)]) through the streaming tiled kernel ({!Flashattn}) — the
-    prefill counterpart of {!attend}. [q]/[k] carry dims
-    [(p,h,b,j)]/[(p,h,b,k)], [v] [(w,h,b,k)]. Runs under the kernel guard
-    with the naive einsum + masked-softmax chain as oracle fallback; with
-    multi-tile streaming the result is within ulps of that oracle. *)
-val context :
-  Hparams.t -> ?causal:bool -> q:Dense.t -> k:Dense.t -> v:Dense.t -> unit
-  -> Dense.t

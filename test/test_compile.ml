@@ -1,6 +1,5 @@
 (* Tests for the staged compiler pipeline: every pass must preserve the
-   uncompiled interpreter's semantics (bitwise, with the documented ulps
-   envelope for the streaming attention-backward cone) across randomized
+   uncompiled interpreter's semantics bitwise across randomized
    encoder/decoder geometries, fast and naive backends, serial and
    parallel pools, and with the kernel guard's oracle fallback engaged;
    the plan cache must hit with zero pass re-runs and stay valid across
@@ -15,13 +14,6 @@ let bits_equal a b =
   let a = Dense.align a b in
   Array.for_all2
     (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-    (Dense.unsafe_data a) (Dense.unsafe_data b)
-
-(* The envelope for the streaming attention-backward cone. *)
-let within_1e9 a b =
-  let a = Dense.align a b in
-  Array.for_all2
-    (fun x y -> Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.abs x))
     (Dense.unsafe_data a) (Dense.unsafe_data b)
 
 let tiny = Transformer.Hparams.tiny
@@ -214,10 +206,9 @@ let test_cache_weight_mutation () =
 
 (* ---------------- attention exactness ---------------- *)
 
-(* A compiled attention window's forward runs the exact single-KV-tile
-   mode however the plan was compiled: with or without a device, in either
-   compile order. L_k = 256 spans two of Flashattn's default KV tiles, so
-   a plan that streamed with the defaults would drift from the oracle. *)
+(* A compiled attention window's forward is bitwise equal to the oracle
+   however the plan was compiled: with or without a device, in either
+   compile order. L = 256 spans eight of the forward's 32-row Q tiles. *)
 let test_attention_exact_any_compile () =
   let hp =
     {
@@ -263,22 +254,6 @@ let test_attention_exact_any_compile () =
 
 (* ---------------- executor rewiring ---------------- *)
 
-(* The containers downstream of a streaming attention-backward window,
-   held to the 1e-9 envelope instead of bitwise (see Compiled ~verify). *)
-let attention_backward_cone (cplan : Compile.Compiled.plan) =
-  let cone = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Substation.Fusion.attn_site) ->
-      if s.site_kind = `Bwd then
-        List.iter (fun c -> Hashtbl.replace cone c ()) s.site_writes)
-    cplan.Compile.Compiled.attn_sites;
-  List.iter
-    (fun (o : Ops.Op.t) ->
-      if List.exists (Hashtbl.mem cone) o.reads then
-        List.iter (fun c -> Hashtbl.replace cone c ()) o.writes)
-    cplan.Compile.Compiled.source.Ops.Program.ops;
-  cone
-
 let test_executor_compiled_parity () =
   let inputs = layer_inputs tiny 31L in
   let program = Transformer.Encoder.program tiny in
@@ -295,17 +270,10 @@ let test_executor_compiled_parity () =
   List.iter
     (fun (tag, regime) ->
       let env, _ = Frameworks.Executor.run regime plan inputs in
-      let cone =
-        attention_backward_cone (Compile.Compiled.compile regime program)
-      in
       List.iter
         (fun c ->
-          let want = Ops.Op.lookup oracle c and got = Ops.Op.lookup env c in
-          let ok =
-            if Hashtbl.mem cone c then within_1e9 want got
-            else bits_equal want got
-          in
-          check_bool (Printf.sprintf "run %s: %s" tag c) true ok)
+          check_bool (Printf.sprintf "run %s: %s" tag c) true
+            (bits_equal (Ops.Op.lookup oracle c) (Ops.Op.lookup env c)))
         [ "y"; "d_x"; "d_wq"; "d_w2" ];
       (* the per-op scan covers every op's writes, planned ones included *)
       let bad = Dense.copy (List.assoc "x" inputs) in

@@ -2,9 +2,9 @@
 
    The oracle is the exact op sequence the kernel replaces:
    qkt einsum -> softmax(prescale, +mask) -> dropout mask multiply ->
-   gamma einsum, built from the same value helpers the ops run. Exact
-   mode (one KV tile) must match it bitwise; online mode (streamed KV
-   tiles) within a few ulps per element. *)
+   gamma einsum, built from the same value helpers the ops run. The
+   forward must match it bitwise, and the backward must recompute the
+   forward's probabilities bit for bit. *)
 
 let q = QCheck_alcotest.to_alcotest
 let check_bool = Alcotest.(check bool)
@@ -87,12 +87,11 @@ let make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk =
 
 (* ---------------- forward vs oracle ---------------- *)
 
-let prop_exact_bitwise =
-  QCheck.Test.make
-    ~name:"exact mode (kv_tile >= L) equals naive chain bitwise, any layout"
+let prop_forward_bitwise =
+  QCheck.Test.make ~name:"forward equals naive chain bitwise, any layout"
     ~count:40
     QCheck.(
-      quad (int_range 1 6) (int_range 1 9) (int_range 1 4) (int_range 1 3))
+      quad (int_range 1 6) (int_range 1 40) (int_range 1 4) (int_range 1 3))
     (fun (np, nj, nh, nb) ->
       let nk = ((nj * 7) mod 11) + 1 and nw = ((np * 5) mod 7) + 1 in
       let prng =
@@ -101,58 +100,22 @@ let prop_exact_bitwise =
       let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
       let prescale = 1.0 /. sqrt (float_of_int np) in
       let _, _, want = oracle ~prescale ~qt ~kt ~vt ~nj ~nk () in
-      let got, _ =
-        Flashattn.forward ~q_tile:3 ~kv_tile:nk ~stats:false ~prescale ~q:qt
-          ~k:kt ~v:vt ()
-      in
+      let got = Flashattn.forward ~prescale ~q:qt ~k:kt ~v:vt () in
       bitwise want got)
 
-let prop_online_close =
-  QCheck.Test.make
-    ~name:"online mode (streamed KV tiles) within ulps of the oracle"
-    ~count:40
-    QCheck.(
-      quad (int_range 1 6) (int_range 8 40) (int_range 1 3) (int_range 1 3))
-    (fun (np, nj, nh, nb) ->
-      let nk = nj + (np mod 5) and nw = np in
-      let prng =
-        Prng.create (Int64.of_int ((np * 8191) + (nj * 101) + (nh * 13) + nb))
-      in
-      let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
-      let prescale = 1.0 /. sqrt (float_of_int np) in
-      let _, _, want = oracle ~prescale ~qt ~kt ~vt ~nj ~nk () in
-      let got, _ =
-        Flashattn.forward ~q_tile:4 ~kv_tile:5 ~stats:false ~prescale ~q:qt
-          ~k:kt ~v:vt ()
-      in
-      Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want got)
-
-let test_causal_and_skipping () =
+(* nj = 64 spans two Q-row tiles; each row reads only its first j + 1
+   keys. *)
+let test_causal () =
   let np = 8 and nw = 8 and nh = 2 and nb = 2 and nj = 64 in
   let nk = nj in
   let prng = Prng.create 42L in
   let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
   let prescale = 1.0 /. sqrt 8.0 in
   let _, _, want = oracle ~causal:true ~prescale ~qt ~kt ~vt ~nj ~nk () in
-  (* exact mode: bitwise even under the causal mask *)
-  let got, _ =
-    Flashattn.forward ~kv_tile:nk ~causal:true ~stats:false ~prescale ~q:qt
-      ~k:kt ~v:vt ()
+  let got =
+    Flashattn.forward ~causal:true ~prescale ~q:qt ~k:kt ~v:vt ()
   in
-  check_bool "causal exact bitwise" true (bitwise want got);
-  (* online mode: tiles above the diagonal must be skipped untouched *)
-  Flashattn.reset_counters ();
-  let got2, _ =
-    Flashattn.forward ~q_tile:8 ~kv_tile:8 ~causal:true ~stats:false ~prescale
-      ~q:qt ~k:kt ~v:vt ()
-  in
-  let c = Flashattn.counters () in
-  check_bool "causal online close" true
-    (Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want got2);
-  check_bool "masked tiles skipped" true (c.tiles_skipped > 0);
-  (* per (h,b,q-tile): 8 q-tiles x 8 kv-tiles, about half above diagonal *)
-  check_bool "visited + skipped = all tiles" true
-    (c.tiles_visited + c.tiles_skipped = nh * nb * 8 * 8)
+  check_bool "causal bitwise" true (bitwise want got)
 
 let test_ragged_valid () =
   let np = 4 and nw = 6 and nh = 2 and nb = 3 and nj = 1 and nk = 9 in
@@ -161,16 +124,14 @@ let test_ragged_valid () =
   let valid = [| 3; 9; 5 |] in
   let prescale = 1.0 /. sqrt 4.0 in
   let _, _, want = oracle ~valid ~prescale ~qt ~kt ~vt ~nj ~nk () in
-  let got, _ =
-    Flashattn.forward ~kv_tile:nk ~valid ~stats:false ~prescale ~q:qt ~k:kt
-      ~v:vt ()
-  in
+  let got = Flashattn.forward ~valid ~prescale ~q:qt ~k:kt ~v:vt () in
   check_bool "ragged valid bitwise" true (bitwise want got)
 
 (* ---------------- dropout ---------------- *)
 
+(* nj = 40: the mask is drawn from two Q-row tile work items. *)
 let test_dropout_bitwise () =
-  let np = 8 and nw = 8 and nh = 2 and nb = 2 and nj = 12 and nk = 16 in
+  let np = 8 and nw = 8 and nh = 2 and nb = 2 and nj = 40 and nk = 16 in
   let prng = Prng.create 99L in
   let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
   let prescale = 1.0 /. sqrt 8.0 in
@@ -179,51 +140,50 @@ let test_dropout_bitwise () =
   let dropmask = E.dropout_mask ~seed ~name:key dims ~p in
   let _, _, want = oracle ~dropmask ~prescale ~qt ~kt ~vt ~nj ~nk () in
   let dropout = { Flashattn.p; seed; key; dims } in
-  let got, _ =
-    Flashattn.forward ~kv_tile:nk ~dropout ~stats:false ~prescale ~q:qt ~k:kt
-      ~v:vt ()
-  in
-  check_bool "dropout exact bitwise (counter-based = sequential walk)" true
-    (bitwise want got);
-  (* tiled draws must still agree with the sequential mask walk *)
-  let got2, _ =
-    Flashattn.forward ~q_tile:5 ~kv_tile:6 ~dropout ~stats:false ~prescale
-      ~q:qt ~k:kt ~v:vt ()
-  in
-  check_bool "dropout online close" true
-    (Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want got2)
+  let got = Flashattn.forward ~dropout ~prescale ~q:qt ~k:kt ~v:vt () in
+  check_bool "dropout bitwise (counter-based = sequential walk)" true
+    (bitwise want got)
 
-(* ---------------- logsumexp stats ---------------- *)
+(* ---------------- recomputed probabilities ---------------- *)
 
-let test_lse_roundtrip () =
-  let np = 6 and nw = 6 and nh = 2 and nb = 2 and nj = 10 and nk = 14 in
+(* With d_out one-hot at (w = 0, row j0) and no dropout, dv(w = 0, k) is
+   the sum over rows of alpha(j, k) * d_out(0, j): every term but row
+   j0's is +0.0, so it equals the backward's recomputed alpha(j0, k)
+   exactly — which must be the oracle's softmax, bit for bit. *)
+let test_recomputed_probabilities () =
+  let np = 6 and nw = 6 and nh = 2 and nb = 2 and nj = 10 in
   let prng = Prng.create 5L in
-  let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
   let prescale = 1.0 /. sqrt 6.0 in
-  let _, lse = Flashattn.forward ~kv_tile:nk ~prescale ~q:qt ~k:kt ~v:vt () in
-  let lse = Option.get lse in
-  (* the saved stat is exactly logsumexp of the prescaled scores *)
-  let beta = Einsum.eval ~scale:prescale "phbk,phbj->hbjk" [ kt; qt ] in
-  let mx = Dense.max_over beta [ "k" ] in
-  let s =
-    Dense.sum_over
-      (Dense.map exp (Dense.add_bcast beta (Dense.scale (-1.0) mx)))
-      [ "k" ]
-  in
-  let want = Dense.add mx (Dense.map log s) in
-  check_bool "lse equals logsumexp of scores" true
-    (Dense.approx_equal ~rtol:1e-13 ~atol:1e-15 want lse);
-  (* backward with the saved stat == backward recomputing it, bitwise *)
-  let d_out = Dense.rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] ~lo:(-1.0) ~hi:1.0 in
-  let dq1, dk1, dv1 =
-    Flashattn.backward ~lse ~prescale ~q:qt ~k:kt ~v:vt ~d_out ()
-  in
-  let dq2, dk2, dv2 =
-    Flashattn.backward ~prescale ~q:qt ~k:kt ~v:vt ~d_out ()
-  in
-  check_bool "saved lse == recomputed lse (dq)" true (bitwise dq1 dq2);
-  check_bool "saved lse == recomputed lse (dk)" true (bitwise dk1 dk2);
-  check_bool "saved lse == recomputed lse (dv)" true (bitwise dv1 dv2)
+  List.iter
+    (fun (causal, nk) ->
+      let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
+      let alpha_sm, _, _ = oracle ~causal ~prescale ~qt ~kt ~vt ~nj ~nk () in
+      for j0 = 0 to nj - 1 do
+        let d_out =
+          Dense.init [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] (fun idx ->
+              if List.assoc "w" idx = 0 && List.assoc "j" idx = j0 then 1.0
+              else 0.0)
+        in
+        let _, _, dv =
+          Flashattn.backward ~causal ~prescale ~q:qt ~k:kt ~v:vt ~d_out ()
+        in
+        for h = 0 to nh - 1 do
+          for b = 0 to nb - 1 do
+            for k = 0 to nk - 1 do
+              let want =
+                Dense.get alpha_sm [ ("h", h); ("b", b); ("j", j0); ("k", k) ]
+              and got =
+                Dense.get dv [ ("w", 0); ("h", h); ("b", b); ("k", k) ]
+              in
+              if not (Float.equal want got) then
+                Alcotest.failf
+                  "causal=%b j0=%d h=%d b=%d k=%d: dv %h <> alpha_sm %h" causal
+                  j0 h b k got want
+            done
+          done
+        done
+      done)
+    [ (false, 14); (true, nj) ]
 
 (* ---------------- backward vs oracle ---------------- *)
 
@@ -287,10 +247,7 @@ let test_incremental_equals_full () =
   let prng = Prng.create 23L in
   let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
   let prescale = 1.0 /. sqrt 8.0 in
-  let full, _ =
-    Flashattn.forward ~kv_tile:nk ~causal:true ~stats:false ~prescale ~q:qt
-      ~k:kt ~v:vt ()
-  in
+  let full = Flashattn.forward ~causal:true ~prescale ~q:qt ~k:kt ~v:vt () in
   (* each decode step: one query column against its visible prefix,
      expressed through the ragged [valid] limit like the serving path *)
   for j = 0 to nj - 1 do
@@ -299,10 +256,7 @@ let test_incremental_equals_full () =
           Dense.get qt (("j", j) :: List.remove_assoc "j" idx))
     in
     let valid = Array.make nb (j + 1) in
-    let step, _ =
-      Flashattn.forward ~kv_tile:nk ~valid ~stats:false ~prescale ~q:qstep
-        ~k:kt ~v:vt ()
-    in
+    let step = Flashattn.forward ~valid ~prescale ~q:qstep ~k:kt ~v:vt () in
     for w = 0 to nw - 1 do
       for h = 0 to nh - 1 do
         for b = 0 to nb - 1 do
@@ -329,19 +283,15 @@ let test_parallel_determinism () =
   let prescale = 1.0 /. sqrt 8.0 in
   let d_out = Dense.rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] ~lo:(-1.0) ~hi:1.0 in
   let run () =
-    let out, lse =
-      Flashattn.forward ~q_tile:8 ~kv_tile:16 ~causal:true ~prescale ~q:qt
-        ~k:kt ~v:vt ()
-    in
+    let out = Flashattn.forward ~causal:true ~prescale ~q:qt ~k:kt ~v:vt () in
     let dq, dk, dv =
       Flashattn.backward ~causal:true ~prescale ~q:qt ~k:kt ~v:vt ~d_out ()
     in
-    (out, Option.get lse, dq, dk, dv)
+    (out, dq, dk, dv)
   in
-  let o1, l1, q1, k1, v1 = Pool.with_domains 1 run in
-  let o4, l4, q4, k4, v4 = Pool.with_domains 4 run in
+  let o1, q1, k1, v1 = Pool.with_domains 1 run in
+  let o4, q4, k4, v4 = Pool.with_domains 4 run in
   check_bool "out serial == parallel" true (bitwise o1 o4);
-  check_bool "lse serial == parallel" true (bitwise l1 l4);
   check_bool "dq serial == parallel" true (bitwise q1 q4);
   check_bool "dk serial == parallel" true (bitwise k1 k4);
   check_bool "dv serial == parallel" true (bitwise v1 v4)
@@ -386,16 +336,11 @@ let test_attention_fusion_semantics causal () =
   let env1 = Fastmode.with_naive (fun () -> run_encoder program hp) in
   let env2 = Fastmode.with_mode true (fun () -> run_encoder fused hp) in
   let get env c = Ops.Op.lookup env c in
-  (* forward runs in exact mode (kv_tile >= L): bitwise, through to y *)
-  check_bool "gam bitwise" true (bitwise (get env1 "gam") (get env2 "gam"));
-  check_bool "y bitwise" true (bitwise (get env1 "y") (get env2 "y"));
-  (* the backward streaming kernel recomputes probabilities from the
-     logsumexp stat: equal within ulps, not bitwise *)
+  (* forward and backward both reproduce the member chains bitwise *)
   List.iter
     (fun c ->
-      check_bool (c ^ " close") true
-        (Dense.approx_equal ~rtol:1e-11 ~atol:1e-13 (get env1 c) (get env2 c)))
-    [ "d_qqb"; "d_kkb"; "d_vvb"; "d_x"; "d_w1"; "d_wo" ];
+      check_bool (c ^ " bitwise") true (bitwise (get env1 c) (get env2 c)))
+    [ "gam"; "y"; "d_qqb"; "d_kkb"; "d_vvb"; "d_x"; "d_w1"; "d_wo" ];
   (* score-matrix containers were never materialized on the fast path *)
   check_bool "alpha elided" false (Hashtbl.mem env2 "alpha");
   check_bool "beta elided" false (Hashtbl.mem env2 "beta")
@@ -405,10 +350,8 @@ let () =
     [
       ( "forward",
         [
-          q prop_exact_bitwise;
-          q prop_online_close;
-          Alcotest.test_case "causal masking + tile skipping" `Quick
-            test_causal_and_skipping;
+          q prop_forward_bitwise;
+          Alcotest.test_case "causal masking" `Quick test_causal;
           Alcotest.test_case "ragged valid lengths" `Quick test_ragged_valid;
         ] );
       ( "dropout",
@@ -416,7 +359,8 @@ let () =
       ( "backward",
         [
           q prop_backward_close;
-          Alcotest.test_case "lse stat round-trip" `Quick test_lse_roundtrip;
+          Alcotest.test_case "recomputed probabilities bitwise" `Quick
+            test_recomputed_probabilities;
           Alcotest.test_case "causal + dropout grads" `Quick
             test_backward_causal_dropout;
         ] );

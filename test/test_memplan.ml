@@ -91,7 +91,23 @@ let test_encoder_keep () =
       (Transformer.Encoder.program tiny)
       inputs ~fast:true
   in
-  check_bool "kept intermediate survives" true (Hashtbl.mem env "ln1_out")
+  check_bool "kept intermediate survives" true (Hashtbl.mem env "ln1_out");
+  (* keeping a streaming-attention output must not leak any undeclared
+     environment key alongside it *)
+  let attn =
+    Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
+      ~attention:true (Transformer.Encoder.program tiny)
+  in
+  let env, _ =
+    planned_agrees ~name:"attention-fused keep gam" ~keep:[ "gam" ] attn
+      inputs ~fast:true
+  in
+  check_bool "kept attention output survives" true (Hashtbl.mem env "gam");
+  Hashtbl.iter
+    (fun c _ ->
+      if not (List.mem_assoc c attn.Ops.Program.containers) then
+        Alcotest.failf "planned env holds undeclared container %s" c)
+    env
 
 (* ---------------- peak-reduction acceptance ---------------- *)
 

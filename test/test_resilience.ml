@@ -209,49 +209,42 @@ let test_hang_times_out_to_fallback () =
        (Guard.quarantine ()));
   Guard.reset ()
 
-(* The streaming attention kernel runs under the same guard: a crash
-   inside the fused interior heals to the naive einsum + masked-softmax
-   chain (whose own crashed einsums heal to their oracles), so the run
-   lands bitwise on the all-naive result and the quarantine names the
-   streaming kernel. *)
+(* The streaming attention kernel runs under the same guard. KV-cached
+   decode (Model.decode_batch -> Mha.attend) with every fast kernel
+   crashing heals each step's attention to the naive einsum +
+   masked-softmax chain (whose own crashed einsums heal to their oracles),
+   so the logits land bitwise on the all-naive run and the quarantine
+   names the streaming kernel. *)
 let test_flashattn_crash_heals () =
   Guard.reset ();
-  let hp =
-    { Transformer.Hparams.tiny with batch = 2; seq = 12; heads = 2; proj = 8 }
-  in
+  let module H = Transformer.Hparams in
+  let module M = Transformer.Model in
+  let vocab = 11 and steps = 5 in
+  let hp = { (H.with_dropout H.tiny 0.0) with H.seed = 53L } in
+  let m = M.create ~n_layers:2 ~vocab hp in
   let prng = Prng.create 53L in
-  let q =
-    mk_mat prng [ "p"; "h"; "b"; "j" ]
-      [ hp.Transformer.Hparams.proj; hp.Transformer.Hparams.heads;
-        hp.Transformer.Hparams.batch; hp.Transformer.Hparams.seq ]
+  let prompts =
+    Array.init 2 (fun _ ->
+        Array.init steps (fun _ -> Prng.int prng ~bound:vocab))
   in
-  let k =
-    mk_mat prng [ "p"; "h"; "b"; "k" ]
-      [ hp.Transformer.Hparams.proj; hp.Transformer.Hparams.heads;
-        hp.Transformer.Hparams.batch; hp.Transformer.Hparams.seq ]
+  let decode () =
+    let sessions = Array.map (fun _ -> M.new_session m) prompts in
+    List.init steps (fun t ->
+        M.decode_batch m sessions ~tokens:(Array.map (fun p -> p.(t)) prompts))
   in
-  let v =
-    mk_mat prng [ "w"; "h"; "b"; "k" ]
-      [ hp.Transformer.Hparams.proj; hp.Transformer.Hparams.heads;
-        hp.Transformer.Hparams.batch; hp.Transformer.Hparams.seq ]
-  in
-  let oracle =
-    Fastmode.with_mode false (fun () ->
-        Transformer.Mha.context hp ~causal:true ~q ~k ~v ())
-  in
+  let oracle = Fastmode.with_mode false decode in
   let faults = Gpu.Faults.make_exec ~seed:19L ~crash_rate:1.0 () in
   let healed =
     Gpu.Faults.with_exec_faults faults (fun () ->
-        Fastmode.with_mode true (fun () ->
-            Transformer.Mha.context hp ~causal:true ~q ~k ~v ()))
+        Fastmode.with_mode true decode)
   in
   check_bool "crashed attention kernel healed to the naive chain, bitwise"
     true
-    (bitwise_equal oracle healed);
+    (List.for_all2 bitwise_equal oracle healed);
   check_bool "quarantine names the streaming kernel" true
     (List.exists
        (fun (e : Guard.entry) ->
-         e.Guard.q_kernel = "flashattn.context"
+         e.Guard.q_kernel = "flashattn.attend"
          && e.Guard.q_reason = "injected crash")
        (Guard.quarantine ()));
   Guard.reset ()
