@@ -181,7 +181,8 @@ let attention_window =
     p_rewrite =
       (fun ctx p ->
         let p', sites =
-          Substation.Fusion.prefuse_attention ~name_table:ctx.Pass.name_table p
+          Substation.Fusion.prefuse_attention ~name_table:ctx.Pass.name_table
+            ~keep:ctx.Pass.regime.Regime.keep p
         in
         ctx.Pass.attn_sites <- sites;
         if sites <> [] then
@@ -199,7 +200,9 @@ let fusion =
     Pass.p_name = "fusion";
     p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
     p_rewrite =
-      (fun ctx p -> Substation.Fusion.fuse ~name_table:ctx.Pass.name_table p);
+      (fun ctx p ->
+        Substation.Fusion.fuse ~name_table:ctx.Pass.name_table
+          ~keep:ctx.Pass.regime.Regime.keep p);
   }
 
 (* ------------------------------------------------------------------ *)

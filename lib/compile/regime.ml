@@ -24,13 +24,13 @@ let current ?(attention = true) ?(keep = []) () =
     rewrite = true;
   }
 
-let passthrough ?fast ?(keep = []) () =
+let passthrough ?fast () =
   {
     fast = (match fast with Some b -> b | None -> Fastmode.enabled ());
     domains = Pool.num_domains ();
     guard = Guard.current_level ();
     attention = false;
-    keep;
+    keep = [];
     rewrite = false;
   }
 

@@ -20,14 +20,16 @@ type t = {
 (** The full pipeline under the ambient fastmode / domains / guard
     settings. The memory plan drops each intermediate after its last
     use, so only [keep] + terminal outputs survive in the returned
-    environment. *)
+    environment. Every [keep] container survives, fused or not: fusion
+    treats it as read outside its group, and no attention window forms
+    around it. *)
 val current : ?attention:bool -> ?keep:string list -> unit -> t
 
 (** No rewriting: the program executes op-for-op as written with every
-    intermediate retained — the executor's default, and the training
-    forward's (its backward reads retained intermediates). [fast]
-    defaults to the ambient {!Fastmode} setting. *)
-val passthrough : ?fast:bool -> ?keep:string list -> unit -> t
+    intermediate retained — the executor's default, used to bisect a
+    suspected pass or planner issue against {!current}. [fast] defaults
+    to the ambient {!Fastmode} setting. *)
+val passthrough : ?fast:bool -> unit -> t
 
 (** Canonical cache-key rendering. *)
 val key : t -> string

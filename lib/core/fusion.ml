@@ -40,13 +40,15 @@ let external_reads _program members =
     members;
   List.rev !reads
 
-let external_writes (program : Ops.Program.t) members =
+let external_writes ?(keep = []) (program : Ops.Program.t) members =
   let member_names = List.map (fun (m : Ops.Op.t) -> m.name) members in
   let is_member (o : Ops.Op.t) = List.mem o.name member_names in
+  (* a kept container is read by the caller, outside every group *)
   let read_outside c =
-    List.exists
-      (fun (o : Ops.Op.t) -> (not (is_member o)) && List.mem c o.reads)
-      program.Ops.Program.ops
+    List.mem c keep
+    || List.exists
+         (fun (o : Ops.Op.t) -> (not (is_member o)) && List.mem c o.reads)
+         program.Ops.Program.ops
   in
   let read_anywhere c =
     List.exists (fun (o : Ops.Op.t) -> List.mem c o.reads) program.Ops.Program.ops
@@ -260,13 +262,13 @@ let fused_run ~kernel ~external_writes members =
             (fun () -> compiled env)
         else sequential env
 
-let build_fused name_table program (g : raw_group) =
+let build_fused ~keep name_table program (g : raw_group) =
   match g.ops with
   | [ single ] ->
       (* Singleton non-contraction groups still become one custom kernel and
          may carry a canonical name (BSB, BAOB, BEI). *)
       let name = canonical_name name_table [ single ] in
-      let writes = external_writes program [ single ] in
+      let writes = external_writes ~keep program [ single ] in
       let run = fused_run ~kernel:("fused." ^ name) ~external_writes:writes [ single ] in
       {
         members = [ single ];
@@ -275,7 +277,7 @@ let build_fused name_table program (g : raw_group) =
       }
   | members ->
       let reads = external_reads program members in
-      let writes = external_writes program members in
+      let writes = external_writes ~keep program members in
       let has_red = Ops.Iteration.has_reduction g.space in
       let name = canonical_name name_table members in
       let fused =
@@ -436,14 +438,16 @@ let match_attn_bwd w ~mask = function
   | _ -> None
 
 (* The elided containers must be produced and consumed strictly inside the
-   window pair: any outside reader or writer vetoes the prefuse. *)
-let window_closed (program : Ops.Program.t) w =
+   window pair: any outside reader or writer, or the caller keeping one,
+   vetoes the prefuse. *)
+let window_closed ~keep (program : Ops.Program.t) w =
   let inside (o : Ops.Op.t) =
     List.memq o w.aw_fwd || List.memq o w.aw_bwd
   in
   List.for_all
     (fun c ->
-      List.for_all
+      (not (List.mem c keep))
+      && List.for_all
         (fun (o : Ops.Op.t) ->
           inside o || ((not (List.mem c o.reads)) && not (List.mem c o.writes)))
         program.Ops.Program.ops)
@@ -451,7 +455,7 @@ let window_closed (program : Ops.Program.t) w =
 
 let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
 
-let find_attention (program : Ops.Program.t) =
+let find_attention ~keep (program : Ops.Program.t) =
   let ops = program.Ops.Program.ops in
   let rec scan acc l =
     match l with
@@ -474,7 +478,7 @@ let find_attention (program : Ops.Program.t) =
     in
     seek ops
   in
-  scan [] ops |> List.map pair |> List.filter (window_closed program)
+  scan [] ops |> List.map pair |> List.filter (window_closed ~keep program)
 
 let attn_steps members =
   List.map
@@ -573,48 +577,51 @@ let build_attn_bwd name_table w =
 
 (* --- entry points ---------------------------------------------------- *)
 
-let groups ?(name_table = []) ?(attention = false) (program : Ops.Program.t) =
-  let default ops =
-    sink program (segment ops)
-    |> List.concat_map (function
-         | Barrier op -> [ { members = [ op ]; fused = op; steps = [] } ]
-         | Region gs -> List.map (build_fused name_table program) gs)
+(* The op list cut at the recognized windows: runs of ordinary ops, and
+   each window half as its streaming fused group. *)
+let split_windows ~name_table windows ops =
+  let spans =
+    List.concat_map
+      (fun w ->
+        let fwd = `Window (build_attn_fwd name_table w, w, `Fwd) in
+        (List.hd w.aw_fwd, List.length w.aw_fwd, fwd)
+        ::
+        (match w.aw_bwd with
+        | [] -> []
+        | b ->
+            let bwd = `Window (build_attn_bwd name_table w, w, `Bwd) in
+            [ (List.hd b, List.length b, bwd) ]))
+      windows
   in
-  let windows = if attention then find_attention program else [] in
-  if windows = [] then default program.Ops.Program.ops
-  else begin
-    let spans =
-      List.concat_map
-        (fun w ->
-          (List.hd w.aw_fwd, List.length w.aw_fwd, `Fwd w)
-          ::
-          (match w.aw_bwd with
-          | [] -> []
-          | b -> [ (List.hd b, List.length b, `Bwd w) ]))
-        windows
-    in
-    let flush acc current =
-      if current = [] then acc else default (List.rev current) :: acc
-    in
-    let rec walk acc current = function
-      | [] -> List.rev (flush acc current)
-      | (op : Ops.Op.t) :: rest -> begin
-          match List.find_opt (fun (h, _, _) -> h == op) spans with
-          | Some (_, n, which) ->
-              let g =
-                match which with
-                | `Fwd w -> build_attn_fwd name_table w
-                | `Bwd w -> build_attn_bwd name_table w
-              in
-              walk ([ g ] :: flush acc current) [] (drop (n - 1) rest)
-          | None -> walk acc (op :: current) rest
-        end
-    in
-    List.concat (walk [] [] program.Ops.Program.ops)
-  end
+  let flush acc current =
+    if current = [] then acc else `Ops (List.rev current) :: acc
+  in
+  let rec walk acc current = function
+    | [] -> List.rev (flush acc current)
+    | (op : Ops.Op.t) :: rest -> begin
+        match List.find_opt (fun (h, _, _) -> h == op) spans with
+        | Some (_, n, part) ->
+            walk (part :: flush acc current) [] (drop (n - 1) rest)
+        | None -> walk acc (op :: current) rest
+      end
+  in
+  walk [] [] ops
 
-let fuse ?name_table ?attention program =
-  let gs = groups ?name_table ?attention program in
+let groups ?(name_table = []) ?(attention = false) ?(keep = [])
+    (program : Ops.Program.t) =
+  let windows = if attention then find_attention ~keep program else [] in
+  let build = build_fused ~keep name_table program in
+  split_windows ~name_table windows program.Ops.Program.ops
+  |> List.concat_map (function
+       | `Window (g, _, _) -> [ g ]
+       | `Ops ops ->
+           sink program (segment ops)
+           |> List.concat_map (function
+                | Barrier op -> [ { members = [ op ]; fused = op; steps = [] } ]
+                | Region gs -> List.map build gs))
+
+let fuse ?name_table ?attention ?keep program =
+  let gs = groups ?name_table ?attention ?keep program in
   Ops.Program.replace_ops program (List.map (fun g -> g.fused) gs)
 
 (* Staged variant for the compiler pipeline: replace ONLY the attention
@@ -636,57 +643,38 @@ type attn_site = {
   site_causal : bool;
 }
 
-let prefuse_attention ?(name_table = []) (program : Ops.Program.t) =
-  let windows = find_attention program in
-  if windows = [] then (program, [])
-  else begin
-    let axis c a =
-      match List.assoc_opt a (Ops.Program.container_dims program c) with
-      | Some n -> n
-      | None -> 0
-    in
-    let site_of w (g : group) kind =
-      {
-        site_op = g.fused.Ops.Op.name;
-        site_kind = kind;
-        site_writes = g.fused.Ops.Op.writes;
-        site_heads = axis w.aw_q "h";
-        site_batch = axis w.aw_q "b";
-        site_seq_q = axis w.aw_q "j";
-        site_seq_k = axis w.aw_k "k";
-        site_d_head = axis w.aw_q "p";
-        site_causal = w.aw_causal;
-      }
-    in
-    let spans =
-      List.concat_map
-        (fun w ->
-          (List.hd w.aw_fwd, List.length w.aw_fwd, `Fwd w)
-          ::
-          (match w.aw_bwd with
-          | [] -> []
-          | b -> [ (List.hd b, List.length b, `Bwd w) ]))
-        windows
-    in
-    let rec walk acc sites = function
-      | [] -> (List.rev acc, List.rev sites)
-      | (op : Ops.Op.t) :: rest -> begin
-          match List.find_opt (fun (h, _, _) -> h == op) spans with
-          | Some (_, n, which) ->
-              let g, w, kind =
-                match which with
-                | `Fwd w -> (build_attn_fwd name_table w, w, `Fwd)
-                | `Bwd w -> (build_attn_bwd name_table w, w, `Bwd)
-              in
-              walk (g.fused :: acc)
-                (site_of w g kind :: sites)
-                (drop (n - 1) rest)
-          | None -> walk (op :: acc) sites rest
-        end
-    in
-    let ops, sites = walk [] [] program.Ops.Program.ops in
-    (Ops.Program.replace_ops program ops, sites)
-  end
+let prefuse_attention ?(name_table = []) ?(keep = [])
+    (program : Ops.Program.t) =
+  let axis c a =
+    match List.assoc_opt a (Ops.Program.container_dims program c) with
+    | Some n -> n
+    | None -> 0
+  in
+  let parts =
+    split_windows ~name_table (find_attention ~keep program)
+      program.Ops.Program.ops
+  in
+  let site = function
+    | `Ops _ -> None
+    | `Window (g, w, kind) ->
+        Some
+          {
+            site_op = g.fused.Ops.Op.name;
+            site_kind = kind;
+            site_writes = g.fused.Ops.Op.writes;
+            site_heads = axis w.aw_q "h";
+            site_batch = axis w.aw_q "b";
+            site_seq_q = axis w.aw_q "j";
+            site_seq_k = axis w.aw_k "k";
+            site_d_head = axis w.aw_q "p";
+            site_causal = w.aw_causal;
+          }
+  in
+  ( Ops.Program.replace_ops program
+      (List.concat_map
+         (function `Ops ops -> ops | `Window (g, _, _) -> [ g.fused ])
+         parts),
+    List.filter_map site parts )
 
 let movement_saved ~bytes_per_elem (program : Ops.Program.t) =
   let graph = Ops.Program.graph program in

@@ -47,7 +47,7 @@ type group = {
       (** how each non-first member joined (member name, pattern) *)
 }
 
-(** [fuse ?name_table ?attention program] rewrites the program, replacing
+(** [fuse ?name_table ?attention ?keep program] rewrites the program, replacing
     each fused group by one operator. [name_table] maps member-name sets to
     canonical kernel names (e.g. {!Transformer.Encoder.kernel_names});
     unnamed groups get the concatenation of member names.
@@ -61,15 +61,19 @@ type group = {
     first re-runs the forward members to rematerialize the elided score
     containers). Windows whose intermediates leak outside the pair are
     left to the generic engine. Opt-in because the streaming kernel
-    elides the L x L score containers from the environment. *)
-val fuse : ?name_table:(string list * string) list -> ?attention:bool
-  -> Ops.Program.t -> Ops.Program.t
+    elides the L x L score containers from the environment.
 
-(** [groups ?name_table ?attention program] exposes the grouping for
+    [keep] (default [[]]) names containers the caller reads after the run:
+    each counts as read outside every group, so no fused kernel elides it
+    and no attention window forms around it. *)
+val fuse : ?name_table:(string list * string) list -> ?attention:bool
+  -> ?keep:string list -> Ops.Program.t -> Ops.Program.t
+
+(** [groups ?name_table ?attention ?keep program] exposes the grouping for
     inspection; singleton groups are included (their [fused] op is the
     original). *)
 val groups : ?name_table:(string list * string) list -> ?attention:bool
-  -> Ops.Program.t -> group list
+  -> ?keep:string list -> Ops.Program.t -> group list
 
 (** {2 Staged attention windowing (compiler pipeline)} *)
 
@@ -89,7 +93,7 @@ type attn_site = {
   site_causal : bool;
 }
 
-(** [prefuse_attention program] replaces only the recognized attention
+(** [prefuse_attention ?keep program] replaces only the recognized attention
     windows with their streaming fused ops ({!Flashattn} under the kernel
     guard, member replay as oracle), leaving every other operator
     untouched, and reports the window sites. The generic engine
@@ -97,19 +101,23 @@ type attn_site = {
     treats the fused ops as contraction barriers, so running it afterwards
     reproduces exactly [fuse ~attention:true]. Returns the program
     unchanged (physically the same ops list content, a new [Program.t])
-    when no window matches. *)
+    when no window matches, or when [keep] names one of a window's score
+    containers. *)
 val prefuse_attention :
   ?name_table:(string list * string) list ->
+  ?keep:string list ->
   Ops.Program.t ->
   Ops.Program.t * attn_site list
 
 (** [external_reads program members] / [external_writes program members]:
     the containers a kernel fusing [members] must actually load / store —
     interim containers (produced and consumed strictly inside the group)
-    are elided. These determine the fused kernel's data movement. *)
+    are elided, unless [keep] names them. These determine the fused
+    kernel's data movement. *)
 val external_reads : Ops.Program.t -> Ops.Op.t list -> string list
 
-val external_writes : Ops.Program.t -> Ops.Op.t list -> string list
+val external_writes :
+  ?keep:string list -> Ops.Program.t -> Ops.Op.t list -> string list
 
 (** [movement_saved ~device_bytes_per_elem program] compares the total data
     movement of the program's operators before and after fusion: the

@@ -78,9 +78,9 @@ val pp_run_report : Format.formatter -> run_report -> unit
     to [check] (default [Check_nan]). {!Compile.Regime.passthrough}
     interprets op-for-op with every intermediate retained;
     {!Compile.Regime.current} runs the full pipeline, so only terminal
-    outputs and [keep] survive. Without [resilience] no retry, deadline
-    or kernel budget applies and the ambient guard fallback setting
-    holds. [Pool.Cancelled] and a blown {e run} deadline
+    outputs and [keep] (fused or not) survive. Without [resilience] no
+    retry, deadline or kernel budget applies and the ambient guard
+    fallback setting holds. [Pool.Cancelled] and a blown {e run} deadline
     ([Pool.Deadline_exceeded]) propagate; kernel-level failures are
     absorbed per policy. *)
 val run :

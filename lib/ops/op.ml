@@ -126,7 +126,6 @@ let lookup env name =
   | None -> invalid_arg ("Op.lookup: container not in environment: " ^ name)
 
 let store env name t = Hashtbl.replace env name t
-let run_all ops env = List.iter (fun op -> op.run env) ops
 
 let env_of_list bindings =
   let env = Hashtbl.create 64 in

@@ -146,9 +146,6 @@ type t = {
 val lookup : env -> string -> Dense.t
 val store : env -> string -> Dense.t -> unit
 
-(** [run_all ops env] executes operators in order, mutating [env]. *)
-val run_all : t list -> env -> unit
-
 (** [env_of_list bindings] builds an environment. *)
 val env_of_list : (string * Dense.t) list -> env
 

@@ -15,7 +15,7 @@ let graph p =
 
 let run p inputs =
   let env = Op.env_of_list inputs in
-  Op.run_all p.ops env;
+  List.iter (fun (op : Op.t) -> op.run env) p.ops;
   env
 
 let container_dims p name =

@@ -71,9 +71,6 @@ let cache_create (hp : Hparams.t) =
 
 let cache_len c = c.len
 
-(* Floats resident in this cache's buffers (metrics / memory accounting). *)
-let cache_floats c = 2 * c.ph * c.hh * c.cap
-
 let grow c =
   let cap' = 2 * c.cap in
   let regrow old =

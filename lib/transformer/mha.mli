@@ -34,9 +34,6 @@ type cache
 val cache_create : Hparams.t -> cache
 val cache_len : cache -> int
 
-(** Floats resident in the cache's buffers (for memory accounting). *)
-val cache_floats : cache -> int
-
 (** [cache_append c ~k ~v ~b] pushes slot [b]'s column of a step's biased
     K/V projections (dims [(p,h,b,k=1)] / [(w,h,b,k=1)]). *)
 val cache_append : cache -> k:Dense.t -> v:Dense.t -> b:int -> unit

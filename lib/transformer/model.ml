@@ -27,39 +27,63 @@ let create ?(n_layers = 2) ?(vocab = 16) (hp : Hparams.t) =
           Params.init hp_l);
   }
 
+type layer_cache = {
+  saved : (string * Dense.t) list;
+  backward_plan : Compile.Compiled.plan;
+}
+
 type cache = {
   tokens : int array array;
   x0 : Dense.t;
-  layer_envs : Ops.Op.env array;
+  layers : layer_cache array;
   y : Dense.t;
   logits : Dense.t;
 }
 
-let embed_with m hp tokens =
-  Dense.init (Hparams.dims_x hp) (fun idx ->
-      let b = List.assoc "b" idx
-      and j = List.assoc "j" idx
-      and i = List.assoc "i" idx in
-      Dense.get m.embedding [ ("v", tokens.(b).(j)); ("i", i) ])
+(* Embedding rows gathered into an [i, b, j] activation: column (b, j) is
+   row [token b j] of the embedding. *)
+let embed m hp token =
+  let x = Dense.zeros (Hparams.dims_x hp) in
+  let xd = Dense.unsafe_data x and ed = Dense.unsafe_data m.embedding in
+  let es = Dense.strides_for m.embedding [ "v"; "i" ] in
+  let xs = Dense.strides_for x [ "i"; "b"; "j" ] in
+  for b = 0 to hp.Hparams.batch - 1 do
+    for j = 0 to hp.Hparams.seq - 1 do
+      let row = token b j * es.(0) and col = (b * xs.(1)) + (j * xs.(2)) in
+      for i = 0 to hp.Hparams.embed - 1 do
+        xd.(col + (i * xs.(0))) <- ed.(row + (i * es.(1)))
+      done
+    done
+  done;
+  x
 
-(* The layer forward as a compiled plan. The training backward reads the
-   forward's retained intermediates out of the layer env (and appends its
-   own), so the regime is passthrough: no rewriting, every intermediate
-   materialized. Structure depends only on (hp, activation, causal) — the
-   plan cache makes this compile once per geometry and execute many
-   (every layer of every step re-runs zero passes). *)
-let layer_plan hp ~activation ~causal =
-  let fwd =
-    Ops.Program.make ~containers:(Encoder.containers hp)
-      (Encoder.forward_ops ~activation ~causal hp)
+(* One encoder layer as two plans over the split of [Encoder.program_with].
+   The forward keeps exactly what the backward reads of it, plus its input
+   [x] (its regime's [keep]), and is fused and memory-planned around that
+   set; the backward runs on the saved set, the params and [d_y].
+   Structure depends only on (hp, activation, causal), so after the first
+   compile of a geometry both are plan-cache hits that re-run zero
+   passes. *)
+let layer_plans hp ~activation ~causal =
+  let p = Encoder.program_with ~activation ~causal hp in
+  let fwd = Ops.Program.forward_ops p and bwd = Ops.Program.backward_ops p in
+  let written = List.concat_map (fun (o : Ops.Op.t) -> o.writes) fwd in
+  let read = List.concat_map (fun (o : Ops.Op.t) -> o.reads) bwd in
+  let saved =
+    List.sort_uniq String.compare
+      ("x" :: List.filter (fun c -> List.mem c written) read)
   in
-  Compile.Compiled.compile ~name_table:Encoder.kernel_names
-    (Compile.Regime.passthrough ()) fwd
+  let plan regime ops =
+    Compile.Compiled.compile ~name_table:Encoder.kernel_names
+      ~params:Encoder.param_names regime (Ops.Program.replace_ops p ops)
+  in
+  ( plan (Compile.Regime.current ~keep:saved ()) fwd,
+    plan (Compile.Regime.current ()) bwd )
 
 (* Warm the plan cache for a geometry before the hot loop starts. *)
 let precompile ?(causal = false) ?(activation = `Relu) m ~batch ~seq =
   let hp = { m.hp with Hparams.batch; seq } in
-  ignore (layer_plan hp ~activation ~causal)
+  ignore (layer_plans hp ~activation ~causal)
 
 (* Like [forward], but batch/seq follow the token array and the layer
    program can be the causal decoder block ([forward] is the training
@@ -70,20 +94,22 @@ let forward_with ?(causal = false) ?(activation = `Relu) m ~tokens =
   let hp =
     { m.hp with Hparams.batch = b; seq = Array.length tokens.(0) }
   in
-  let x0 = embed_with m hp tokens in
+  let x0 = embed m hp (fun b j -> tokens.(b).(j)) in
   let x = ref x0 in
-  let plan = layer_plan hp ~activation ~causal in
-  let layer_envs =
+  let layers =
     Array.init m.n_layers (fun layer ->
+        let fwd, backward_plan = layer_plans hp ~activation ~causal in
         let env =
-          Compile.Compiled.execute plan (("x", !x) :: m.layer_params.(layer))
+          Compile.Compiled.execute fwd (("x", !x) :: m.layer_params.(layer))
         in
         x := Ops.Op.lookup env "y";
-        env)
+        let keep = fwd.Compile.Compiled.regime.Compile.Regime.keep in
+        let saved = List.map (fun c -> (c, Ops.Op.lookup env c)) keep in
+        { saved; backward_plan })
   in
   let y = !x in
   let logits = Einsum.eval "vi,ibj->vbj" [ m.embedding; y ] in
-  { tokens; x0; layer_envs; y; logits }
+  { tokens; x0; layers; y; logits }
 
 let forward m ~tokens = forward_with m ~tokens
 
@@ -93,30 +119,40 @@ type grads = {
 }
 
 let backward m cache ~d_logits =
-  let hp = m.hp in
   (* head: logits = W_e y, with W_e the tied embedding *)
   let d_y = Einsum.eval "vi,vbj->ibj" [ m.embedding; d_logits ] in
   let d_emb_head = Einsum.eval "ibj,vbj->vi" [ cache.y; d_logits ] in
   let d_layers = Array.make m.n_layers [] in
   let d = ref d_y in
   for layer = m.n_layers - 1 downto 0 do
-    let env = cache.layer_envs.(layer) in
-    Ops.Op.store env "d_y" !d;
-    Ops.Op.run_all (Encoder.backward_ops hp) env;
+    let l = cache.layers.(layer) in
+    let env =
+      Compile.Compiled.execute l.backward_plan
+        ((("d_y", !d) :: l.saved) @ m.layer_params.(layer))
+    in
     d_layers.(layer) <-
       List.map
         (fun p -> (p, Ops.Op.lookup env (Encoder.grad p)))
         Encoder.param_names;
     d := Ops.Op.lookup env "d_x"
   done;
-  (* scatter the input gradient into the embedding rows *)
-  let scatter = Dense.zeros [ ("v", m.vocab); ("i", hp.embed) ] in
-  Dense.iter !d (fun idx v ->
-      let b = List.assoc "b" idx
-      and j = List.assoc "j" idx
-      and i = List.assoc "i" idx in
-      let coord = [ ("v", cache.tokens.(b).(j)); ("i", i) ] in
-      Dense.set scatter coord (Dense.get scatter coord +. v));
+  (* scatter the input gradient into the embedding rows, positions in
+     (b, j) order *)
+  let scatter = Dense.zeros [ ("v", m.vocab); ("i", m.hp.Hparams.embed) ] in
+  let sd = Dense.unsafe_data scatter and dd = Dense.unsafe_data !d in
+  let ss = Dense.strides_for scatter [ "v"; "i" ] in
+  let ds = Dense.strides_for !d [ "i"; "b"; "j" ] in
+  Array.iteri
+    (fun b row ->
+      Array.iteri
+        (fun j token ->
+          let dst = token * ss.(0) and src = (b * ds.(1)) + (j * ds.(2)) in
+          for i = 0 to m.hp.Hparams.embed - 1 do
+            let k = dst + (i * ss.(1)) in
+            sd.(k) <- sd.(k) +. dd.(src + (i * ds.(0)))
+          done)
+        row)
+    cache.tokens;
   { d_embedding = Dense.add d_emb_head scatter; d_layers }
 
 let cross_entropy ~logits ~targets =
@@ -125,27 +161,28 @@ let cross_entropy ~logits ~targets =
   and b = Shape.size shape "b"
   and j = Shape.size shape "j" in
   let count = float_of_int (b * j) in
+  (* [d] shares the logits' storage order, hence their strides *)
   let d = Dense.zeros (Shape.to_list shape) in
+  let ld = Dense.unsafe_data logits and dd = Dense.unsafe_data d in
+  let st = Dense.strides_for logits [ "v"; "b"; "j" ] in
   let loss = ref 0.0 in
   for bi = 0 to b - 1 do
     for ji = 0 to j - 1 do
-      let col vi = Dense.get logits [ ("v", vi); ("b", bi); ("j", ji) ] in
+      let at vi = (vi * st.(0)) + (bi * st.(1)) + (ji * st.(2)) in
       let mx = ref neg_infinity in
       for vi = 0 to v - 1 do
-        mx := Float.max !mx (col vi)
+        mx := Float.max !mx ld.(at vi)
       done;
       let z = ref 0.0 in
       for vi = 0 to v - 1 do
-        z := !z +. exp (col vi -. !mx)
+        z := !z +. exp (ld.(at vi) -. !mx)
       done;
       let target = targets.(bi).(ji) in
-      loss := !loss -. ((col target -. !mx -. log !z) /. count);
+      loss := !loss -. ((ld.(at target) -. !mx -. log !z) /. count);
       for vi = 0 to v - 1 do
-        let p = exp (col vi -. !mx) /. !z in
+        let p = exp (ld.(at vi) -. !mx) /. !z in
         let onehot = if vi = target then 1.0 else 0.0 in
-        Dense.set d
-          [ ("v", vi); ("b", bi); ("j", ji) ]
-          ((p -. onehot) /. count)
+        dd.(at vi) <- (p -. onehot) /. count
       done
     done
   done;
@@ -157,17 +194,21 @@ let update_in_place p g ~lr =
   (* the weight changed under any prepacked GEMM images: drop them *)
   Einsum.invalidate_prepacked p
 
-let sgd_step m grads ~lr =
-  update_in_place m.embedding grads.d_embedding ~lr;
+(* [f p g name layer] for every layer parameter [p] with a gradient [g]. *)
+let iter_layer_grads m grads f =
   Array.iteri
     (fun layer params ->
       List.iter
         (fun (name, p) ->
-          match List.assoc_opt name grads.d_layers.(layer) with
-          | Some g -> update_in_place p g ~lr
-          | None -> ())
+          Option.iter
+            (fun g -> f p g name layer)
+            (List.assoc_opt name grads.d_layers.(layer)))
         params)
     m.layer_params
+
+let sgd_step m grads ~lr =
+  update_in_place m.embedding grads.d_embedding ~lr;
+  iter_layer_grads m grads (fun p g _ _ -> update_in_place p g ~lr)
 
 type adam_state = {
   mutable step : int;
@@ -178,15 +219,16 @@ type adam_state = {
 }
 
 let adam_init m =
-  let zeros_like params =
-    List.map (fun (n, p) -> (n, Dense.zeros (Shape.to_list (Dense.shape p)))) params
+  let zeros_like p = Dense.zeros (Shape.to_list (Dense.shape p)) in
+  let layers () =
+    Array.map (List.map (fun (n, p) -> (n, zeros_like p))) m.layer_params
   in
   {
     step = 0;
-    m_embedding = Dense.zeros (Shape.to_list (Dense.shape m.embedding));
-    v_embedding = Dense.zeros (Shape.to_list (Dense.shape m.embedding));
-    m_layers = Array.map zeros_like m.layer_params;
-    v_layers = Array.map zeros_like m.layer_params;
+    m_embedding = zeros_like m.embedding;
+    v_embedding = zeros_like m.embedding;
+    m_layers = layers ();
+    v_layers = layers ();
   }
 
 let adam_update ~beta1 ~beta2 ~eps ~lr ~step p g m1 v =
@@ -211,18 +253,10 @@ let adam_step ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) m state grads ~lr =
   let step = state.step in
   adam_update ~beta1 ~beta2 ~eps ~lr ~step m.embedding grads.d_embedding
     state.m_embedding state.v_embedding;
-  Array.iteri
-    (fun layer params ->
-      List.iter
-        (fun (name, p) ->
-          match List.assoc_opt name grads.d_layers.(layer) with
-          | Some g ->
-              adam_update ~beta1 ~beta2 ~eps ~lr ~step p g
-                (List.assoc name state.m_layers.(layer))
-                (List.assoc name state.v_layers.(layer))
-          | None -> ())
-        params)
-    m.layer_params
+  iter_layer_grads m grads (fun p g name layer ->
+      adam_update ~beta1 ~beta2 ~eps ~lr ~step p g
+        (List.assoc name state.m_layers.(layer))
+        (List.assoc name state.v_layers.(layer)))
 
 (* --- snapshot / restore (training checkpoints) ---------------------- *)
 
@@ -236,42 +270,42 @@ type snapshot = {
   s_layers : (string * float array) list array;
 }
 
-let snapshot m =
-  {
-    s_embedding = Array.copy (Dense.unsafe_data m.embedding);
-    s_layers =
-      Array.map
-        (List.map (fun (n, p) -> (n, Array.copy (Dense.unsafe_data p))))
-        m.layer_params;
-  }
+let copy_buffer t = Array.copy (Dense.unsafe_data t)
+let copy_layers = Array.map (List.map (fun (n, p) -> (n, copy_buffer p)))
 
-let blit_into ~what src dst =
+let snapshot m =
+  let s_layers = copy_layers m.layer_params in
+  { s_embedding = copy_buffer m.embedding; s_layers }
+
+(* Blit [src] into tensor [t] in place, dropping any stale packed image. *)
+let blit_into ~what src t =
+  let dst = Dense.unsafe_data t in
   if Array.length src <> Array.length dst then
     invalid_arg
       (Printf.sprintf
          "Model.restore: snapshot buffer %s has %d elements, model has %d \
           (snapshot from a different model?)"
          what (Array.length src) (Array.length dst));
-  Array.blit src 0 dst 0 (Array.length src)
+  Array.blit src 0 dst 0 (Array.length src);
+  Einsum.invalidate_prepacked t
 
-let restore m s =
-  blit_into ~what:"embedding" s.s_embedding (Dense.unsafe_data m.embedding);
-  Einsum.invalidate_prepacked m.embedding;
-  if Array.length s.s_layers <> Array.length m.layer_params then
+let restore_layers ~what snap live =
+  if Array.length snap <> Array.length live then
     invalid_arg "Model.restore: snapshot layer count differs from model";
   Array.iteri
     (fun layer params ->
       List.iter
         (fun (name, p) ->
-          match List.assoc_opt name s.s_layers.(layer) with
-          | Some buf ->
-              blit_into ~what:name buf (Dense.unsafe_data p);
-              Einsum.invalidate_prepacked p
+          match List.assoc_opt name snap.(layer) with
+          | Some buf -> blit_into ~what:(what ^ name) buf p
           | None ->
-              invalid_arg
-                ("Model.restore: snapshot is missing parameter " ^ name))
+              invalid_arg ("Model.restore: snapshot is missing " ^ what ^ name))
         params)
-    m.layer_params
+    live
+
+let restore m s =
+  blit_into ~what:"embedding" s.s_embedding m.embedding;
+  restore_layers ~what:"" s.s_layers m.layer_params
 
 type adam_snapshot = {
   a_step : int;
@@ -282,36 +316,20 @@ type adam_snapshot = {
 }
 
 let adam_snapshot st =
-  let copy_layers = Array.map (List.map (fun (n, p) -> (n, Array.copy (Dense.unsafe_data p)))) in
   {
     a_step = st.step;
-    a_m_embedding = Array.copy (Dense.unsafe_data st.m_embedding);
-    a_v_embedding = Array.copy (Dense.unsafe_data st.v_embedding);
+    a_m_embedding = copy_buffer st.m_embedding;
+    a_v_embedding = copy_buffer st.v_embedding;
     a_m_layers = copy_layers st.m_layers;
     a_v_layers = copy_layers st.v_layers;
   }
 
 let adam_restore st s =
   st.step <- s.a_step;
-  blit_into ~what:"adam.m_embedding" s.a_m_embedding
-    (Dense.unsafe_data st.m_embedding);
-  blit_into ~what:"adam.v_embedding" s.a_v_embedding
-    (Dense.unsafe_data st.v_embedding);
-  let restore_layers snap live =
-    Array.iteri
-      (fun layer params ->
-        List.iter
-          (fun (name, p) ->
-            match List.assoc_opt name snap.(layer) with
-            | Some buf -> blit_into ~what:("adam." ^ name) buf (Dense.unsafe_data p)
-            | None ->
-                invalid_arg
-                  ("Model.restore: adam snapshot is missing moment " ^ name))
-          params)
-      live
-  in
-  restore_layers s.a_m_layers st.m_layers;
-  restore_layers s.a_v_layers st.v_layers
+  blit_into ~what:"adam.m_embedding" s.a_m_embedding st.m_embedding;
+  blit_into ~what:"adam.v_embedding" s.a_v_embedding st.v_embedding;
+  restore_layers ~what:"adam.m." s.a_m_layers st.m_layers;
+  restore_layers ~what:"adam.v." s.a_v_layers st.v_layers
 
 let parameter_count m =
   Dense.volume m.embedding
@@ -335,9 +353,6 @@ let new_session m =
 
 let session_len s = if Array.length s.kv = 0 then 0 else Mha.cache_len s.kv.(0)
 
-let session_floats s =
-  Array.fold_left (fun acc c -> acc + Mha.cache_floats c) 0 s.kv
-
 (* One incremental decode step for a ragged batch of sessions: feeds token
    [tokens.(b)] to [sessions.(b)] and returns the logits column, dims
    (v, b, j=1). New K/V columns are staged per layer and committed only
@@ -356,12 +371,7 @@ let decode_batch m sessions ~tokens =
   if m.hp.Hparams.dropout_p <> 0.0 then
     invalid_arg "Model.decode_batch: requires dropout_p = 0 (inference)";
   let hp = { m.hp with Hparams.batch = nb; seq = 1 } in
-  let x0 =
-    Dense.init (Hparams.dims_x hp) (fun idx ->
-        let b = List.assoc "b" idx and i = List.assoc "i" idx in
-        Dense.get m.embedding [ ("v", tokens.(b)); ("i", i) ])
-  in
-  let x = ref x0 in
+  let x = ref (embed m hp (fun b _ -> tokens.(b))) in
   let staged =
     Array.init m.n_layers (fun layer ->
         let caches = Array.map (fun s -> s.kv.(layer)) sessions in

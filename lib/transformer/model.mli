@@ -14,10 +14,17 @@ type t = {
 
 val create : ?n_layers:int -> ?vocab:int -> Hparams.t -> t
 
+(** What one layer's forward leaves for its backward plan, which runs on
+    [saved], the layer params and [d_y]. *)
+type layer_cache = {
+  saved : (string * Dense.t) list;  (** [x] + what the backward reads *)
+  backward_plan : Compile.Compiled.plan;
+}
+
 type cache = {
   tokens : int array array;  (** [batch][seq] *)
   x0 : Dense.t;  (** embedded input [i, b, j] *)
-  layer_envs : Ops.Op.env array;  (** forward environment of each layer *)
+  layers : layer_cache array;  (** one per layer, bottom first *)
   y : Dense.t;  (** final hidden states *)
   logits : Dense.t;  (** [v, b, j] *)
 }
@@ -32,7 +39,9 @@ type grads = {
 
 (** [backward m cache ~d_logits] backpropagates through the head and every
     layer, returning parameter gradients and the input-embedding gradient
-    (already scattered into [d_embedding]). *)
+    (already scattered into [d_embedding]). Each layer is one
+    {!Compile.Compiled.execute} of the backward plan its forward chose, so
+    the backward follows the forward's activation and masking. *)
 val backward : t -> cache -> d_logits:Dense.t -> grads
 
 (** [cross_entropy ~logits ~targets] is the mean token-level cross-entropy
@@ -89,9 +98,10 @@ val parameter_count : t -> int
     [forward_with ~causal:true ~activation:`Gelu] over the full prefix. *)
 
 (** [precompile ?causal ?activation m ~batch ~seq] warms the compiled-plan
-    cache for a layer geometry before the hot loop starts; {!forward_with}
-    then re-runs zero passes. Redundant but harmless when omitted — the
-    first forward compiles and caches the same plan. *)
+    cache with a layer geometry's forward and backward plans before the hot
+    loop starts; {!forward_with} and {!backward} then re-run zero passes.
+    Redundant but harmless when omitted — the first forward compiles and
+    caches the same plans. *)
 val precompile :
   ?causal:bool -> ?activation:[ `Gelu | `Relu ] -> t
   -> batch:int -> seq:int -> unit
@@ -99,9 +109,10 @@ val precompile :
 (** [forward_with ?causal ?activation m ~tokens] generalizes {!forward}:
     batch/seq follow the token array and the layer program can be the
     causal (decoder) block. [forward] is [forward_with] at the defaults.
-    The layer forward is a {!Compile.Compiled} plan under the passthrough
-    regime (the backward reads the retained intermediates), compiled once
-    per geometry through the plan cache and executed per layer. *)
+    Each layer's forward is a fused, memory-planned {!Compile.Compiled}
+    plan that keeps exactly the containers its backward reads (see
+    {!layer_cache}); the forward and backward plans are compiled once per
+    geometry through the plan cache and executed per layer. *)
 val forward_with :
   ?causal:bool -> ?activation:[ `Gelu | `Relu ] -> t
   -> tokens:int array array -> cache
@@ -112,9 +123,6 @@ val new_session : t -> session
 
 (** Tokens decoded into the session so far. *)
 val session_len : session -> int
-
-(** Floats resident in the session's K/V cache buffers. *)
-val session_floats : session -> int
 
 (** [decode_batch m sessions ~tokens] feeds [tokens.(b)] to
     [sessions.(b)]; returns logits, dims [(v, b, j=1)]. *)

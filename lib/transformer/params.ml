@@ -30,8 +30,3 @@ let random_input (hp : Hparams.t) prng =
 
 let random_cotangent (hp : Hparams.t) prng =
   Dense.randn prng (Hparams.dims_x hp) ~stddev:1.0
-
-let zeros_like_grads hp =
-  List.map
-    (fun name -> (Encoder.grad name, Dense.zeros (dims_of hp name)))
-    Encoder.param_names

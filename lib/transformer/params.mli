@@ -12,7 +12,3 @@ val random_input : Hparams.t -> Prng.t -> Dense.t
 
 (** [random_cotangent hp prng] draws an output gradient [d_y]. *)
 val random_cotangent : Hparams.t -> Prng.t -> Dense.t
-
-(** [zeros_like_grads hp] returns zeroed gradient accumulators for every
-    parameter (used by the optimizer in {!Training}). *)
-val zeros_like_grads : Hparams.t -> (string * Dense.t) list

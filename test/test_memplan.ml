@@ -109,6 +109,32 @@ let test_encoder_keep () =
         Alcotest.failf "planned env holds undeclared container %s" c)
     env
 
+(* A kept container survives the whole compiled pipeline — fusion and the
+   attention window included — bitwise equal to the uncompiled
+   interpreter. *)
+let test_keep_survives_fusion () =
+  let fwd = Transformer.Encoder.forward_program tiny in
+  let inputs =
+    List.filter (fun (c, _) -> c <> "d_y") (layer_inputs tiny 17L)
+  in
+  let reference = Ops.Program.run fwd inputs in
+  List.iter
+    (fun c ->
+      let plan =
+        Compile.Compiled.compile ~name_table:Transformer.Encoder.kernel_names
+          (Compile.Regime.current ~keep:[ c ] ())
+          fwd
+      in
+      let env = Compile.Compiled.execute plan inputs in
+      match Hashtbl.find_opt env c with
+      | None -> Alcotest.failf "kept %s missing from the executed env" c
+      | Some t ->
+          check_bool
+            (Printf.sprintf "kept %s bitwise" c)
+            true
+            (bits_equal (Ops.Op.lookup reference c) t))
+    [ "ff1b"; "alpha_sm"; "alpha"; "res1" ]
+
 (* ---------------- peak-reduction acceptance ---------------- *)
 
 let test_peak_reduction () =
@@ -447,6 +473,8 @@ let () =
           Alcotest.test_case "encoder fwd+bwd bitwise" `Quick
             test_encoder_planned_bitwise;
           Alcotest.test_case "keep-list" `Quick test_encoder_keep;
+          Alcotest.test_case "keep survives fusion" `Quick
+            test_keep_survives_fusion;
           Alcotest.test_case "peak reduction >= 25%" `Quick
             test_peak_reduction;
           Alcotest.test_case "reported peak is observed" `Quick

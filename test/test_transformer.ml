@@ -197,7 +197,21 @@ let test_model_forward_shapes () =
   check_int "vocab axis" 7 (Shape.size shape "v");
   check_int "batch axis" 2 (Shape.size shape "b");
   check_int "seq axis" 4 (Shape.size shape "j");
-  check_int "one env per layer" 2 (Array.length cache.Transformer.Model.layer_envs)
+  check_int "one saved set per layer" 2
+    (Array.length cache.Transformer.Model.layers);
+  Array.iter
+    (fun (l : Transformer.Model.layer_cache) ->
+      let reads =
+        List.concat_map
+          (fun (o : Ops.Op.t) -> o.reads)
+          l.backward_plan.Compile.Compiled.source.Ops.Program.ops
+      in
+      List.iter
+        (fun (c, _) ->
+          check_bool (Printf.sprintf "saved %s is read by the backward" c) true
+            (List.mem c reads))
+        l.saved)
+    cache.Transformer.Model.layers
 
 let test_cross_entropy_uniform () =
   (* uniform logits: loss = log vocab, gradient rows sum to zero *)
@@ -248,6 +262,79 @@ let test_training_decreases_loss () =
     (h.Transformer.Training.final_loss
     < 0.5 *. h.Transformer.Training.initial_loss)
 
+let bits_equal a b =
+  let a = Dense.align a b in
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    (Dense.unsafe_data a) (Dense.unsafe_data b)
+
+(* Every layer gradient of [Model.backward] is bitwise equal to chaining
+   the uncompiled interpreter over the layer's full program, under the
+   activation and masking the forward ran. *)
+let test_backward_follows_forward () =
+  let m = Transformer.Model.create ~n_layers:2 ~vocab:7 model_hp in
+  let tokens = [| [| 1; 2; 3; 4 |]; [| 0; 6; 5; 2 |] |] in
+  List.iter
+    (fun (tag, activation, causal) ->
+      let cache =
+        Transformer.Model.forward_with ~activation ~causal m ~tokens
+      in
+      let _, d_logits =
+        Transformer.Model.cross_entropy ~logits:cache.Transformer.Model.logits
+          ~targets:tokens
+      in
+      let grads = Transformer.Model.backward m cache ~d_logits in
+      let program =
+        Transformer.Encoder.program_with ~activation ~causal model_hp
+      in
+      let run ~x ~d_y layer =
+        Ops.Program.run program
+          (("x", x) :: ("d_y", d_y) :: m.Transformer.Model.layer_params.(layer))
+      in
+      (* the forward values do not depend on d_y *)
+      let zero = Dense.zeros (Transformer.Hparams.dims_x model_hp) in
+      let inputs = Array.make 2 cache.Transformer.Model.x0 in
+      inputs.(1) <- Ops.Op.lookup (run ~x:inputs.(0) ~d_y:zero 0) "y";
+      let d =
+        ref
+          (Einsum.eval "vi,vbj->ibj"
+             [ m.Transformer.Model.embedding; d_logits ])
+      in
+      for layer = 1 downto 0 do
+        let env = run ~x:inputs.(layer) ~d_y:!d layer in
+        List.iter
+          (fun (p, g) ->
+            check_bool
+              (Printf.sprintf "%s layer %d %s bitwise" tag layer p)
+              true
+              (bits_equal g
+                 (Ops.Op.lookup env (Transformer.Encoder.grad p))))
+          grads.Transformer.Model.d_layers.(layer);
+        d := Ops.Op.lookup env "d_x"
+      done)
+    [
+      ("relu", `Relu, false); ("gelu", `Gelu, false);
+      ("gelu causal", `Gelu, true);
+    ]
+
+(* After [precompile], a whole training step is plan-cache hits only: both
+   plans of every layer are looked up, and no pass runs. *)
+let test_training_step_runs_plans () =
+  let m = Transformer.Model.create ~n_layers:2 ~vocab:7 model_hp in
+  let tokens = [| [| 1; 2; 3; 4 |]; [| 0; 6; 5; 2 |] |] in
+  Transformer.Model.precompile m ~batch:2 ~seq:4;
+  let passes = Compile.Compiled.pass_runs () in
+  let hits = (Compile.Compiled.cache_stats ()).Compile.Compiled.hits in
+  let cache = Transformer.Model.forward m ~tokens in
+  let _, d_logits =
+    Transformer.Model.cross_entropy ~logits:cache.Transformer.Model.logits
+      ~targets:tokens
+  in
+  ignore (Transformer.Model.backward m cache ~d_logits);
+  check_int "no pass re-runs" passes (Compile.Compiled.pass_runs ());
+  check_int "2 x n_layers plan-cache hits" (hits + 4)
+    (Compile.Compiled.cache_stats ()).Compile.Compiled.hits
+
 let test_sgd_step_moves_parameters () =
   let m = Transformer.Model.create ~n_layers:1 ~vocab:5 model_hp in
   let before = Dense.copy m.Transformer.Model.embedding in
@@ -296,5 +383,9 @@ let () =
             test_training_decreases_loss;
           Alcotest.test_case "sgd updates in place" `Quick
             test_sgd_step_moves_parameters;
+          Alcotest.test_case "backward follows the forward" `Quick
+            test_backward_follows_forward;
+          Alcotest.test_case "training step runs only plans" `Quick
+            test_training_step_runs_plans;
         ] );
     ]
