@@ -115,9 +115,15 @@ let dropout_keep_scale p =
 
 let dropout_mask ~seed ~name dims ~p =
   let scale = dropout_keep_scale p in
-  let prng = Prng.of_key seed name in
-  (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. *)
-  Dense.init dims (fun _ -> if Prng.bernoulli prng ~p then 0.0 else scale)
+  let state = Prng.state (Prng.of_key seed name) in
+  let m = Dense.zeros dims in
+  let d = Dense.unsafe_data m in
+  (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. Draw [i] of
+     the operator's stream lands at storage position [i]. *)
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (Prng.keep_at state i ~p ~scale)
+  done;
+  m
 
 let dropout ~name ~x ~out ~mask dims ~p ~seed ?(backward = false) () =
   ignore (dropout_keep_scale p);

@@ -5,18 +5,22 @@
    mirror of each member and builds a closure that
 
    - executes chains of element-wise members (bias/dropout/residual/
-     activation, the paper's BDRLN/BSB/BAOB-style interiors) as one loop
-     over the data, keeping the running value in a register and skipping
-     the env materialization of intermediates that nothing else reads;
+     activation, the paper's BDRLN/BSB/BAOB-style interiors) as one pass
+     over the data, 256 positions at a time: the tile's running values sit
+     in an {!Arena} buffer, each stage gathers its operand for the tile
+     (a blit, or a strided walk from the tile's first position) and runs
+     one loop specialised to its fn, and intermediates that nothing else
+     reads are never materialized into the env;
    - executes statistical members (softmax, layernorm and their adjoints)
      as dedicated row-wise kernels whose per-row scratch comes from the
      {!Arena} instead of whole-tensor temporaries.
 
    Every kernel replicates the naive constructors' floating-point operation
-   *order* (same association, same [-1.0 *. m] style sign flips, masks
-   generated by the same sequential PRNG walk), so fused results match the
-   naive oracle bitwise wherever operand layouts agree and within normal
-   round-off when a layout permutation reorders an accumulation.
+   *order* (same association, same [-1.0 *. m] style sign flips, dropout
+   masks drawn by the same counter-based {!Prng.keep_at}), so fused
+   results match the naive oracle bitwise wherever operand layouts agree
+   and within normal round-off when a layout permutation reorders an
+   accumulation.
 
    Correctness fallbacks are structural: a member without [sem], or whose
    runtime shapes/layouts violate a kernel's preconditions, simply runs its
@@ -350,22 +354,22 @@ let layernorm_dw_fast env (op : Op.t) ~dy_name ~x_name ~mean_name ~istd_name
       let dyv = Array.unsafe_get dyd pos in
       Array.unsafe_set dg k (Array.unsafe_get dg k +. (dyv *. xhat));
       Array.unsafe_set db k (Array.unsafe_get db k +. dyv);
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          xo := !xo + x_str.(d);
-          mo := !mo + m_str.(d);
-          so := !so + s_str.(d);
-          if idx.(d) = dims.(d) then begin
-            idx.(d) <- 0;
-            xo := !xo - (x_str.(d) * dims.(d));
-            mo := !mo - (m_str.(d) * dims.(d));
-            so := !so - (s_str.(d) * dims.(d));
-            bump (d - 1)
-          end
+      let d = ref (n - 1) in
+      while !d >= 0 do
+        let a = !d in
+        idx.(a) <- idx.(a) + 1;
+        xo := !xo + x_str.(a);
+        mo := !mo + m_str.(a);
+        so := !so + s_str.(a);
+        if idx.(a) = dims.(a) then begin
+          idx.(a) <- 0;
+          xo := !xo - (x_str.(a) * dims.(a));
+          mo := !mo - (m_str.(a) * dims.(a));
+          so := !so - (s_str.(a) * dims.(a));
+          d := a - 1
         end
-      in
-      bump (n - 1)
+        else d := -1
+      done
     done;
     Op.store env dgamma_name dgamma;
     Op.store env dbeta_name dbeta
@@ -406,27 +410,16 @@ type step =
   | Chain of chain_stage list
   | Red of Op.t * Op.red_sem
 
-let apply_fn fn v o =
-  match fn with
-  | Op.Add2 -> v +. o
-  | Op.Mul2 | Op.Dropout_gen _ -> v *. o
-  | Op.Relu -> Float.max 0.0 v
-  | Op.Gelu -> Elementwise.gelu_value v
-  | Op.Sigmoid -> Elementwise.sigmoid_value v
-  | Op.Tanh -> tanh v
-  | Op.Copy -> v
-  | Op.Relu_grad -> if o > 0.0 then v else 0.0
-  | Op.Gelu_grad -> v *. Elementwise.gelu_grad o
-  | Op.Sigmoid_grad -> v *. o *. (1.0 -. o)
-  | Op.Tanh_grad -> v *. (1.0 -. (o *. o))
+(* Positions a chain processes per tile: the running values and one
+   stage's gathered operand sit in two [tile]-float buffers. *)
+let tile = 256
 
 let no_arr : float array = [||]
 
 type rt_stage = {
   rt_fn : Op.elt_fn;
   rt_opnd : float array;  (* [no_arr] when the fn is unary *)
-  rt_strides : int array;  (* [||] when the operand walks with [pos] *)
-  mutable rt_track : int;  (* slot in the per-range offset array; -1 = none *)
+  rt_strides : int array;  (* [||] when the operand walks with the position *)
   rt_out : float array;  (* [no_arr] when the output is dead *)
 }
 
@@ -440,7 +433,68 @@ let canonical_strides dims =
   done;
   s
 
-(* Run a chain as one loop. Sound when every stage's dims agree with the
+(* Gather [len] operand values for positions [base, base + len) of the
+   chain's [dims] into [o], reading [src] through [str] (the operand's
+   strides per chain axis; 0 on broadcast axes). *)
+let gather_strided (src : float array) str dims (o : float array) ~base ~len =
+  let si = str.(Array.length dims - 1) in
+  Dense.iter_runs dims str ~lo:base ~hi:(base + len) (fun k off run ->
+      for q = 0 to run - 1 do
+        Array.unsafe_set o (k + q) (Array.unsafe_get src (off + (q * si)))
+      done)
+
+(* One stage over a tile: [v.(k) <- fn v.(k) o.(k)] for [k < len], with
+   the fn matched once per tile. Each body is the naive constructor's
+   expression, so every element sees the same operations; only GELU, its
+   gradient and sigmoid box a float, through their out-of-line calls. *)
+let run_stage fn (v : float array) (o : float array) len =
+  match fn with
+  | Op.Add2 ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (Array.unsafe_get v k +. Array.unsafe_get o k)
+      done
+  | Op.Mul2 | Op.Dropout_gen _ ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (Array.unsafe_get v k *. Array.unsafe_get o k)
+      done
+  | Op.Relu ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (Float.max 0.0 (Array.unsafe_get v k))
+      done
+  | Op.Gelu ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (Elementwise.gelu_value (Array.unsafe_get v k))
+      done
+  | Op.Sigmoid ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (Elementwise.sigmoid_value (Array.unsafe_get v k))
+      done
+  | Op.Tanh ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k (tanh (Array.unsafe_get v k))
+      done
+  | Op.Copy -> ()
+  | Op.Relu_grad ->
+      for k = 0 to len - 1 do
+        if not (Array.unsafe_get o k > 0.0) then Array.unsafe_set v k 0.0
+      done
+  | Op.Gelu_grad ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set v k
+          (Array.unsafe_get v k *. Elementwise.gelu_grad (Array.unsafe_get o k))
+      done
+  | Op.Sigmoid_grad ->
+      for k = 0 to len - 1 do
+        let y = Array.unsafe_get o k in
+        Array.unsafe_set v k (Array.unsafe_get v k *. y *. (1.0 -. y))
+      done
+  | Op.Tanh_grad ->
+      for k = 0 to len - 1 do
+        let y = Array.unsafe_get o k in
+        Array.unsafe_set v k (Array.unsafe_get v k *. (1.0 -. (y *. y)))
+      done
+
+(* Run a chain tile by tile. Sound when every stage's dims agree with the
    chain input's axes (checked); operand layouts are free (strided). *)
 let run_chain env (stages : chain_stage list) =
   let first = List.hd stages in
@@ -485,75 +539,37 @@ let run_chain env (stages : chain_stage list) =
         end
         else no_arr
       in
-      { rt_fn = sem.Op.e_fn; rt_opnd; rt_strides; rt_track = -1; rt_out }
+      { rt_fn = sem.Op.e_fn; rt_opnd; rt_strides; rt_out }
     in
     let rts = Array.of_list (List.map mk_stage stages) in
-    let ns = Array.length rts in
-    let nt = ref 0 in
-    Array.iter
-      (fun (st : rt_stage) ->
-        if Array.length st.rt_strides > 0 then begin
-          st.rt_track <- !nt;
-          incr nt
-        end)
-      rts;
-    let nt = !nt in
-    let tstrides = Array.make (Stdlib.max nt 1) [||] in
-    Array.iter
-      (fun (st : rt_stage) ->
-        if st.rt_track >= 0 then tstrides.(st.rt_track) <- st.rt_strides)
-      rts;
     let xd = Dense.unsafe_data x0 in
-    let n = Array.length dims in
-    (* One disjoint position range [lo, hi): the multi-index and every
-       tracked operand offset are derived from [lo], so any partition of
-       [0, total) writes exactly what the serial single loop writes —
-       each position's chain value depends on that position alone. *)
+    let tl = Int.min tile total in
+    (* One disjoint position range [lo, hi), a tile at a time: every
+       operand gather is derived from the tile's first position, so any
+       partition of [0, total) writes exactly what the serial walk
+       writes — each position's chain value depends on that position
+       alone. *)
     let run_range lo hi =
-      let idx = Array.make (Stdlib.max n 1) 0 in
-      let rem = ref lo in
-      for d = n - 1 downto 0 do
-        idx.(d) <- !rem mod dims.(d);
-        rem := !rem / dims.(d)
-      done;
-      let offs = Array.make (Stdlib.max nt 1) 0 in
-      for s = 0 to nt - 1 do
-        for d = 0 to n - 1 do
-          offs.(s) <- offs.(s) + (idx.(d) * tstrides.(s).(d))
-        done
-      done;
-      for pos = lo to hi - 1 do
-        let v = ref (Array.unsafe_get xd pos) in
-        for s = 0 to ns - 1 do
-          let st = Array.unsafe_get rts s in
-          let o =
-            if st.rt_opnd == no_arr then 0.0
-            else if Array.length st.rt_strides = 0 then
-              Array.unsafe_get st.rt_opnd pos
-            else Array.unsafe_get st.rt_opnd offs.(st.rt_track)
-          in
-          v := apply_fn st.rt_fn !v o;
-          if st.rt_out != no_arr then Array.unsafe_set st.rt_out pos !v
-        done;
-        if nt > 0 then begin
-          let rec bump d =
-            if d >= 0 then begin
-              idx.(d) <- idx.(d) + 1;
-              for s = 0 to nt - 1 do
-                offs.(s) <- offs.(s) + tstrides.(s).(d)
-              done;
-              if idx.(d) = dims.(d) then begin
-                idx.(d) <- 0;
-                for s = 0 to nt - 1 do
-                  offs.(s) <- offs.(s) - (tstrides.(s).(d) * dims.(d))
-                done;
-                bump (d - 1)
-              end
-            end
-          in
-          bump (n - 1)
-        end
-      done
+      Arena.with_scratch Arena.global tl (fun v ->
+          Arena.with_scratch Arena.global tl (fun o ->
+              let base = ref lo in
+              while !base < hi do
+                let b = !base in
+                let len = Int.min tl (hi - b) in
+                Array.blit xd b v 0 len;
+                Array.iter
+                  (fun st ->
+                    if st.rt_opnd != no_arr then
+                      if Array.length st.rt_strides = 0 then
+                        Array.blit st.rt_opnd b o 0 len
+                      else
+                        gather_strided st.rt_opnd st.rt_strides dims o ~base:b
+                          ~len;
+                    run_stage st.rt_fn v o len;
+                    if st.rt_out != no_arr then Array.blit v 0 st.rt_out b len)
+                  rts;
+                base := b + len
+              done))
     in
     if total >= par_min_work && Pool.num_domains () > 1 then
       Pool.parallel_for ~label:"fastpath.map" ~start:0 ~finish:total run_range

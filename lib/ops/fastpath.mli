@@ -3,7 +3,7 @@
     {!Fusion} decides which operators form one kernel; this module builds
     the kernel body. [compile_group] interprets each member's declarative
     {!Op.sem}: consecutive element-wise members whose outputs feed the next
-    member's input become one loop over the data (intermediates that
+    member's input become one tiled pass over the data (intermediates that
     nothing else reads are never materialized into the environment), and
     statistical members (softmax, layernorm, their adjoints) run as
     dedicated row-wise kernels drawing per-row scratch from the {!Arena}.

@@ -264,7 +264,59 @@ let bcast_op op t b =
 let add_bcast t b = bcast_op ( +. ) t b
 let mul_bcast t b = bcast_op ( *. ) t b
 
-let reduce ~init ~op t red_axes =
+(* Walk positions [lo, hi) of the row-major index space [dims] one
+   innermost-axis run at a time. The multi-index is decomposed from [lo];
+   between runs an odometer carries into the outer axes, tracking the
+   offset [sum idx.(d) * strides.(d)]. Calls [f k off run] per run, with
+   [k] the run's first position minus [lo] and [off] its offset. *)
+let iter_runs dims strides ~lo ~hi f =
+  let n = Array.length dims in
+  if n = 0 then (if lo < hi then f 0 0 1)
+  else begin
+    let idx = Array.make n 0 in
+    let rem = ref lo and off = ref 0 in
+    for d = n - 1 downto 0 do
+      idx.(d) <- !rem mod dims.(d);
+      rem := !rem / dims.(d);
+      off := !off + (idx.(d) * strides.(d))
+    done;
+    let inner = dims.(n - 1) and si = strides.(n - 1) in
+    let pos = ref lo in
+    while !pos < hi do
+      let run = Int.min (inner - idx.(n - 1)) (hi - !pos) in
+      f (!pos - lo) !off run;
+      pos := !pos + run;
+      off := !off + (run * si);
+      idx.(n - 1) <- idx.(n - 1) + run;
+      if idx.(n - 1) = inner then begin
+        idx.(n - 1) <- 0;
+        off := !off - (inner * si);
+        let d = ref (n - 2) in
+        while !d >= 0 do
+          let a = !d in
+          idx.(a) <- idx.(a) + 1;
+          off := !off + strides.(a);
+          if idx.(a) = dims.(a) then begin
+            idx.(a) <- 0;
+            off := !off - (strides.(a) * dims.(a));
+            d := a - 1
+          end
+          else d := -1
+        done
+      end
+    done
+  end
+
+type reduction = Sum | Max
+
+(* Fold [t] into the kept axes, visiting [t] in storage order and
+   combining each element into its output cell as it is reached — the
+   accumulation order every fast kernel is checked against. Within one
+   innermost-axis run the output offset moves by a fixed stride (0 when
+   that axis is reduced, so the cell accumulates in a register). The
+   combine is chosen once and called once per run, and no element boxes
+   a float. *)
+let reduce red t red_axes =
   List.iter
     (fun a ->
       if not (Shape.mem t.shape a) then
@@ -272,32 +324,41 @@ let reduce ~init ~op t red_axes =
     red_axes;
   let keep = Axis.diff (axes t) red_axes in
   let out_dims = List.map (fun a -> (a, Shape.size t.shape a)) keep in
-  let out = full out_dims init in
+  let out = full out_dims (match red with Sum -> 0.0 | Max -> neg_infinity) in
   let dims = Array.of_list (Shape.sizes t.shape) in
   let out_strides = strides_for out (Shape.axes t.shape) in
   let n = Array.length dims in
-  let idx = Array.make n 0 in
-  let out_off = ref 0 in
-  let total = volume t in
-  for pos = 0 to total - 1 do
-    out.data.(!out_off) <- op out.data.(!out_off) t.data.(pos);
-    let rec bump d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        out_off := !out_off + out_strides.(d);
-        if idx.(d) = dims.(d) then begin
-          idx.(d) <- 0;
-          out_off := !out_off - (out_strides.(d) * dims.(d));
-          bump (d - 1)
-        end
-      end
-    in
-    bump (n - 1)
-  done;
+  let si = if n = 0 then 0 else out_strides.(n - 1) in
+  let td = t.data and od = out.data in
+  let combine =
+    match red with
+    | Sum when si = 0 ->
+        fun base o run ->
+          let acc = ref (Array.unsafe_get od o) in
+          for q = 0 to run - 1 do
+            acc := !acc +. Array.unsafe_get td (base + q)
+          done;
+          Array.unsafe_set od o !acc
+    | Sum ->
+        fun base o run ->
+          for q = 0 to run - 1 do
+            let oq = o + (q * si) in
+            Array.unsafe_set od oq
+              (Array.unsafe_get od oq +. Array.unsafe_get td (base + q))
+          done
+    | Max ->
+        fun base o run ->
+          for q = 0 to run - 1 do
+            let oq = o + (q * si) in
+            Array.unsafe_set od oq
+              (Float.max (Array.unsafe_get od oq) (Array.unsafe_get td (base + q)))
+          done
+  in
+  iter_runs dims out_strides ~lo:0 ~hi:(volume t) combine;
   out
 
-let sum_over t red_axes = reduce ~init:0.0 ~op:( +. ) t red_axes
-let max_over t red_axes = reduce ~init:neg_infinity ~op:Float.max t red_axes
+let sum_over t red_axes = reduce Sum t red_axes
+let max_over t red_axes = reduce Max t red_axes
 let sum_all t = Array.fold_left ( +. ) 0.0 t.data
 
 let mean_over t red_axes =

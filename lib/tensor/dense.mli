@@ -112,4 +112,14 @@ val pp : Format.formatter -> t -> unit
     einsum and fused-kernel inner loops. *)
 val strides_for : t -> Axis.t list -> int array
 
+(** [iter_runs dims strides ~lo ~hi f] walks positions [\[lo, hi)] of the
+    row-major index space [dims] one innermost-axis run at a time, calling
+    [f k off run] for each: the run covers positions [lo + k] to
+    [lo + k + run - 1], and [off] is [sum idx.(d) * strides.(d)] at its
+    first position (the next positions step by the innermost stride).
+    Kernels put their per-element loop inside [f], so the walk costs one
+    call per run and no allocation per element. *)
+val iter_runs :
+  int array -> int array -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
+
 val unsafe_data : t -> float array

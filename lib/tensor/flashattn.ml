@@ -147,21 +147,8 @@ let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
   }
 
 (* Mask element for flat position [e] of the (h, b, j, k) stream: the
-   value the sequential [Elementwise.dropout_mask] walk assigns there. *)
-let mask_at g e =
-  let s =
-    Int64.add g.drop_state
-      (Int64.mul (Int64.of_int (e + 1)) 0x9E3779B97F4A7C15L)
-  in
-  (* inline Prng.float_at against the precomputed base state *)
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let f =
-    Int64.to_float (Int64.shift_right_logical z 11)
-    *. (1.0 /. 9007199254740992.0)
-  in
-  if f < g.drop_p then 0.0 else g.drop_scale
+   value [Elementwise.dropout_mask] stores there. *)
+let mask_at g e = Prng.keep_at g.drop_state e ~p:g.drop_p ~scale:g.drop_scale
 
 (* Valid key range for row [jj] of slot [b]: [0, kmax). *)
 let kmax_of g ~b ~jj =

@@ -16,9 +16,9 @@
     (same operation order: ascending-k accumulation, [-1.0 *. m] sign
     flips, per-element normalization before the V products). The backward
     recomputes each row's probabilities exactly as the forward computes
-    them. Dropout is counter-based ({!Prng.float_at}): rows draw mask
-    elements at arbitrary positions yet agree bitwise with the sequential
-    mask walk of [Elementwise.dropout_mask].
+    them. Dropout is counter-based ({!Prng.keep_at}): rows draw mask
+    elements at arbitrary positions yet agree bitwise with the mask
+    [Elementwise.dropout_mask] materializes.
 
     Parallelism: the forward shards over (head, batch, 32-row Q tile), the
     backward over (head, batch); work items write disjoint output slabs
@@ -43,7 +43,7 @@ val paper_axes : axes
 (** Counter-based dropout on the post-softmax probabilities, identical to
     the mask [Elementwise.dropout_mask ~seed ~name:key dims ~p] draws.
     [dims] must be exactly [(heads; batch; q_seq; k_seq)] with full
-    extents — the row-major order the sequential mask walk uses. *)
+    extents — the storage order the mask's draws are laid out in. *)
 type dropout = {
   p : float;
   seed : int64;

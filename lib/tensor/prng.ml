@@ -3,7 +3,7 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: avalanches the counter into 64 well-mixed bits. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -25,21 +25,23 @@ let hash64 key =
 
 let of_key seed key = create (Int64.logxor seed (hash64 key))
 
-let float t =
-  (* Top 53 bits -> [0, 1). *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* Top 53 bits -> [0, 1). *)
+let[@inline] unit_float z =
+  Int64.to_float (Int64.shift_right_logical z 11) *. (1.0 /. 9007199254740992.0)
+
+let float t = unit_float (next_int64 t)
 
 (* splitmix64 is counter-based: the state after n draws is
    state0 + n*gamma and each output is a pure finalization of the state,
-   so the value of draw [i] (0-based) is computable without walking the
-   stream. This is what lets tiled kernels consume a mask stream in
-   arbitrary tile order while agreeing bitwise with the sequential walk
-   of the naive operators. *)
-let float_at t i =
-  let s = Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma) in
-  let bits = Int64.shift_right_logical (mix s) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+   so draw [i] (0-based) is computable without walking the stream. This
+   is the one dropout recipe: draw [i] below [p] drops the element (0.0),
+   anything else keeps it at [scale] — [bernoulli ~p] evaluated at a
+   counter position, so masks drawn in any order agree bitwise with the
+   sequential walk. The result is the static 0.0 or the caller's own
+   [scale], so an out-of-line call returns it without boxing a float. *)
+let[@inline] keep_at state i ~p ~scale =
+  let s = Int64.add state (Int64.mul (Int64.of_int (i + 1)) golden_gamma) in
+  if unit_float (mix s) < p then 0.0 else scale
 
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 

@@ -21,12 +21,15 @@ val next_int64 : t -> int64
 (** [float t] draws uniformly from [0, 1). *)
 val float : t -> float
 
-(** [float_at t i] is the value the [(i+1)]-th {!float} call on [t] would
-    return, without advancing the state: splitmix64 is counter-based, so
-    draw [i] is a pure finalization of [state + (i+1)*gamma]. Tiled
-    kernels use this to sample a mask stream at arbitrary positions while
-    agreeing bitwise with a sequential walk. *)
-val float_at : t -> int -> float
+(** [keep_at state i ~p ~scale] is the dropout keep value of draw [i] of
+    the stream whose counter is [state] (see {!state}), without walking
+    the stream: splitmix64 is counter-based, so draw [i] is a pure
+    finalization of [state + (i+1)*gamma]. It is [0.0] when that draw is
+    below [p] (exactly when the [(i+1)]-th {!bernoulli}[ ~p] call would
+    say [true]), else [scale]. Every dropout mask in the repository is
+    generated through it, so masks drawn in any order agree bitwise
+    with a sequential walk. *)
+val keep_at : int64 -> int -> p:float -> scale:float -> float
 
 (** [uniform t ~lo ~hi] draws uniformly from [lo, hi). *)
 val uniform : t -> lo:float -> hi:float -> float

@@ -2,7 +2,9 @@
    a naive triple loop, the einsum fast path against the odometer oracle
    across randomized shapes and storage layouts, parse memoization, and the
    fused executor kernels (full encoder/decoder programs, fast vs naive,
-   including the decoder's -inf causal masks and bitwise dropout masks). *)
+   including the decoder's -inf causal masks and bitwise dropout masks;
+   random element-wise chains across tile boundaries; the kernels'
+   allocation budget). *)
 
 let q = QCheck_alcotest.to_alcotest
 let check_bool = Alcotest.(check bool)
@@ -200,6 +202,154 @@ let test_dropout_masks_bitwise () =
     env_naive;
   check_bool "at least one dropout mask compared" true (!masks > 0)
 
+(* The counter-generated mask is the sequential [Prng.bernoulli] walk of
+   the operator's stream, laid out in storage order. *)
+let test_dropout_mask_is_bernoulli_walk () =
+  let dims = [ ("j", 7); ("b", 3); ("i", 11) ] and p = 0.3 in
+  let scale = Ops.Elementwise.dropout_keep_scale p in
+  let walk = Prng.of_key 5L "drop" in
+  let expect =
+    Dense.init dims (fun _ -> if Prng.bernoulli walk ~p then 0.0 else scale)
+  in
+  let got = Ops.Elementwise.dropout_mask ~seed:5L ~name:"drop" dims ~p in
+  check_bool "mask equals the sequential walk bitwise" true
+    (Array.for_all2 Float.equal (Dense.unsafe_data expect)
+       (Dense.unsafe_data got))
+
+let bitwise_equal a b =
+  let b = Dense.align b a in
+  Array.for_all2 Float.equal (Dense.unsafe_data a) (Dense.unsafe_data b)
+
+(* Random element-wise chains, fused vs each member's naive run. Shapes
+   span several of the chain kernel's 256-position tiles and end on a
+   ragged one; the chain input and every operand get independently
+   shuffled layouts (and each stage its own dims order, which lays out
+   its dropout mask), so operand gathers take the strided walk — stride 0
+   along a broadcast bias. Every container the fused group stores must
+   equal the naive one bitwise, serially and on two pool domains. *)
+let prop_elementwise_chains =
+  QCheck.Test.make ~name:"element-wise chains" ~count:40
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 4))
+    (fun (seed, nstages) ->
+      let prng = Prng.create (Int64.of_int seed) in
+      let rank = 2 + Prng.int prng ~bound:2 in
+      let names = List.filteri (fun i _ -> i < rank) [ "a"; "b"; "c" ] in
+      let lo, span = if rank = 2 then (17, 74) else (5, 20) in
+      let sizes =
+        Array.init rank (fun _ -> lo + Prng.int prng ~bound:span)
+      in
+      let vol () = Array.fold_left ( * ) 1 sizes in
+      while vol () <= 256 || vol () mod 256 = 0 do
+        sizes.(0) <- sizes.(0) + 1
+      done;
+      let dims = List.combine names (Array.to_list sizes) in
+      let random_tensor ?(over = dims) () =
+        let t = Dense.rand prng over ~lo:(-2.0) ~hi:2.0 in
+        Dense.permute t (shuffle_list prng (Dense.axes t))
+      in
+      let inputs = ref [ ("x", random_tensor ()) ] in
+      let operand i ?over () =
+        let name = Printf.sprintf "o%d" i in
+        inputs := (name, random_tensor ?over ()) :: !inputs;
+        name
+      in
+      let members =
+        List.init nstages (fun i ->
+            let x = if i = 0 then "x" else Printf.sprintf "y%d" (i - 1) in
+            let out = Printf.sprintf "y%d" i and name = Printf.sprintf "s%d" i in
+            let d = shuffle_list prng dims in
+            let module E = Ops.Elementwise in
+            match Prng.int prng ~bound:7 with
+            | 0 ->
+                if Prng.int prng ~bound:2 = 0 then
+                  let axis = List.nth names (Prng.int prng ~bound:rank) in
+                  let bias =
+                    operand i ~over:[ (axis, List.assoc axis dims) ] ()
+                  in
+                  E.bias ~name ~x ~bias ~out d ~bias_axes:[ axis ] ()
+                else E.add ~name ~x ~y:(operand i ()) ~out d ()
+            | 1 -> E.hadamard ~name ~x ~y:(operand i ()) ~out d ()
+            | 2 -> E.relu ~name ~x ~out d ()
+            | 3 -> E.gelu ~name ~x ~out d ()
+            | 4 ->
+                E.dropout ~name ~x ~out ~mask:(Printf.sprintf "m%d" i) d
+                  ~p:0.3 ~seed:(Int64.of_int seed) ()
+            | 5 -> E.relu_dx ~name ~dy:x ~x:(operand i ()) ~out d
+            | _ -> E.gelu_dx ~name ~dy:x ~x:(operand i ()) ~out d)
+      in
+      let external_writes =
+        List.filteri
+          (fun i _ -> i = nstages - 1 || Prng.int prng ~bound:2 = 0)
+          (List.init nstages (Printf.sprintf "y%d"))
+      in
+      let env_naive = Ops.Op.env_of_list !inputs in
+      List.iter (fun (m : Ops.Op.t) -> m.Ops.Op.run env_naive) members;
+      let fused =
+        Option.get (Ops.Fastpath.compile_group ~external_writes members)
+      in
+      List.for_all
+        (fun domains ->
+          let env = Ops.Op.env_of_list !inputs in
+          Pool.with_domains domains (fun () -> fused env);
+          List.for_all (fun c -> Hashtbl.mem env c) external_writes
+          && Hashtbl.fold
+               (fun c t ok -> ok && bitwise_equal (Ops.Op.lookup env_naive c) t)
+               env true)
+        [ 1; 2 ])
+
+(* Allocation budget of the element-wise kernels, single domain: no
+   per-element boxing or closure may creep back into the mask fill, the
+   bias reduction, or a fused chain. *)
+let test_allocation_budget () =
+  Pool.with_domains 1 (fun () ->
+      let minor_words f =
+        f ();
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let dims = [ ("i", 512); ("b", 2); ("j", 64) ] in
+      let n = 65_536 in
+      let prng = Prng.create 41L in
+      let w =
+        minor_words (fun () ->
+            ignore (Ops.Elementwise.dropout_mask ~seed:3L ~name:"drop" dims ~p:0.1))
+      in
+      check_bool
+        (Printf.sprintf "%d-element dropout mask: %.0f minor words < 1000" n w)
+        true (w < 1000.0);
+      let dy = Dense.rand prng dims ~lo:(-1.0) ~hi:1.0 in
+      let w = minor_words (fun () -> ignore (Dense.reduce_bcast dy [ "i" ])) in
+      check_bool
+        (Printf.sprintf "%d -> 512 reduce_bcast: %.0f minor words < 1000" n w)
+        true (w < 1000.0);
+      let module E = Ops.Elementwise in
+      let members =
+        [
+          E.bias ~name:"bias" ~x:"x" ~bias:"bv" ~out:"xb" dims
+            ~bias_axes:[ "i" ] ();
+          E.relu ~name:"act" ~x:"xb" ~out:"xa" dims ();
+          E.dropout ~name:"drop" ~x:"xa" ~out:"y" ~mask:"m" dims ~p:0.1
+            ~seed:3L ();
+        ]
+      in
+      let fused =
+        Option.get (Ops.Fastpath.compile_group ~external_writes:[ "y" ] members)
+      in
+      let env =
+        Ops.Op.env_of_list
+          [
+            ("x", Dense.rand prng dims ~lo:(-1.0) ~hi:1.0);
+            ("bv", Dense.rand prng [ ("i", 512) ] ~lo:(-1.0) ~hi:1.0);
+          ]
+      in
+      let w = minor_words (fun () -> fused env) in
+      check_bool
+        (Printf.sprintf "fused bias-relu-dropout: %.3f minor words/element < 1"
+           (w /. float_of_int n))
+        true
+        (w /. float_of_int n < 1.0))
+
 (* ---------------- standalone reduction kernels ---------------- *)
 
 (* Softmax over a permuted-layout input with explicit -inf entries (an
@@ -292,6 +442,13 @@ let () =
             test_encoder_rectangular;
           Alcotest.test_case "dropout masks bitwise" `Quick
             test_dropout_masks_bitwise;
+          Alcotest.test_case "dropout mask is the bernoulli walk" `Quick
+            test_dropout_mask_is_bernoulli_walk;
+        ] );
+      ( "chain kernels",
+        [
+          q prop_elementwise_chains;
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
         ] );
       ( "reduction kernels",
         [ q prop_softmax_masked_layouts; q prop_layernorm_layouts ] );

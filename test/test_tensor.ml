@@ -226,6 +226,45 @@ let test_dense_reduce () =
   check_float "reduce_bcast keeps i" (1.0 +. 5.0 +. 9.0 +. 13.0 +. 17.0 +. 21.0)
     (Dense.get rb [ ("i", 0) ])
 
+(* Reductions of a permuted-layout tensor over its leading, middle and
+   trailing storage axes (and the outer two together), each bitwise equal
+   to a reference that folds the elements into their cells in storage
+   order. *)
+let test_dense_reduce_layouts () =
+  let prng = Prng.create 29L in
+  let t =
+    Dense.permute
+      (Dense.rand prng [ ("b", 6); ("j", 9); ("i", 5) ] ~lo:(-2.0) ~hi:2.0)
+      [ "j"; "i"; "b" ]
+  in
+  let reference ~init ~op red =
+    let kept idx = List.filter (fun (a, _) -> not (List.mem a red)) idx in
+    let r = Dense.full (kept (Shape.to_list (Dense.shape t))) init in
+    Dense.iter t (fun idx v ->
+        let cell = kept idx in
+        Dense.set r cell (op (Dense.get r cell) v));
+    r
+  in
+  let bitwise name expect got =
+    check_bool name true
+      (Dense.layout got = Dense.layout expect
+      && Array.for_all2 Float.equal (Dense.unsafe_data expect)
+           (Dense.unsafe_data got))
+  in
+  List.iter
+    (fun red ->
+      let tag = String.concat "," red in
+      bitwise ("sum_over " ^ tag)
+        (reference ~init:0.0 ~op:( +. ) red)
+        (Dense.sum_over t red);
+      bitwise ("max_over " ^ tag)
+        (reference ~init:neg_infinity ~op:Float.max red)
+        (Dense.max_over t red);
+      bitwise ("reduce_bcast " ^ tag)
+        (reference ~init:0.0 ~op:( +. ) red)
+        (Dense.reduce_bcast t (Axis.diff (Dense.axes t) red)))
+    [ [ "j" ]; [ "i" ]; [ "b" ]; [ "j"; "b" ] ]
+
 let test_dense_map2_alignment () =
   let t = seq_tensor dims_bji in
   let p = Dense.permute t [ "i"; "j"; "b" ] in
@@ -436,6 +475,8 @@ let () =
           Alcotest.test_case "permute" `Quick test_dense_permute;
           Alcotest.test_case "broadcast" `Quick test_dense_bcast;
           Alcotest.test_case "reductions" `Quick test_dense_reduce;
+          Alcotest.test_case "reductions over permuted layouts" `Quick
+            test_dense_reduce_layouts;
           Alcotest.test_case "map2 aligns layouts" `Quick test_dense_map2_alignment;
           Alcotest.test_case "rename axes" `Quick test_dense_rename;
           q prop_permute_roundtrip;
