@@ -262,6 +262,10 @@ let summary hp device =
       print_endline
         (Report.Experiments.render (Report.Experiments.b96_comparison ~device ())))
 
+let ablations hp device =
+  with_context hp device (fun ctx ->
+      print_endline (Report.Ablations.render (Report.Ablations.run ctx)))
+
 let presets device =
   Format.printf
     "Optimized per-layer training-step time across model presets (paper \
@@ -819,6 +823,12 @@ let summary_cmd =
   cmd "summary" "Paper-vs-measured record for every headline claim."
     Term.(const summary $ hp_arg $ device_arg)
 
+let ablations_cmd =
+  cmd "ablations"
+    "Ablation studies: fusion x layout, selection strategy, device, GEMM \
+     algorithm."
+    Term.(const ablations $ hp_arg $ device_arg)
+
 let cost_cmd =
   cmd "cost" "Training-cost savings estimate (the paper's \\$85k claim)."
     Term.(const cost $ hp_arg $ device_arg)
@@ -1010,7 +1020,7 @@ let () =
        (Cmd.group info
           [
             analyze_cmd; fuse_cmd; compile_cmd; env_cmd; tune_cmd; select_cmd;
-            compare_cmd; table_cmd; figure_cmd; summary_cmd; train_cmd;
-            memory_cmd; trace_cmd; presets_cmd; kv_fusion_cmd; cost_cmd;
-            faults_cmd; resilience_cmd; serve_cmd;
+            compare_cmd; table_cmd; figure_cmd; summary_cmd; ablations_cmd;
+            train_cmd; memory_cmd; trace_cmd; presets_cmd; kv_fusion_cmd;
+            cost_cmd; faults_cmd; resilience_cmd; serve_cmd;
           ]))

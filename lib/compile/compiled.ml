@@ -43,14 +43,13 @@ type cache_stats = {
   misses : int;
   evictions : int;
   compiles : int;
-  capacity : int;
 }
 
 let hits = ref 0
 let misses = ref 0
 let evictions = ref 0
 let compiles = ref 0
-let capacity = ref 32
+let capacity = 32
 let tick = ref 0
 
 let cache : (string, plan * int ref) Hashtbl.t = Hashtbl.create 64
@@ -61,15 +60,9 @@ let cache_stats () =
     misses = !misses;
     evictions = !evictions;
     compiles = !compiles;
-    capacity = !capacity;
   }
 
 let clear_cache () = Hashtbl.reset cache
-
-let set_cache_capacity n =
-  if n < 1 then invalid_arg "Compiled.set_cache_capacity: capacity must be >= 1";
-  capacity := n;
-  clear_cache ()
 
 let find_cached key =
   match Hashtbl.find_opt cache key with
@@ -83,7 +76,7 @@ let find_cached key =
       None
 
 let insert_cached key plan =
-  if Hashtbl.length cache >= !capacity then begin
+  if Hashtbl.length cache >= capacity then begin
     (* evict the least-recently-used entry *)
     let victim =
       Hashtbl.fold
@@ -285,17 +278,17 @@ let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
   { plan with verified = verify }
 
 let compile ?device:_ ?(name_table = []) ?(params = []) ?(verify = false)
-    ?verify_inputs ?(use_cache = true) ?(keep_stages = false) regime program =
+    ?verify_inputs ?(keep_stages = false) regime program =
   let fingerprint = Fingerprint.of_program program in
   let cache_key = cache_key_of ~fingerprint ~regime ~name_table ~params in
-  match if use_cache && not verify then find_cached cache_key else None with
+  match if verify then None else find_cached cache_key with
   | Some plan -> plan
   | None ->
       let plan =
         build ~name_table ~params ~verify ?verify_inputs ~keep_stages
           ~fingerprint ~cache_key regime program
       in
-      if use_cache then insert_cached cache_key plan;
+      insert_cached cache_key plan;
       plan
 
 (* ------------------------------------------------------------------ *)

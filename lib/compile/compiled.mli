@@ -40,16 +40,15 @@ exception Verification_failed of { vf_pass : string; vf_container : string }
     [params] names the weight containers eligible for prepacking. [verify_inputs] supplies the verification run's inputs
     (synthesized deterministically from the program's pinned input
     containers when omitted). [keep_stages] records each pass's output
-    program (for per-stage SDFG export). [use_cache] (default [true])
-    consults and fills the LRU plan cache; [~verify:true] always
-    recompiles (and re-proves) but still caches the result. *)
+    program (for per-stage SDFG export). Every compile consults and fills
+    the LRU plan cache (32 plans); [~verify:true] always recompiles (and
+    re-proves) but still caches the result. *)
 val compile :
   ?device:Gpu.Device.t ->
   ?name_table:(string list * string) list ->
   ?params:string list ->
   ?verify:bool ->
   ?verify_inputs:(string * Dense.t) list ->
-  ?use_cache:bool ->
   ?keep_stages:bool ->
   Regime.t ->
   Ops.Program.t ->
@@ -81,14 +80,10 @@ type cache_stats = {
   misses : int;
   evictions : int;
   compiles : int;  (** full pipeline runs (cache misses + verifies) *)
-  capacity : int;
 }
 
 val cache_stats : unit -> cache_stats
 val clear_cache : unit -> unit
-
-(** Resize (and clear) the LRU plan cache. Default capacity: 32. *)
-val set_cache_capacity : int -> unit
 
 (** Total passes executed process-wide — a cache hit adds zero. *)
 val pass_runs : unit -> int

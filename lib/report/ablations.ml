@@ -1,5 +1,12 @@
 type quadrant = { fusion : bool; layout : bool; time : float }
 
+type t = {
+  fusion_layout : quadrant list;
+  selection : (string * float) list;
+  devices : (string * float * float) list;
+  gemm_algorithm : (string * float * float) list;
+}
+
 let default_total ~device program =
   let kernels =
     Frameworks.Executor.default_kernels ~device program program.Ops.Program.ops
@@ -39,7 +46,7 @@ let selection (ctx : Context.t) =
       Substation.Perfdb.sum_best db );
   ]
 
-let device_sensitivity ?(hp = Transformer.Hparams.bert_large) () =
+let device_sensitivity hp =
   List.map
     (fun device ->
       let ours =
@@ -74,48 +81,45 @@ let gemm_algorithm (ctx : Context.t) =
       | Ops.Op.Map | Ops.Op.Reduce -> None)
     program.Ops.Program.ops
 
-let render_fusion_layout quadrants =
-  "Ablation: fusion x layout selection (encoder fwd+bwd)\n"
-  ^ Table_fmt.render
-      ~header:[ "fusion"; "layout selection"; "time (ms)" ]
-      (List.map
-         (fun q ->
-           [
-             (if q.fusion then "yes" else "no");
-             (if q.layout then "yes" else "no");
-             Table_fmt.ms q.time;
-           ])
-         quadrants)
+let run ctx =
+  {
+    fusion_layout = fusion_layout ctx;
+    selection = selection ctx;
+    devices = device_sensitivity ctx.Context.hp;
+    gemm_algorithm = gemm_algorithm ctx;
+  }
 
-let render_selection rows =
-  "Ablation: configuration selection strategy\n"
-  ^ Table_fmt.render ~header:[ "strategy"; "time (ms)" ]
-      (List.map (fun (label, t) -> [ label; Table_fmt.ms t ]) rows)
-
-let render_device rows =
-  "Ablation: device sensitivity (optimized vs PyTorch baseline)\n"
-  ^ Table_fmt.render
-      ~header:[ "device"; "ours (ms)"; "PyTorch (ms)"; "speedup" ]
-      (List.map
-         (fun (name, ours, pt) ->
-           [ name; Table_fmt.ms ours; Table_fmt.ms pt; Table_fmt.f2 (pt /. ours) ])
-         rows)
-
-let render_gemm_algorithm rows =
-  let total f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-  "Ablation: cuBLAS-heuristic vs exhaustive GEMM algorithm choice\n"
-  ^ Table_fmt.render
-      ~header:[ "contraction"; "heuristic (us)"; "best (us)"; "gain" ]
-      (List.map
-         (fun (name, h, b) ->
-           [ name; Table_fmt.us h; Table_fmt.us b; Table_fmt.f2 (h /. b) ])
-         rows
-      @ [
-          [
-            "total";
-            Table_fmt.us (total (fun (_, h, _) -> h));
-            Table_fmt.us (total (fun (_, _, b) -> b));
-            Table_fmt.f2
-              (total (fun (_, h, _) -> h) /. total (fun (_, _, b) -> b));
-          ];
-        ])
+let render t =
+  let yes_no b = if b then "yes" else "no" in
+  let total f = List.fold_left (fun a r -> a +. f r) 0.0 t.gemm_algorithm in
+  let heuristic = total (fun (_, h, _) -> h) and best = total (fun (_, _, b) -> b) in
+  String.concat "\n"
+    [
+      "Ablation: fusion x layout selection (encoder fwd+bwd)\n"
+      ^ Table_fmt.render
+          ~header:[ "fusion"; "layout selection"; "time (ms)" ]
+          (List.map
+             (fun q -> [ yes_no q.fusion; yes_no q.layout; Table_fmt.ms q.time ])
+             t.fusion_layout);
+      "Ablation: configuration selection strategy\n"
+      ^ Table_fmt.render ~header:[ "strategy"; "time (ms)" ]
+          (List.map (fun (label, s) -> [ label; Table_fmt.ms s ]) t.selection);
+      "Ablation: device sensitivity (optimized vs PyTorch baseline)\n"
+      ^ Table_fmt.render
+          ~header:[ "device"; "ours (ms)"; "PyTorch (ms)"; "speedup" ]
+          (List.map
+             (fun (name, ours, pt) ->
+               [ name; Table_fmt.ms ours; Table_fmt.ms pt; Table_fmt.f2 (pt /. ours) ])
+             t.devices);
+      "Ablation: cuBLAS-heuristic vs exhaustive GEMM algorithm choice\n"
+      ^ Table_fmt.render
+          ~header:[ "contraction"; "heuristic (us)"; "best (us)"; "gain" ]
+          (List.map
+             (fun (name, h, b) ->
+               [ name; Table_fmt.us h; Table_fmt.us b; Table_fmt.f2 (h /. b) ])
+             t.gemm_algorithm
+          @ [
+              [ "total"; Table_fmt.us heuristic; Table_fmt.us best;
+                Table_fmt.f2 (heuristic /. best) ];
+            ]);
+    ]

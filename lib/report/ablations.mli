@@ -14,23 +14,19 @@ type quadrant = {
   time : float;  (** fwd+bwd seconds *)
 }
 
-(** [fusion_layout ctx] evaluates all four quadrants on the encoder. *)
-val fusion_layout : Context.t -> quadrant list
+(** Rows: the four quadrants; (strategy, seconds) for global selection,
+    the greedy baseline and the per-operator lower bound; (device, ours,
+    PyTorch seconds) at the context's hyperparameters; (contraction,
+    heuristic, best seconds). *)
+type t = {
+  fusion_layout : quadrant list;
+  selection : (string * float) list;
+  devices : (string * float * float) list;
+  gemm_algorithm : (string * float * float) list;
+}
 
-(** [selection ctx] compares global selection, the greedy baseline, and the
-    per-operator lower bound: (label, total seconds). *)
-val selection : Context.t -> (string * float) list
+(** [run ctx] evaluates all four studies (CLI [ablations]). *)
+val run : Context.t -> t
 
-(** [device_sensitivity ?hp ()] optimizes the encoder on each device and
-    reports (device, optimized seconds, PyTorch-baseline seconds). *)
-val device_sensitivity :
-  ?hp:Transformer.Hparams.t -> unit -> (string * float * float) list
-
-(** [gemm_algorithm ctx] sums contraction times under the heuristic vs the
-    exhaustive algorithm choice: (kernel, heuristic seconds, best seconds). *)
-val gemm_algorithm : Context.t -> (string * float * float) list
-
-val render_fusion_layout : quadrant list -> string
-val render_selection : (string * float) list -> string
-val render_device : (string * float * float) list -> string
-val render_gemm_algorithm : (string * float * float) list -> string
+(** One titled table per study. *)
+val render : t -> string

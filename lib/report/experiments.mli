@@ -1,6 +1,5 @@
 (** Paper-vs-measured records for every headline claim, table and figure —
-    the data behind EXPERIMENTS.md and the summary output of the benchmark
-    harness. *)
+    the data behind EXPERIMENTS.md and the CLI [summary] subcommand. *)
 
 type record = {
   id : string;  (** e.g. "table5", "claim-speedup-pt" *)

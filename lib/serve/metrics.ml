@@ -118,7 +118,7 @@ let mean_queue_depth t =
   if t.steps = 0 then 0.0
   else float_of_int t.queue_depth_sum /. float_of_int t.steps
 
-(* Hand-rolled single-line JSON, matching the bench artifacts. *)
+(* Hand-rolled single-line JSON. *)
 let json_f x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.1f" x

@@ -82,8 +82,9 @@ val invalidate_prepacked : Dense.t -> unit
 (** Drop every registration and packed image (tests / benches). *)
 val clear_prepacked : unit -> unit
 
-(** Disable/enable prepacked-image use globally (A/B benching; default
-    enabled). Registrations are kept. *)
+(** Disable/enable prepacked-image use globally (default enabled). Off,
+    every call packs per call: the reference path the tests compare
+    prepacked results against. Registrations are kept. *)
 val set_prepack_enabled : bool -> unit
 
 type prepack_stats = {

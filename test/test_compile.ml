@@ -86,6 +86,19 @@ let random_hparams prng =
     seed = Int64.of_int (1 + Prng.int prng ~bound:1000);
   }
 
+(* A wider L=64 encoder: its attention window spans two 32-row Q tiles. *)
+let l64 =
+  {
+    tiny with
+    Transformer.Hparams.batch = 1;
+    seq = 64;
+    embed = 64;
+    heads = 4;
+    proj = 16;
+    ff = 256;
+    dropout_p = 0.1;
+  }
+
 let test_verified_encoder_decoder () =
   let prng = Prng.create 7L in
   for i = 1 to 3 do
@@ -100,7 +113,8 @@ let test_verified_encoder_decoder () =
          ~name:(Printf.sprintf "decoder #%d" i)
          hp
          (Transformer.Encoder.program_with ~causal:true ~activation:`Gelu hp))
-  done
+  done;
+  ignore (verify_program ~name:"encoder L=64" l64 (Transformer.Encoder.program l64))
 
 let test_verified_fast_and_naive () =
   List.iter
@@ -136,13 +150,18 @@ let test_verified_guard_fallback () =
 (* ---------------- plan cache ---------------- *)
 
 let test_cache_hit_zero_reruns () =
-  Compile.Compiled.clear_cache ();
+  List.iter
+    (fun hp ->
+      Compile.Compiled.clear_cache ();
+      let plan1 = compile_current (Transformer.Encoder.program hp) in
+      let runs = Compile.Compiled.pass_runs () in
+      (* a structurally identical rebuild, not the same value *)
+      let plan2 = compile_current (Transformer.Encoder.program hp) in
+      check_bool "second compile is the cached plan" true (plan1 == plan2);
+      check_int "cache hit re-runs zero passes" runs
+        (Compile.Compiled.pass_runs ()))
+    [ l64; tiny ];
   let plan1 = compile_current (Transformer.Encoder.program tiny) in
-  let runs = Compile.Compiled.pass_runs () in
-  (* a structurally identical rebuild, not the same value *)
-  let plan2 = compile_current (Transformer.Encoder.program tiny) in
-  check_bool "second compile is the cached plan" true (plan1 == plan2);
-  check_int "cache hit re-runs zero passes" runs (Compile.Compiled.pass_runs ());
   (* a different regime (naive backend) misses: same fingerprint,
      different cache key *)
   let plan3 =

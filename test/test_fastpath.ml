@@ -239,8 +239,12 @@ let prop_elementwise_chains =
         Array.init rank (fun _ -> lo + Prng.int prng ~bound:span)
       in
       let vol () = Array.fold_left ( * ) 1 sizes in
+      (* grow the axes in turn: growing one axis alone never escapes when
+         the others already multiply to a multiple of 256 *)
+      let i = ref 0 in
       while vol () <= 256 || vol () mod 256 = 0 do
-        sizes.(0) <- sizes.(0) + 1
+        sizes.(!i) <- sizes.(!i) + 1;
+        i := (!i + 1) mod rank
       done;
       let dims = List.combine names (Array.to_list sizes) in
       let random_tensor ?(over = dims) () =

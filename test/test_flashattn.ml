@@ -214,30 +214,39 @@ let prop_backward_close =
       && Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wk gk
       && Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wv gv)
 
+(* The second shape is training's: L = 64 spans two Q-row tiles, with
+   d_head = 64 and dropout 0.1. The forward stays bitwise. *)
 let test_backward_causal_dropout () =
-  let np = 8 and nw = 8 and nh = 2 and nb = 2 and nj = 24 in
-  let nk = nj in
-  let prng = Prng.create 11L in
-  let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
-  let prescale = 1.0 /. sqrt 8.0 in
-  let p = 0.25 and seed = 77L and key = "attn_dropout" in
-  let dims = dims_beta ~nh ~nb ~nj ~nk in
-  let dropmask = E.dropout_mask ~seed ~name:key dims ~p in
-  let d_out = Dense.rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] ~lo:(-1.0) ~hi:1.0 in
-  let alpha_sm, alpha, _ =
-    oracle ~causal:true ~dropmask ~prescale ~qt ~kt ~vt ~nj ~nk ()
-  in
-  let wq, wk, wv =
-    oracle_grads ~dropmask ~prescale ~qt ~kt ~vt ~alpha_sm ~alpha ~d_out ()
-  in
-  let dropout = { Flashattn.p; seed; key; dims } in
-  let gq, gk, gv =
-    Flashattn.backward ~causal:true ~dropout ~prescale ~q:qt ~k:kt ~v:vt
-      ~d_out ()
-  in
-  check_bool "dq" true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wq gq);
-  check_bool "dk" true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wk gk);
-  check_bool "dv" true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wv gv)
+  List.iter
+    (fun (np, nh, nb, nj, p, prng_seed) ->
+      let nw = np and nk = nj in
+      let prng = Prng.create prng_seed in
+      let qt, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
+      let prescale = 1.0 /. sqrt (float_of_int np) in
+      let seed = 77L and key = "attn_dropout" in
+      let dims = dims_beta ~nh ~nb ~nj ~nk in
+      let dropmask = E.dropout_mask ~seed ~name:key dims ~p in
+      let d_out = Dense.rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] ~lo:(-1.0) ~hi:1.0 in
+      let alpha_sm, alpha, want =
+        oracle ~causal:true ~dropmask ~prescale ~qt ~kt ~vt ~nj ~nk ()
+      in
+      let wq, wk, wv =
+        oracle_grads ~dropmask ~prescale ~qt ~kt ~vt ~alpha_sm ~alpha ~d_out ()
+      in
+      let dropout = { Flashattn.p; seed; key; dims } in
+      let got =
+        Flashattn.forward ~causal:true ~dropout ~prescale ~q:qt ~k:kt ~v:vt ()
+      in
+      let gq, gk, gv =
+        Flashattn.backward ~causal:true ~dropout ~prescale ~q:qt ~k:kt ~v:vt
+          ~d_out ()
+      in
+      let tag = Printf.sprintf "L=%d " nj in
+      check_bool (tag ^ "out") true (bitwise want got);
+      check_bool (tag ^ "dq") true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wq gq);
+      check_bool (tag ^ "dk") true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wk gk);
+      check_bool (tag ^ "dv") true (Dense.approx_equal ~rtol:1e-12 ~atol:1e-14 wv gv))
+    [ (8, 2, 2, 24, 0.25, 11L); (64, 4, 1, 64, 0.1, 0xA77EL) ]
 
 (* ---------------- KV-cache incremental decode ---------------- *)
 
@@ -295,6 +304,46 @@ let test_parallel_determinism () =
   check_bool "dq serial == parallel" true (bitwise q1 q4);
   check_bool "dk serial == parallel" true (bitwise k1 k4);
   check_bool "dv serial == parallel" true (bitwise v1 v4)
+
+(* ---------------- working set ---------------- *)
+
+(* The kernel's scratch is the K/V panels of a key prefix plus row
+   buffers, O(L * d_head), never the L x L score matrix. Counted on one
+   domain, so the calling domain's arena sees every borrow. *)
+let test_working_set () =
+  let np = 64 and nh = 4 and nb = 1 in
+  let prescale = 1.0 /. 8.0 in
+  List.iter
+    (fun l ->
+      let prng = Prng.create (Int64.of_int l) in
+      let qt, kt, vt = make_qkv prng ~np ~nw:np ~nh ~nb ~nj:l ~nk:l in
+      let d_out = shuffled_rand prng [ ("w", np); ("h", nh); ("b", nb); ("j", l) ] in
+      let dropout =
+        { Flashattn.p = 0.1; seed = 0xA77EL; key = "attn_dropout";
+          dims = dims_beta ~nh ~nb ~nj:l ~nk:l }
+      in
+      let peak f =
+        Arena.reset_peak Arena.global;
+        ignore (Pool.with_domains 1 f);
+        (Arena.stats Arena.global).Arena.peak_floats
+      in
+      let fwd =
+        peak (fun () ->
+            Flashattn.forward ~causal:true ~dropout ~prescale ~q:qt ~k:kt ~v:vt ())
+      in
+      let bwd =
+        peak (fun () ->
+            Flashattn.backward ~causal:true ~dropout ~prescale ~q:qt ~k:kt
+              ~v:vt ~d_out ())
+      in
+      List.iter
+        (fun (dir, floats) ->
+          check_bool
+            (Printf.sprintf "L=%d %s peak %d < 12 L d_head" l dir floats)
+            true
+            (0 < floats && floats < 12 * l * np))
+        [ ("forward", fwd); ("backward", bwd) ])
+    [ 128; 512; 2048 ]
 
 (* ---------------- graph-level fusion ---------------- *)
 
@@ -374,6 +423,9 @@ let () =
           Alcotest.test_case "serial == parallel, fwd+bwd" `Quick
             test_parallel_determinism;
         ] );
+      ( "scratch",
+        [ Alcotest.test_case "peak < 12 L d_head, fwd+bwd" `Quick test_working_set ]
+      );
       ( "fusion",
         [
           Alcotest.test_case "attention windows recognized" `Quick

@@ -223,6 +223,61 @@ let test_render_records () =
   let text = Report.Experiments.render (Report.Experiments.summary (Lazy.force ctx)) in
   check_bool "renders" true (contains text "claim-speedup-pt")
 
+(* ---------------- ablations ---------------- *)
+
+(* The four studies behind `substation_cli ablations`: one row per
+   quadrant, strategy, device and contraction, and one table row each in
+   the rendering. *)
+let test_ablations () =
+  let ctx = Lazy.force ctx in
+  let a = Report.Ablations.run ctx in
+  let quadrant f l =
+    List.filter
+      (fun (q : Report.Ablations.quadrant) -> q.fusion = f && q.layout = l)
+      a.fusion_layout
+  in
+  check_int "four quadrants" 4 (List.length a.fusion_layout);
+  List.iter
+    (fun (f, l) -> check_int "each quadrant once" 1 (List.length (quadrant f l)))
+    [ (false, false); (true, false); (false, true); (true, true) ];
+  let time f l = (List.hd (quadrant f l)).time in
+  (* the paper's claim: neither fusion nor layout selection alone suffices *)
+  check_bool "fusion + layout beats either alone" true
+    (time true true < time true false && time true true < time false true);
+  (match a.selection with
+  | [ (_, global); (_, greedy); (_, bound) ] ->
+      check_bool "lower bound <= SSSP <= greedy" true
+        (bound <= global && global <= greedy)
+  | rows -> Alcotest.failf "expected three strategies, got %d" (List.length rows));
+  Alcotest.(check (list string))
+    "one row per device"
+    [ Gpu.Device.v100.name; Gpu.Device.a100.name ]
+    (List.map (fun (d, _, _) -> d) a.devices);
+  List.iter
+    (fun (d, ours, pt) ->
+      check_bool (d ^ ": ours beats PyTorch") true (0.0 < ours && ours < pt))
+    a.devices;
+  let fused = ctx.ours.Frameworks.Ours.recipe.Substation.Recipe.fused in
+  Alcotest.(check (list string))
+    "one row per contraction"
+    (List.filter_map
+       (fun (op : Ops.Op.t) ->
+         match op.kind with Ops.Op.Gemm _ -> Some op.name | _ -> None)
+       fused.Ops.Program.ops)
+    (List.map (fun (k, _, _) -> k) a.gemm_algorithm);
+  List.iter
+    (fun (k, heuristic, best) ->
+      check_bool (k ^ ": exhaustive <= heuristic") true (best <= heuristic))
+    a.gemm_algorithm;
+  (* title, header and rule per table, one line per row, plus the total *)
+  let lines =
+    String.split_on_char '\n' (Report.Ablations.render a)
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  check_int "rendered lines"
+    ((4 * 3) + 4 + 3 + 2 + List.length a.gemm_algorithm + 1)
+    (List.length lines)
+
 (* ---------------- table formatting ---------------- *)
 
 let test_table_fmt () =
@@ -265,5 +320,7 @@ let () =
           Alcotest.test_case "heuristic gap" `Slow test_heuristic_gap_record;
           Alcotest.test_case "record rendering" `Slow test_render_records;
         ] );
+      ( "ablations",
+        [ Alcotest.test_case "four studies, row structure" `Slow test_ablations ] );
       ("formatting", [ Alcotest.test_case "table_fmt" `Quick test_table_fmt ]);
     ]

@@ -40,20 +40,22 @@ let check_column ~what got want =
 
 let test_decode_bitwise_steps () =
   let m = M.create ~n_layers:2 ~vocab hp0 in
-  let prng = Prng.create 42L in
-  let l = 9 in
-  let prompt = Array.init l (fun _ -> Prng.int prng ~bound:vocab) in
-  let s = M.new_session m in
-  for t = 0 to l - 1 do
-    let logits =
-      M.decode_batch m [| s |] ~tokens:[| prompt.(t) |]
-    in
-    check_int "session length" (t + 1) (M.session_len s);
-    check_column
-      ~what:(Printf.sprintf "step %d" t)
-      (M.logits_column logits ~b:0)
-      (M.decode_oracle m ~prompt:(Array.sub prompt 0 (t + 1)))
-  done
+  List.iter
+    (fun l ->
+      let prng = Prng.create 42L in
+      let prompt = Array.init l (fun _ -> Prng.int prng ~bound:vocab) in
+      let s = M.new_session m in
+      for t = 0 to l - 1 do
+        let logits =
+          M.decode_batch m [| s |] ~tokens:[| prompt.(t) |]
+        in
+        check_int "session length" (t + 1) (M.session_len s);
+        check_column
+          ~what:(Printf.sprintf "L=%d step %d" l t)
+          (M.logits_column logits ~b:0)
+          (M.decode_oracle m ~prompt:(Array.sub prompt 0 (t + 1)))
+      done)
+    [ 9; 16 ]
 
 (* Ragged batch: sessions of different lengths advance together; each
    slot's logits must equal its own full-prefix oracle. *)
@@ -255,23 +257,26 @@ let test_scheduler_determinism () =
 (* ---------------- deadlines: shedding and zero-shed at low load ------ *)
 
 let test_low_load_no_sheds () =
-  let spec =
-    {
-      Serve.Loadgen.default_spec with
-      Serve.Loadgen.n = 10;
-      pattern = Serve.Loadgen.Uniform { gap = 0.01 };
-      vocab;
-      seed = 5L;
-      max_new = 2;
-      deadline = Some 0.5;
-    }
-  in
-  let sched = run_trace spec in
-  let mt = Serve.Scheduler.metrics sched in
-  check_int "no sheds at low load" 0 mt.Serve.Metrics.shed;
-  check_int "no rejections at low load" 0 mt.Serve.Metrics.rejected;
-  check_int "all completed" 10 mt.Serve.Metrics.completed;
-  check_int "no late completions" 0 mt.Serve.Metrics.late
+  List.iter
+    (fun (n, max_new) ->
+      let spec =
+        {
+          Serve.Loadgen.default_spec with
+          Serve.Loadgen.n;
+          pattern = Serve.Loadgen.Uniform { gap = 0.01 };
+          vocab;
+          seed = 5L;
+          max_new;
+          deadline = Some 0.5;
+        }
+      in
+      let sched = run_trace spec in
+      let mt = Serve.Scheduler.metrics sched in
+      check_int "no sheds at low load" 0 mt.Serve.Metrics.shed;
+      check_int "no rejections at low load" 0 mt.Serve.Metrics.rejected;
+      check_int "all completed" n mt.Serve.Metrics.completed;
+      check_int "no late completions" 0 mt.Serve.Metrics.late)
+    [ (10, 2); (12, 4) ]
 
 let test_deadline_shedding_and_degradation () =
   (* service so slow every deadline blows: everything sheds, none
