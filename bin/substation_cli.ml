@@ -336,9 +336,7 @@ let train steps lr checkpoint resume interrupt_after =
 
 let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
     no_fallback retries =
-  let program =
-    Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:!flash_attn (program_of ~mha hp)
-  in
+  let program = program_of ~mha hp in
   let plan =
     {
       Frameworks.Executor.name = "resilience";
@@ -355,11 +353,7 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
     :: Transformer.Params.init hp
   in
   (* The oracle run the faulted execution is judged against. *)
-  let clean, _ =
-    Frameworks.Executor.run ~check:Frameworks.Executor.No_check
-      (Compile.Regime.passthrough ~fast:false ())
-      plan inputs
-  in
+  let clean = Fastmode.with_naive (fun () -> Ops.Program.run program inputs) in
   let spec = Gpu.Faults.exec_uniform ~seed:(Int64.of_int seed) exec_rate in
   (* [--guard off] is honored (demonstrating unguarded failure); otherwise
      escalate the default exception guard to Finite so injected output
@@ -385,10 +379,11 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
     (Guard.level_to_string guard) (not no_fallback);
   let env, report =
     Gpu.Faults.with_exec_faults spec (fun () ->
-        Frameworks.Executor.run ~resilience
-          ~check:Frameworks.Executor.No_check
-          { (Compile.Regime.passthrough ~fast:true ()) with guard }
-          plan inputs)
+        Guard.with_level guard (fun () ->
+            Frameworks.Executor.run ~resilience
+              ~check:Frameworks.Executor.No_check
+              (Compile.Regime.current ~attention:!flash_attn ())
+              plan inputs))
   in
   Format.printf "%a@." Frameworks.Executor.pp_run_report report;
   (match report.Frameworks.Executor.rr_quarantine with
@@ -405,9 +400,9 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
       Format.printf "last worker failure: job %s, chunk %d (%d pool respawns)@."
         f.Pool.f_label f.Pool.f_chunk (Pool.respawn_count ())
   | None -> ());
-  (* The fused run materializes only the containers fusion keeps live; the
-     naive oracle run materializes every intermediate. Judge the faulted
-     run on every container it produced. *)
+  (* The compiled run keeps only terminal outputs; the naive oracle run
+     materializes every intermediate. Judge the faulted run on every
+     container it produced. *)
   let worst = ref 0.0 in
   let compared = ref 0 in
   Hashtbl.iter

@@ -45,55 +45,18 @@ type cache_stats = {
   compiles : int;
 }
 
-let hits = ref 0
-let misses = ref 0
-let evictions = ref 0
+let cache : (string, plan) Lru.t = Lru.create 32
 let compiles = ref 0
-let capacity = 32
-let tick = ref 0
-
-let cache : (string, plan * int ref) Hashtbl.t = Hashtbl.create 64
 
 let cache_stats () =
   {
-    hits = !hits;
-    misses = !misses;
-    evictions = !evictions;
+    hits = Lru.hits cache;
+    misses = Lru.misses cache;
+    evictions = Lru.evictions cache;
     compiles = !compiles;
   }
 
-let clear_cache () = Hashtbl.reset cache
-
-let find_cached key =
-  match Hashtbl.find_opt cache key with
-  | Some (plan, age) ->
-      incr tick;
-      age := !tick;
-      incr hits;
-      Some plan
-  | None ->
-      incr misses;
-      None
-
-let insert_cached key plan =
-  if Hashtbl.length cache >= capacity then begin
-    (* evict the least-recently-used entry *)
-    let victim =
-      Hashtbl.fold
-        (fun k (_, age) acc ->
-          match acc with
-          | Some (_, a) when a <= !age -> acc
-          | _ -> Some (k, !age))
-        cache None
-    in
-    match victim with
-    | Some (k, _) ->
-        Hashtbl.remove cache k;
-        incr evictions
-    | None -> ()
-  end;
-  incr tick;
-  Hashtbl.replace cache key (plan, ref !tick)
+let clear_cache () = Lru.clear cache
 
 (* Prepack invalidation for in-place weight updates: the packed-operand
    registry is keyed on physical arrays, so dropping the stale pack is
@@ -113,21 +76,17 @@ let execute ?check_op ?wrap_op (plan : plan) inputs =
       | None -> ())
     plan.prepack;
   let wrap op body = match wrap_op with Some w -> w op body | None -> body () in
-  let go () =
-    match plan.memplan with
-    | Some mp -> Ops.Memplan.execute ?check_op ?wrap_op mp inputs
-    | None ->
-        let env = Ops.Op.env_of_list inputs in
-        List.iter
-          (fun (op : Ops.Op.t) ->
-            wrap op (fun () ->
-                op.Ops.Op.run env;
-                match check_op with Some f -> f op env | None -> ()))
-          plan.program.Ops.Program.ops;
-        env
-  in
-  Guard.with_level plan.regime.Regime.guard (fun () ->
-      Fastmode.with_mode plan.regime.Regime.fast go)
+  match plan.memplan with
+  | Some mp -> Ops.Memplan.execute ?check_op ?wrap_op mp inputs
+  | None ->
+      let env = Ops.Op.env_of_list inputs in
+      List.iter
+        (fun (op : Ops.Op.t) ->
+          wrap op (fun () ->
+              op.Ops.Op.run env;
+              match check_op with Some f -> f op env | None -> ()))
+        plan.program.Ops.Program.ops;
+      env
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -227,12 +186,8 @@ let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
         | None -> synth_inputs source
       in
       (* The uncompiled interpreter is the verification oracle: the source
-         program run op-for-op under the regime's backend mode. *)
-      let env =
-        Fastmode.with_mode regime.Regime.fast (fun () ->
-            Ops.Program.run source inputs)
-      in
-      let snapshot = Hashtbl.copy env in
+         program run op-for-op under the ambient backend mode. *)
+      let snapshot = Hashtbl.copy (Ops.Program.run source inputs) in
       let outputs = Passes.live_out ~keep:regime.Regime.keep source in
       Some (snapshot, outputs, inputs)
     end
@@ -281,14 +236,14 @@ let compile ?device:_ ?(name_table = []) ?(params = []) ?(verify = false)
     ?verify_inputs ?(keep_stages = false) regime program =
   let fingerprint = Fingerprint.of_program program in
   let cache_key = cache_key_of ~fingerprint ~regime ~name_table ~params in
-  match if verify then None else find_cached cache_key with
+  match if verify then None else Lru.find cache cache_key with
   | Some plan -> plan
   | None ->
       let plan =
         build ~name_table ~params ~verify ?verify_inputs ~keep_stages
           ~fingerprint ~cache_key regime program
       in
-      insert_cached cache_key plan;
+      Lru.add cache cache_key plan;
       plan
 
 (* ------------------------------------------------------------------ *)

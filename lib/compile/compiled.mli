@@ -12,7 +12,8 @@
 
     [~verify:true] proves the lowering: after {e every} pass the staged
     program is executed and checked against the uncompiled interpreter
-    ([Ops.Program.run] on the source). The check is bitwise for every
+    ([Ops.Program.run] on the source), both under the ambient backend
+    mode. The check is bitwise for every
     container, streaming-attention windows included: their forward and
     backward reproduce the member chains they replace bit for bit. *)
 
@@ -54,9 +55,9 @@ val compile :
   Ops.Program.t ->
   plan
 
-(** Execute a plan: registers prepacked weights, pins the regime's
-    backend mode and guard level, and interprets through the memory plan
-    when one was produced (else op-for-op). [check_op op env] runs after each
+(** Execute a plan under the ambient backend mode, domain count and
+    guard level: registers prepacked weights and interprets through the
+    memory plan when one was produced (else op-for-op). [check_op op env] runs after each
     op with its outputs still present (numerical guards); [wrap_op op
     body] wraps each op's execution + check (resilience retries) and must
     call [body] exactly once on the success path. *)

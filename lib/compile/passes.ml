@@ -152,7 +152,7 @@ let cse (p : Ops.Program.t) =
 let dce_cse =
   {
     Pass.p_name = "dce-cse";
-    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
+    p_enabled = (fun _ -> true);
     p_rewrite =
       (fun ctx p ->
         let before = List.length p.Ops.Program.ops in
@@ -175,9 +175,7 @@ let dce_cse =
 let attention_window =
   {
     Pass.p_name = "attention-window";
-    p_enabled =
-      (fun ctx ->
-        ctx.Pass.regime.Regime.rewrite && ctx.Pass.regime.Regime.attention);
+    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.attention);
     p_rewrite =
       (fun ctx p ->
         let p', sites =
@@ -198,7 +196,7 @@ let attention_window =
 let fusion =
   {
     Pass.p_name = "fusion";
-    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
+    p_enabled = (fun _ -> true);
     p_rewrite =
       (fun ctx p ->
         Substation.Fusion.fuse ~name_table:ctx.Pass.name_table
@@ -212,7 +210,7 @@ let fusion =
 let memory_plan =
   {
     Pass.p_name = "memory-plan";
-    p_enabled = (fun ctx -> ctx.Pass.regime.Regime.rewrite);
+    p_enabled = (fun _ -> true);
     p_rewrite =
       (fun ctx p ->
         let mp = Ops.Memplan.plan ~keep:ctx.Pass.regime.Regime.keep p in
@@ -232,8 +230,7 @@ let memory_plan =
 let prepack =
   {
     Pass.p_name = "prepack";
-    p_enabled =
-      (fun ctx -> ctx.Pass.regime.Regime.rewrite && ctx.Pass.params <> []);
+    p_enabled = (fun ctx -> ctx.Pass.params <> []);
     p_rewrite =
       (fun ctx p ->
         let written = Hashtbl.create 32 in

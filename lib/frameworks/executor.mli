@@ -48,7 +48,7 @@ exception
     A {!resilience} policy bounds and supervises a run: a whole-run
     deadline, a per-kernel time budget, op-level retries, and whether
     guarded failures fall back to the naive oracle. The kernel-guard
-    level is the regime's ([Compile.Regime.guard]). *)
+    level is the ambient one: scope it with [Guard.with_level]. *)
 
 type resilience = {
   deadline : float option;  (** whole-run wall-clock budget, seconds *)
@@ -75,10 +75,11 @@ val pp_run_report : Format.formatter -> run_report -> unit
     program under [regime] through {!Compile.Compiled} (structurally
     identical runs hit the plan cache and re-run zero passes) and
     executes it, validating every container an operator writes according
-    to [check] (default [Check_nan]). {!Compile.Regime.passthrough}
-    interprets op-for-op with every intermediate retained;
-    {!Compile.Regime.current} runs the full pipeline, so only terminal
-    outputs and [keep] (fused or not) survive. Without [resilience] no
+    to [check] (default [Check_nan]). The plan runs the full pipeline, so
+    only terminal outputs and the regime's [keep] (fused or not) survive;
+    it executes under the ambient backend mode, domain count and guard
+    level. The uncompiled reference is [Ops.Program.run], which retains
+    every intermediate. Without [resilience] no
     retry, deadline or kernel budget applies and the ambient guard
     fallback setting holds. [Pool.Cancelled] and a blown {e run} deadline
     ([Pool.Deadline_exceeded]) propagate; kernel-level failures are

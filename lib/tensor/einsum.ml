@@ -159,12 +159,10 @@ type plan = Matmul of matmul_plan | General of general_plan
 
 (* Compiled-plan cache, bounded by an LRU cap: serving workloads present
    many distinct shapes (one per ragged batch geometry), so unbounded
-   growth would be a slow leak. Each entry carries its last-use tick; on
-   insertion past capacity the stalest entry is evicted (an O(entries)
-   scan, paid only on a miss with a full cache). What the cache earns
-   (2-vCPU Xeon, native build, encoder-layer contractions): building the
-   key and looking it up costs 0.8-1.5 us, [build_plan] 3.1-4.4 us, so a
-   hit saves roughly 2-3 us per fast contraction. *)
+   growth would be a slow leak. What the cache earns (2-vCPU Xeon, native
+   build, encoder-layer contractions): building the key and looking it up
+   costs 0.8-1.5 us, [build_plan] 3.1-4.4 us, so a hit saves roughly
+   2-3 us per fast contraction. *)
 type cache_stats = {
   hits : int;
   misses : int;
@@ -173,63 +171,32 @@ type cache_stats = {
   capacity : int;
 }
 
-let plan_cache : (string, plan * int ref) Hashtbl.t = Hashtbl.create 64
-let plan_capacity = ref 512
-let plan_tick = ref 0
-let plan_hits = ref 0
-let plan_misses = ref 0
-let plan_evictions = ref 0
+let plan_cache : (string, plan) Lru.t = Lru.create 512
 
 let set_plan_cache_capacity n =
   if n < 1 then invalid_arg "Einsum.set_plan_cache_capacity: need >= 1";
-  plan_capacity := n
+  Lru.set_capacity plan_cache n
 
 let cache_stats () =
   {
-    hits = !plan_hits;
-    misses = !plan_misses;
-    evictions = !plan_evictions;
-    entries = Hashtbl.length plan_cache;
-    capacity = !plan_capacity;
+    hits = Lru.hits plan_cache;
+    misses = Lru.misses plan_cache;
+    evictions = Lru.evictions plan_cache;
+    entries = Lru.length plan_cache;
+    capacity = Lru.capacity plan_cache;
   }
 
-let evict_lru () =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key (_, last) ->
-      match !victim with
-      | Some (_, stalest) when !last >= stalest -> ()
-      | _ -> victim := Some (key, !last))
-    plan_cache;
-  match !victim with
-  | Some (key, _) ->
-      Hashtbl.remove plan_cache key;
-      incr plan_evictions
-  | None -> ()
-
 let plan_lookup key build =
-  incr plan_tick;
-  match Hashtbl.find_opt plan_cache key with
-  | Some (p, last) ->
-      incr plan_hits;
-      last := !plan_tick;
-      p
+  match Lru.find plan_cache key with
+  | Some p -> p
   | None ->
-      incr plan_misses;
       let p = build () in
-      while Hashtbl.length plan_cache >= !plan_capacity do
-        evict_lru ()
-      done;
-      Hashtbl.add plan_cache key (p, ref !plan_tick);
+      Lru.add plan_cache key p;
       p
 
 let clear_caches () =
-  Hashtbl.reset plan_cache;
-  Hashtbl.reset parse_cache;
-  plan_tick := 0;
-  plan_hits := 0;
-  plan_misses := 0;
-  plan_evictions := 0
+  Lru.reset plan_cache;
+  Hashtbl.reset parse_cache
 
 (* Axis names are [a-z0-9_]*, so ',' ':' '|' are safe separators. The key
    captures output axes plus every input's axes-in-storage-order and sizes:

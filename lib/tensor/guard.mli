@@ -14,8 +14,9 @@
 
     The ambient level defaults to [Exceptions] and can be set process-wide
     with the [SUBSTATION_GUARD] environment variable
-    ([off]/[exn]/[nan]/[finite]) or scoped with {!with_level} (the
-    executor's resilience policy does the latter). *)
+    ([off]/[exn]/[nan]/[finite]) or scoped with {!with_level}. Compiled
+    plans carry no level of their own: a plan executes under whatever
+    level is ambient. *)
 
 type level =
   | Off  (** no supervision: fast-path failures propagate *)

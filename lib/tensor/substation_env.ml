@@ -10,9 +10,8 @@
 
    The parse is lazy-once: [Sys.getenv_opt] at first use, cached for the
    process. Scoped overrides (Fastmode.with_mode, Pool.with_domains,
-   Guard.with_level) still win over the environment
-   exactly as before — this module only replaces where the env values
-   come from, not the override layering. *)
+   Guard.with_level) win over the environment; the kernels read the
+   resulting settings at run time, so no compiled plan captures them. *)
 
 type guard_level = Goff | Gexn | Gnan | Gfinite
 
@@ -68,8 +67,8 @@ let opt ~lookup ~var parse warnings default =
 let retired =
   [
     ( "SUBSTATION_NOPLAN",
-      "memory planning is no longer a process-wide switch (the compiled \
-       current regime always plans; the passthrough regime never does)" );
+      "memory planning is no longer a process-wide switch (every compiled \
+       plan is memory-planned)" );
     ( "SUBSTATION_ATTN_TILES",
       "streaming-attention tiles are no longer a setting (the kernel has \
        one mode: each row against its whole unmasked key prefix)" );

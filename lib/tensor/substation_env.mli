@@ -17,8 +17,8 @@
     planning is no longer a process-wide toggle; [SUBSTATION_ATTN_TILES]:
     the attention kernel has no tile setting). The environment is
     parsed once per process; scoped overrides ([Fastmode.with_mode],
-    [Pool.with_domains], [Guard.with_level]) layer on top exactly as
-    before. *)
+    [Pool.with_domains], [Guard.with_level]) win over it. These
+    settings are read at run time, never baked into a compiled plan. *)
 
 type guard_level = Goff | Gexn | Gnan | Gfinite
 

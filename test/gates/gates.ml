@@ -62,21 +62,12 @@ let encoder_run hp =
   let x = Transformer.Params.random_input hp prng in
   let d_y = Transformer.Params.random_cotangent hp prng in
   let inputs = ("x", x) :: ("d_y", d_y) :: params in
-  let plan =
-    {
-      Frameworks.Executor.name = "encoder_layer";
-      program =
-        Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
-          (Transformer.Encoder.program hp);
-      kernels_forward = [];
-      kernels_backward = [];
-      dispatch_overhead = 0.0;
-    }
+  let fused =
+    Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
+      (Transformer.Encoder.program hp)
   in
   fun ~fast () ->
-    Frameworks.Executor.run ~check:No_check
-      (Compile.Regime.passthrough ~fast ())
-      plan inputs
+    Fastmode.with_mode fast (fun () -> Ops.Program.run fused inputs)
 
 let gate_fast_vs_naive run ~label =
   let reps = 2 in

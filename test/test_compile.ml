@@ -162,11 +162,17 @@ let test_cache_hit_zero_reruns () =
         (Compile.Compiled.pass_runs ()))
     [ l64; tiny ];
   let plan1 = compile_current (Transformer.Encoder.program tiny) in
-  (* a different regime (naive backend) misses: same fingerprint,
-     different cache key *)
-  let plan3 =
+  (* the backend mode is not part of the regime: a naive compile is the
+     same plan *)
+  let naive =
     Fastmode.with_mode false (fun () ->
         compile_current (Transformer.Encoder.program tiny))
+  in
+  check_bool "backend mode is not part of the key" true (naive == plan1);
+  (* a different regime (no attention windows) misses: same fingerprint,
+     different cache key *)
+  let plan3 =
+    compile_current ~attention:false (Transformer.Encoder.program tiny)
   in
   check_bool "regime is part of the key" true (not (plan3 == plan1));
   check_bool "fingerprint is structural" true
@@ -222,6 +228,68 @@ let test_cache_weight_mutation () =
   check_bool "mutated weights flow through" false (bits_equal y1 y2);
   check_bool "post-mutation execute matches the oracle bitwise" true
     (bits_equal oracle y2)
+
+(* One plan serves every execution mode: the backend mode, domain count
+   and guard level are read by the kernels at run time, so a plan compiled
+   once executes under any of them without a recompile, bitwise equal to
+   the uncompiled interpreter under the same backend mode. *)
+let test_one_plan_every_mode () =
+  Compile.Compiled.clear_cache ();
+  let program = Transformer.Encoder.program tiny in
+  let inputs = layer_inputs tiny 37L in
+  let plan = compile_current program in
+  let runs = Compile.Compiled.pass_runs () in
+  let compiles = (Compile.Compiled.cache_stats ()).Compile.Compiled.compiles in
+  List.iter
+    (fun fast ->
+      let oracle =
+        Fastmode.with_mode fast (fun () -> Ops.Program.run program inputs)
+      in
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun guard ->
+              let tag =
+                Printf.sprintf "%s, %d domain(s), guard %s"
+                  (if fast then "fast" else "naive")
+                  domains
+                  (Guard.level_to_string guard)
+              in
+              let env =
+                Fastmode.with_mode fast (fun () ->
+                    Pool.with_domains domains (fun () ->
+                        Guard.with_level guard (fun () ->
+                            let plan' = compile_current program in
+                            check_bool (tag ^ ": the same plan") true
+                              (plan' == plan);
+                            Compile.Compiled.execute plan' inputs)))
+              in
+              List.iter
+                (fun c ->
+                  check_bool
+                    (Printf.sprintf "%s: %s bitwise equal to the interpreter"
+                       tag c)
+                    true
+                    (bits_equal (Ops.Op.lookup oracle c) (Ops.Op.lookup env c)))
+                [ "y"; "d_x"; "d_wq"; "d_w2" ])
+            [ Guard.Exceptions; Guard.Nan ])
+        [ 1; 4 ])
+    [ true; false ];
+  check_int "no pass re-ran" runs (Compile.Compiled.pass_runs ());
+  check_int "no compile ran" compiles
+    (Compile.Compiled.cache_stats ()).Compile.Compiled.compiles;
+  (* the training oracle path: a naive forward after a fast one reuses the
+     fast forward's plans *)
+  let m = Transformer.Model.create ~n_layers:2 ~vocab:16 tiny in
+  let tokens =
+    Array.init tiny.Transformer.Hparams.batch (fun b ->
+        Array.init tiny.Transformer.Hparams.seq (fun j -> (b + j) mod 16))
+  in
+  ignore (Transformer.Model.forward m ~tokens);
+  let runs = Compile.Compiled.pass_runs () in
+  ignore (Fastmode.with_naive (fun () -> Transformer.Model.forward m ~tokens));
+  check_int "naive Model.forward re-runs zero passes" runs
+    (Compile.Compiled.pass_runs ())
 
 (* ---------------- attention exactness ---------------- *)
 
@@ -286,9 +354,14 @@ let test_executor_compiled_parity () =
     }
   in
   let oracle = Fastmode.with_naive (fun () -> Ops.Program.run program inputs) in
+  let regime = Compile.Regime.current () in
   List.iter
-    (fun (tag, regime) ->
-      let env, _ = Frameworks.Executor.run regime plan inputs in
+    (fun (tag, fast) ->
+      let run inputs =
+        Fastmode.with_mode fast (fun () ->
+            Frameworks.Executor.run regime plan inputs)
+      in
+      let env, _ = run inputs in
       List.iter
         (fun c ->
           check_bool (Printf.sprintf "run %s: %s" tag c) true
@@ -297,19 +370,10 @@ let test_executor_compiled_parity () =
       (* the per-op scan covers every op's writes, planned ones included *)
       let bad = Dense.copy (List.assoc "x" inputs) in
       (Dense.unsafe_data bad).(0) <- Float.nan;
-      match
-        Frameworks.Executor.run regime plan
-          (("x", bad) :: List.remove_assoc "x" inputs)
-      with
+      match run (("x", bad) :: List.remove_assoc "x" inputs) with
       | _ -> Alcotest.failf "run %s: NaN input passed the scan" tag
       | exception Frameworks.Executor.Numerical_fault _ -> ())
-    [
-      ("passthrough fast", Compile.Regime.passthrough ~fast:true ());
-      ("passthrough naive", Compile.Regime.passthrough ~fast:false ());
-      ("current", Compile.Regime.current ());
-      ( "current naive",
-        Fastmode.with_naive (fun () -> Compile.Regime.current ()) );
-    ]
+    [ ("fast", true); ("naive", false) ]
 
 (* ---------------- environment parsing (Substation.Env) --------------- *)
 
@@ -384,6 +448,8 @@ let () =
             test_cache_hit_zero_reruns;
           Alcotest.test_case "weight mutation: plan survives, pack refreshes"
             `Quick test_cache_weight_mutation;
+          Alcotest.test_case "one plan serves every execution mode" `Quick
+            test_one_plan_every_mode;
         ] );
       ( "attn",
         [

@@ -240,7 +240,7 @@ let test_numerical_guard_names_offender () =
   let inputs = ("x", x) :: ("d_y", d_y) :: params in
   (try
      ignore
-       (Frameworks.Executor.run (Compile.Regime.passthrough ()) plan inputs);
+       (Frameworks.Executor.run (Compile.Regime.current ()) plan inputs);
      Alcotest.fail "expected Numerical_fault"
    with Frameworks.Executor.Numerical_fault { fault_op; container; value } ->
      check_bool "names the offending op" true (fault_op <> "");
@@ -249,7 +249,7 @@ let test_numerical_guard_names_offender () =
   (* the guard can be bypassed explicitly *)
   ignore
     (Frameworks.Executor.run ~check:Frameworks.Executor.No_check
-       (Compile.Regime.passthrough ())
+       (Compile.Regime.current ())
        plan inputs)
 
 let test_clean_run_passes_guard () =
@@ -265,7 +265,7 @@ let test_clean_run_passes_guard () =
     :: params
   in
   let env, _ =
-    Frameworks.Executor.run (Compile.Regime.passthrough ()) plan inputs
+    Frameworks.Executor.run (Compile.Regime.current ()) plan inputs
   in
   check_bool "produced the output" true (Ops.Op.lookup env "y" <> Dense.scalar 0.)
 

@@ -40,7 +40,7 @@ let test_all_plans_numerically_agree () =
     List.map
       (fun p ->
         fst
-          (Frameworks.Executor.run (Compile.Regime.passthrough ()) p inputs))
+          (Frameworks.Executor.run (Compile.Regime.current ()) p inputs))
       plans
   in
   let base = List.hd envs in
@@ -72,7 +72,7 @@ let test_mha_plans_numerically_agree () =
     List.map
       (fun p ->
         fst
-          (Frameworks.Executor.run (Compile.Regime.passthrough ()) p inputs))
+          (Frameworks.Executor.run (Compile.Regime.current ()) p inputs))
       plans
   in
   let base = List.hd envs in

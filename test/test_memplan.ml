@@ -280,8 +280,8 @@ let test_planned_serial_equals_parallel () =
 
 (* ---------------- executor integration ---------------- *)
 
-(* The planned path is [Regime.current]; the no-plan path that the old
-   escape hatch selected is [Regime.passthrough]. *)
+(* The executor runs the planned path; the uncompiled interpreter
+   ([Ops.Program.run]) is the no-plan reference. *)
 let test_run_planned_guard_and_fallback () =
   let device = Gpu.Device.v100 in
   let plan =
@@ -290,8 +290,7 @@ let test_run_planned_guard_and_fallback () =
   in
   let inputs = layer_inputs tiny 19L in
   let current = Compile.Regime.current () in
-  let passthrough = Compile.Regime.passthrough () in
-  let env_ref, _ = Frameworks.Executor.run passthrough plan inputs in
+  let env_ref = Ops.Program.run plan.Frameworks.Executor.program inputs in
   let env_pl, _ = Frameworks.Executor.run current plan inputs in
   check_bool "planned run matches the unplanned run on y" true
     (bits_equal (Ops.Op.lookup env_ref "y") (Ops.Op.lookup env_pl "y"));
@@ -304,8 +303,8 @@ let test_run_planned_guard_and_fallback () =
      ignore (Frameworks.Executor.run current plan bad_inputs);
      Alcotest.fail "expected Numerical_fault through the planned path"
    with Frameworks.Executor.Numerical_fault _ -> ());
-  (* the unplanned regime retains every intermediate; the planned one
-     drops dead ones *)
+  (* the uncompiled interpreter retains every intermediate; the planned
+     run drops dead ones *)
   check_bool "unplanned run retains intermediates" true
     (Hashtbl.mem env_ref "ln1_out");
   check_bool "planned run drops dead intermediates" false

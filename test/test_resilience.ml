@@ -287,30 +287,32 @@ let envs_bitwise_equal a b =
             Alcotest.failf "container %s differs by %g (not bitwise)" c d)
     a
 
-(* The fast passthrough regime under kernel-guard level [guard]. *)
-let guarded_fast guard =
-  { (Compile.Regime.passthrough ~fast:true ()) with Compile.Regime.guard }
+(* Execute [plan] on the fast backend under kernel-guard level [guard]. *)
+let run_guarded_fast ~resilience guard plan inputs =
+  Fastmode.with_mode true (fun () ->
+      Guard.with_level guard (fun () ->
+          Frameworks.Executor.run ~resilience (Compile.Regime.current ()) plan
+            inputs))
 
 (* The acceptance matrix: under a crash-every-kernel campaign, the guard
    routes every fast kernel to the oracle, so the faulted fast run is
-   bitwise identical to the clean naive-oracle run — and the run report
-   lists the engaged fallbacks. Checked serial and parallel. *)
+   bitwise identical to a clean naive run of the same plan — and the run
+   report lists the engaged fallbacks. Checked serial and parallel. *)
 let run_recovery_matrix ~domains () =
   Pool.with_domains domains (fun () ->
       Guard.reset ();
       let plan = encoder_plan () in
       let inputs = encoder_inputs () in
       let clean_naive, _ =
-        Frameworks.Executor.run ~check:Frameworks.Executor.No_check
-          (Compile.Regime.passthrough ~fast:false ())
-          plan inputs
+        Fastmode.with_naive (fun () ->
+            Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+              (Compile.Regime.current ()) plan inputs)
       in
       let faults = Gpu.Faults.make_exec ~seed:13L ~crash_rate:1.0 () in
       let faulted, report =
         Gpu.Faults.with_exec_faults faults (fun () ->
-            Frameworks.Executor.run
-              ~resilience:Frameworks.Executor.default_resilience
-              (guarded_fast Guard.Finite) plan inputs)
+            run_guarded_fast ~resilience:Frameworks.Executor.default_resilience
+              Guard.Finite plan inputs)
       in
       envs_bitwise_equal clean_naive faulted;
       check_bool "run report lists engaged fallbacks" true
@@ -336,9 +338,9 @@ let test_mixed_campaign_completes () =
   let plan = encoder_plan () in
   let inputs = encoder_inputs () in
   let clean, _ =
-    Frameworks.Executor.run ~check:Frameworks.Executor.No_check
-      (Compile.Regime.passthrough ~fast:true ())
-      plan inputs
+    Fastmode.with_mode true (fun () ->
+        Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+          (Compile.Regime.current ()) plan inputs)
   in
   let faults =
     Gpu.Faults.make_exec ~seed:29L ~crash_rate:0.3 ~corrupt_rate:0.3
@@ -353,8 +355,7 @@ let test_mixed_campaign_completes () =
   in
   let faulted, report =
     Gpu.Faults.with_exec_faults faults (fun () ->
-        Frameworks.Executor.run ~resilience (guarded_fast Guard.Finite) plan
-          inputs)
+        run_guarded_fast ~resilience Guard.Finite plan inputs)
   in
   check_bool "mixed campaign engaged at least one fallback" true
     (report.Frameworks.Executor.rr_fallbacks <> []);
@@ -385,8 +386,7 @@ let test_run_deadline_propagates () =
   in
   (match
      Gpu.Faults.with_exec_faults faults (fun () ->
-         Frameworks.Executor.run ~resilience (guarded_fast Guard.Nan) plan
-           inputs)
+         run_guarded_fast ~resilience Guard.Nan plan inputs)
    with
   | _ -> Alcotest.fail "blown run deadline should propagate"
   | exception Pool.Deadline_exceeded _ -> ());
