@@ -244,23 +244,29 @@ let canonical_name name_table members =
    level) non-finite external output re-executes the whole group through
    sequential replay — safe after a partial compiled run because every
    member stores its outputs as it goes, recomputing any intermediate the
-   compiled kernel elided. *)
+   compiled kernel elided. Whichever path ran, the members' outputs that
+   are not the group's writes leave the env afterwards: the memory plan
+   never sees those names, so nothing else would free them, and the
+   container set must not depend on the backend. *)
 let fused_run ~kernel ~external_writes members =
+  let internal =
+    List.concat_map (fun (o : Ops.Op.t) -> o.writes) members
+    |> List.filter (fun c -> not (List.mem c external_writes))
+  in
   let sequential env = List.iter (fun (o : Ops.Op.t) -> o.run env) members in
-  match Ops.Fastpath.compile_group ~external_writes members with
-  | None -> sequential
-  | Some compiled ->
-      fun env ->
-        if Fastmode.enabled () then
-          Guard.protected ~kernel
-            ~outputs:(fun () ->
-              List.filter_map
-                (fun c ->
-                  Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
-                external_writes)
-            ~fallback:(fun () -> sequential env)
-            (fun () -> compiled env)
-        else sequential env
+  let compiled = Ops.Fastpath.compile_group ~external_writes members in
+  fun env ->
+    (match compiled with
+    | Some compiled when Fastmode.enabled () ->
+        Guard.protected ~kernel
+          ~outputs:(fun () ->
+            List.filter_map
+              (fun c -> Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
+              external_writes)
+          ~fallback:(fun () -> sequential env)
+          (fun () -> compiled env)
+    | _ -> sequential env);
+    List.iter (Hashtbl.remove env) internal
 
 let build_fused ~keep name_table program (g : raw_group) =
   match g.ops with
@@ -326,7 +332,7 @@ type attn_window = {
   aw_dq : string;
   aw_dk : string;
   aw_dv : string;
-  aw_alpha_sm : string;  (* probe container: present iff members replayed *)
+  aw_alpha_sm : string;  (* softmax output, read by the softmax backward *)
   aw_internal : string list;  (* elided under the streaming kernel *)
   aw_prescale : float;
   aw_causal : bool;
@@ -490,7 +496,12 @@ let attn_steps members =
 let build_attn_fwd name_table w =
   let members = w.aw_fwd in
   let name = canonical_name name_table members in
-  let seq env = List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members in
+  (* the replay drops the score-matrix containers the streaming kernel
+     elides, so the env is the same on every path *)
+  let seq env =
+    List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members;
+    List.iter (Hashtbl.remove env) w.aw_internal
+  in
   let run env =
     if not (Fastmode.enabled ()) then seq env
     else
@@ -528,13 +539,17 @@ let build_attn_fwd name_table w =
 let build_attn_bwd name_table w =
   let members = w.aw_bwd in
   let name = canonical_name name_table members in
-  (* fallback replay needs the score-matrix intermediates the streaming
-     forward elided; recompute them by replaying the forward members
-     (deterministic, so re-stored values are identical) *)
+  (* the replay needs the score-matrix intermediates, which no forward
+     path leaves in the env; recompute them by replaying the forward
+     members up to the dropout (deterministic, so the values are the ones
+     the forward computed; the last member would only re-store the
+     window's output), then drop them again as the forward replay does *)
   let seq env =
-    if not (Hashtbl.mem env w.aw_alpha_sm) then
-      List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) w.aw_fwd;
-    List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members
+    List.iteri
+      (fun i (o : Ops.Op.t) -> if i < 3 then o.Ops.Op.run env)
+      w.aw_fwd;
+    List.iter (fun (o : Ops.Op.t) -> o.Ops.Op.run env) members;
+    List.iter (Hashtbl.remove env) w.aw_internal
   in
   let run env =
     if not (Fastmode.enabled ()) then seq env

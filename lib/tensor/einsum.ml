@@ -173,10 +173,6 @@ type cache_stats = {
 
 let plan_cache : (string, plan) Lru.t = Lru.create 512
 
-let set_plan_cache_capacity n =
-  if n < 1 then invalid_arg "Einsum.set_plan_cache_capacity: need >= 1";
-  Lru.set_capacity plan_cache n
-
 let cache_stats () =
   {
     hits = Lru.hits plan_cache;
@@ -318,53 +314,34 @@ let build_plan inputs ~out =
     end
   | _ -> General (build_general inputs ~out ~size)
 
-(* Copy a strided matrix view into packed row-major scratch. *)
-let pack src src_off view dst count =
-  let n = Array.length view.vdims in
-  if n = 0 then Array.unsafe_set dst 0 (Array.unsafe_get src src_off)
-  else begin
-    let idx = Array.make n 0 in
-    let off = ref src_off in
-    for pos = 0 to count - 1 do
-      Array.unsafe_set dst pos (Array.unsafe_get src !off);
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          off := !off + view.vstrides.(d);
-          if idx.(d) = view.vdims.(d) then begin
-            idx.(d) <- 0;
-            off := !off - (view.vstrides.(d) * view.vdims.(d));
-            bump (d - 1)
-          end
-        end
-      in
-      bump (n - 1)
-    done
-  end
+(* The stride of a view's innermost run (a scalar view is one run of 1). *)
+let inner_stride view =
+  let nd = Array.length view.vdims in
+  if nd = 0 then 1 else view.vstrides.(nd - 1)
 
-(* Write packed GEMM results out through the output's stride view. *)
-let scatter_scaled buf out_data out_off view count scale =
-  let n = Array.length view.vdims in
-  if n = 0 then out_data.(out_off) <- scale *. Array.unsafe_get buf 0
-  else begin
-    let idx = Array.make n 0 in
-    let off = ref out_off in
-    for pos = 0 to count - 1 do
-      Array.unsafe_set out_data !off (scale *. Array.unsafe_get buf pos);
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          off := !off + view.vstrides.(d);
-          if idx.(d) = view.vdims.(d) then begin
-            idx.(d) <- 0;
-            off := !off - (view.vstrides.(d) * view.vdims.(d));
-            bump (d - 1)
-          end
-        end
-      in
-      bump (n - 1)
-    done
-  end
+(* Copy a strided matrix view into packed row-major scratch, one innermost
+   run at a time; a unit-stride run is one blit. *)
+let pack (src : float array) src_off view (dst : float array) count =
+  let st = inner_stride view in
+  Dense.iter_runs view.vdims view.vstrides ~lo:0 ~hi:count (fun k off run ->
+      let o = src_off + off in
+      if st = 1 then Array.blit src o dst k run
+      else
+        for t = 0 to run - 1 do
+          Array.unsafe_set dst (k + t) (Array.unsafe_get src (o + (t * st)))
+        done)
+
+(* Write packed GEMM results out through the output's stride view, one
+   innermost run at a time. *)
+let scatter_scaled (buf : float array) (out_data : float array) out_off view
+    count scale =
+  let st = inner_stride view in
+  Dense.iter_runs view.vdims view.vstrides ~lo:0 ~hi:count (fun k off run ->
+      let o = out_off + off in
+      for t = 0 to run - 1 do
+        Array.unsafe_set out_data (o + (t * st))
+          (scale *. Array.unsafe_get buf (k + t))
+      done)
 
 (* Decompose a linear batch index (row-major over [batch_dims]) into the
    per-dimension multi-index, so a worker can start mid-sequence. *)

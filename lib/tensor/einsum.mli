@@ -46,7 +46,7 @@ val clear_caches : unit -> unit
 
 (** {1 Plan-cache accounting}
 
-    The compiled-plan cache is bounded by an LRU cap (default 512 plans):
+    The compiled-plan cache is bounded by an LRU cap of 512 plans:
     serving traffic presents one plan per ragged batch geometry, so the
     cache would otherwise grow without limit. *)
 
@@ -59,10 +59,6 @@ type cache_stats = {
 }
 
 val cache_stats : unit -> cache_stats
-
-(** [set_plan_cache_capacity n] bounds the plan cache to [n >= 1] entries,
-    evicting least-recently-used plans first. *)
-val set_plan_cache_capacity : int -> unit
 
 (** {1 Weight prepacking}
 

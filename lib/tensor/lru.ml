@@ -5,7 +5,7 @@
 
 type ('k, 'v) t = {
   table : ('k, 'v * int ref) Hashtbl.t;
-  mutable capacity : int;
+  capacity : int;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -57,7 +57,6 @@ let add t key v =
 
 let length t = Hashtbl.length t.table
 let capacity t = t.capacity
-let set_capacity t n = t.capacity <- n
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

@@ -18,10 +18,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 
-(** Change the bound; a shrunk cache sheds its stalest entries on the
-    next insertion. *)
-val set_capacity : ('k, 'v) t -> int -> unit
-
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int

@@ -45,6 +45,37 @@ let prop_gemm_matches_triple_loop =
       (* Identical accumulation order: exact equality, not a tolerance. *)
       Array.for_all2 (fun x y -> Float.equal x y) c r)
 
+(* Past the panel depth (k up to 300 crosses two k-panel boundaries), with
+   odd m (a leftover row beside the 2x4 tiles), every n mod 4 (leftover
+   columns), a non-zero starting C and non-zero offsets into larger
+   buffers: still the triple loop, bitwise. *)
+let prop_gemm_panels_remainders_offsets =
+  QCheck.Test.make
+    ~name:"gemm across k panels, tile remainders and offsets equals triple loop"
+    ~count:60
+    QCheck.(
+      quad (int_range 1 9) (int_range 1 20) (int_range 1 300) (int_range 0 63))
+    (fun (m, n, k, offs) ->
+      let a_off = offs land 3 and b_off = (offs lsr 2) land 3
+      and c_off = offs lsr 4 in
+      let prng = Prng.create (Int64.of_int ((m * 7919) + (n * 307) + k + offs)) in
+      let arr len =
+        Dense.unsafe_data (Dense.rand prng [ ("x", len) ] ~lo:(-1.0) ~hi:1.0)
+      in
+      let a = arr ((m * k) + a_off) and b = arr ((k * n) + b_off) in
+      let c = arr ((m * n) + c_off) in
+      let r = Array.copy c in
+      Gemm.gemm ~a_off ~b_off ~c_off ~m ~n ~k a b c;
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let t = c_off + (i * n) + j in
+          for l = 0 to k - 1 do
+            r.(t) <- r.(t) +. (a.(a_off + (i * k) + l) *. b.(b_off + (l * n) + j))
+          done
+        done
+      done;
+      Array.for_all2 Float.equal c r)
+
 (* ---------------- einsum fast path vs oracle ---------------- *)
 
 (* Batched matmul with every operand and the output in a random storage
@@ -301,17 +332,19 @@ let prop_elementwise_chains =
                env true)
         [ 1; 2 ])
 
+(* Minor words allocated by the second of two calls of [f] (the first
+   fills caches and arenas). *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 (* Allocation budget of the element-wise kernels, single domain: no
    per-element boxing or closure may creep back into the mask fill, the
    bias reduction, or a fused chain. *)
 let test_allocation_budget () =
   Pool.with_domains 1 (fun () ->
-      let minor_words f =
-        f ();
-        let before = Gc.minor_words () in
-        f ();
-        Gc.minor_words () -. before
-      in
       let dims = [ ("i", 512); ("b", 2); ("j", 64) ] in
       let n = 65_536 in
       let prng = Prng.create 41L in
@@ -353,6 +386,40 @@ let test_allocation_budget () =
            (w /. float_of_int n))
         true
         (w /. float_of_int n < 1.0))
+
+(* Allocation budget of a batched contraction whose operand and output
+   views both need repacking (the attention-gradient shape of a BERT
+   layer: 8 batches of m=16 n=64 k=64): the pack and scatter walkers may
+   allocate per call, never per element. The second spec also reads its
+   column operand through a non-unit inner stride. *)
+let test_einsum_allocation_budget () =
+  Pool.with_domains 1 (fun () ->
+      let prng = Prng.create 43L in
+      let hbjk =
+        Dense.rand prng [ ("h", 8); ("b", 1); ("j", 64); ("k", 64) ]
+          ~lo:(-1.0) ~hi:1.0
+      in
+      let whbj =
+        Dense.rand prng [ ("w", 16); ("h", 8); ("b", 1); ("j", 64) ]
+          ~lo:(-1.0) ~hi:1.0
+      in
+      let whbk =
+        Dense.rand prng [ ("w", 16); ("h", 8); ("b", 1); ("k", 64) ]
+          ~lo:(-1.0) ~hi:1.0
+      in
+      let n = 8 * 16 * 64 in
+      List.iter
+        (fun (spec, inputs) ->
+          let w = minor_words (fun () -> ignore (Einsum.eval spec inputs)) in
+          check_bool
+            (Printf.sprintf "%s: %.3f minor words/output element < 1" spec
+               (w /. float_of_int n))
+            true
+            (w /. float_of_int n < 1.0))
+        [
+          ("hbjk,whbj->whbk", [ hbjk; whbj ]);
+          ("whbk,hbjk->whbj", [ whbk; hbjk ]);
+        ])
 
 (* ---------------- standalone reduction kernels ---------------- *)
 
@@ -428,7 +495,9 @@ let prop_layernorm_layouts =
 let () =
   Alcotest.run "fastpath"
     [
-      ("gemm", [ q prop_gemm_matches_triple_loop ]);
+      ( "gemm",
+        [ q prop_gemm_matches_triple_loop; q prop_gemm_panels_remainders_offsets ]
+      );
       ( "einsum",
         [
           q prop_einsum_matmul_layouts;
@@ -453,6 +522,8 @@ let () =
         [
           q prop_elementwise_chains;
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "einsum allocation budget" `Quick
+            test_einsum_allocation_budget;
         ] );
       ( "reduction kernels",
         [ q prop_softmax_masked_layouts; q prop_layernorm_layouts ] );

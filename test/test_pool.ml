@@ -164,6 +164,43 @@ let test_gemm_offsets_parallel_bitwise () =
   check_bool "offset gemm bitwise across domain counts" true
     (Array.for_all2 Float.equal (run 1) (run 4))
 
+(* Row shards that start on odd rows: m = 7 splits [0,3) [3,5) [5,7) over
+   3 domains and m = 9 splits [0,5) [5,9) over 2, so a worker's 2-row
+   tiles pair different rows than the serial sweep does, and its leftover
+   row sits mid-matrix. Panel-crossing k, n mod 4 <> 0, offsets and a
+   non-zero C; every domain count must equal the triple loop bitwise. *)
+let test_gemm_odd_row_shards () =
+  let prng = Prng.create 101L in
+  let arr len =
+    Dense.unsafe_data (Dense.rand prng [ ("x", len) ] ~lo:(-1.0) ~hi:1.0)
+  in
+  List.iter
+    (fun (m, n, k) ->
+      let a_off = 3 and b_off = 1 and c_off = 2 in
+      let a = arr ((m * k) + a_off) and b = arr ((k * n) + b_off) in
+      let c0 = arr ((m * n) + c_off) in
+      let r = Array.copy c0 in
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let t = c_off + (i * n) + j in
+          for l = 0 to k - 1 do
+            r.(t) <- r.(t) +. (a.(a_off + (i * k) + l) *. b.(b_off + (l * n) + j))
+          done
+        done
+      done;
+      List.iter
+        (fun d ->
+          let c = Array.copy c0 in
+          Pool.with_domains d (fun () ->
+              Gemm.gemm ~a_off ~b_off ~c_off ~m ~n ~k a b c);
+          check_bool
+            (Printf.sprintf "m=%d n=%d k=%d at %d domain(s) = triple loop" m n
+               k d)
+            true
+            (Array.for_all2 Float.equal c r))
+        [ 1; 2; 3 ])
+    [ (7, 37, 200); (9, 38, 150); (7, 39, 260); (9, 40, 131) ]
+
 (* ---------------- bitwise identity: einsum ---------------- *)
 
 let test_einsum_parallel_bitwise () =
@@ -349,6 +386,8 @@ let () =
           q prop_gemm_parallel_bitwise;
           Alcotest.test_case "gemm with offsets" `Quick
             test_gemm_offsets_parallel_bitwise;
+          Alcotest.test_case "gemm on odd row shards" `Quick
+            test_gemm_odd_row_shards;
           Alcotest.test_case "batched-matmul einsum" `Quick
             test_einsum_parallel_bitwise;
           Alcotest.test_case "MHA contraction" `Quick

@@ -327,6 +327,44 @@ let run_recovery_matrix ~domains () =
         (report.Frameworks.Executor.rr_quarantine <> []);
       Guard.reset ())
 
+(* Fused groups and attention windows drop their members' intermediates
+   on every path, so the raw encoder's planned env holds the same
+   containers on the fast backend, the naive one, and when the guard
+   replays every fast kernel through its oracle. *)
+let test_env_backend_independent () =
+  let plan =
+    { (encoder_plan ()) with
+      Frameworks.Executor.program = Transformer.Encoder.program encoder_hp }
+  in
+  let inputs = encoder_inputs () in
+  let names env =
+    List.sort compare (Hashtbl.fold (fun c _ acc -> c :: acc) env [])
+  in
+  List.iter
+    (fun attention ->
+      Guard.reset ();
+      let run () =
+        Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+          (Compile.Regime.current ~attention ())
+          plan inputs
+      in
+      let fast, _ = Fastmode.with_mode true run in
+      let naive, _ = Fastmode.with_naive run in
+      let faults = Gpu.Faults.make_exec ~seed:13L ~crash_rate:1.0 () in
+      let fallback, report =
+        Gpu.Faults.with_exec_faults faults (fun () ->
+            Fastmode.with_mode true run)
+      in
+      check_bool "every fast kernel fell back" true
+        (report.Frameworks.Executor.rr_fallbacks <> []);
+      let label what = Printf.sprintf "attention %b: %s" attention what in
+      Alcotest.(check (list string))
+        (label "naive env = fast env") (names fast) (names naive);
+      Alcotest.(check (list string))
+        (label "fallback env = fast env") (names fast) (names fallback);
+      Guard.reset ())
+    [ false; true ]
+
 let test_recovery_matrix_serial () = run_recovery_matrix ~domains:1 ()
 let test_recovery_matrix_parallel () = run_recovery_matrix ~domains:4 ()
 
@@ -515,6 +553,8 @@ let () =
             test_recovery_matrix_serial;
           Alcotest.test_case "recovery matrix, parallel" `Quick
             test_recovery_matrix_parallel;
+          Alcotest.test_case "planned env is backend-independent" `Quick
+            test_env_backend_independent;
           Alcotest.test_case "mixed campaign completes" `Quick
             test_mixed_campaign_completes;
           Alcotest.test_case "run deadline propagates" `Quick
