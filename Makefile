@@ -28,9 +28,8 @@ resilience-smoke:
 	$(DUNE) exec bin/substation_cli.exe -- resilience -c tiny --exec-rate 1.0 --retries 2
 
 # ~30 s: the wall-clock gates (fast >= naive on 1 and N domains, the
-# 2-domain floor, cached decode >= 5x, prepacked decode >= 1.0x, streaming
-# attention >= 3x at L=2048); one OK/FAILED line each, nonzero exit if any
-# fails. The 2-domain floor is timing-based and flaky on a shared 2-vCPU
+# 2-domain floor, cached decode >= 5x, streaming attention >= 3x at
+# L=2048); one OK/FAILED line each, nonzero exit if any fails. The 2-domain floor is timing-based and flaky on a shared 2-vCPU
 # host.
 gates:
 	$(DUNE) exec test/gates/gates.exe

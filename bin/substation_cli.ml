@@ -59,9 +59,6 @@ let program_of ~mha hp =
 let table_of ~mha =
   if mha then Transformer.Mha.kernel_names else Transformer.Encoder.kernel_names
 
-(* Set by the --flash-attn setup term before any command body runs. *)
-let flash_attn = ref false
-
 (* ---------------- commands ---------------- *)
 
 let analyze hp _device mha =
@@ -80,9 +77,9 @@ let analyze hp _device mha =
         (100.0 *. s.flop_share) s.op_count)
     (Sdfg.Analysis.class_shares graph)
 
-let fuse hp _device mha =
+let fuse hp _device mha flash_attn =
   let program = program_of ~mha hp in
-  let groups = Substation.Fusion.groups ~name_table:(table_of ~mha) ~attention:!flash_attn program in
+  let groups = Substation.Fusion.groups ~name_table:(table_of ~mha) ~attention:flash_attn program in
   List.iter
     (fun (g : Substation.Fusion.group) ->
       Format.printf "%-12s <- %s@." g.fused.Ops.Op.name
@@ -99,10 +96,10 @@ let faults_spec ~rate ~sigma ~seed =
   if rate = 0.0 && sigma = 0.0 then Gpu.Faults.none
   else Gpu.Faults.uniform_rate ~seed:(Int64.of_int seed) ~noise_sigma:sigma rate
 
-let tune hp device mha op_filter csv_out fault_rate noise fault_seed checkpoint
-    =
+let tune hp device mha flash_attn op_filter csv_out fault_rate noise fault_seed
+    checkpoint =
   let program =
-    Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:!flash_attn (program_of ~mha hp)
+    Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:flash_attn (program_of ~mha hp)
   in
   let faults = faults_spec ~rate:fault_rate ~sigma:noise ~seed:fault_seed in
   let db = Substation.Perfdb.build ~faults ?checkpoint ~device program in
@@ -139,9 +136,9 @@ let tune hp device mha op_filter csv_out fault_rate noise fault_seed checkpoint
           | _ -> ()))
     (Substation.Perfdb.op_names db)
 
-let select hp device mha =
+let select hp device mha flash_attn =
   let program =
-    Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:!flash_attn (program_of ~mha hp)
+    Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:flash_attn (program_of ~mha hp)
   in
   let db = Substation.Perfdb.build ~device program in
   let sel = Substation.Selector.select db in
@@ -171,9 +168,9 @@ let compare_frameworks hp device mha =
   if mha then show "cuDNN" (Frameworks.Cudnn_sim.report ~device hp);
   show "Ours" (Frameworks.Ours.report ~device ~workload hp)
 
-let memory hp _device mha =
+let memory hp _device mha flash_attn =
   let program = program_of ~mha hp in
-  let fused = Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:!flash_attn program in
+  let fused = Substation.Fusion.fuse ~name_table:(table_of ~mha) ~attention:flash_attn program in
   let pu = Ops.Memory.profile program in
   let pf = Ops.Memory.profile fused in
   Format.printf "Configuration: %a@.@." Transformer.Hparams.pp hp;
@@ -334,8 +331,8 @@ let train steps lr checkpoint resume interrupt_after =
         (Option.value interrupt_after ~default:0)
         path path
 
-let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
-    no_fallback retries =
+let resilience_demo hp mha flash_attn exec_rate seed deadline_ms
+    kernel_timeout_ms no_fallback retries =
   let program = program_of ~mha hp in
   let plan =
     {
@@ -382,7 +379,7 @@ let resilience_demo hp mha exec_rate seed deadline_ms kernel_timeout_ms
         Guard.with_level guard (fun () ->
             Frameworks.Executor.run ~resilience
               ~check:Frameworks.Executor.No_check
-              (Compile.Regime.current ~attention:!flash_attn ())
+              (Compile.Regime.current ~attention:flash_attn ())
               plan inputs))
   in
   Format.printf "%a@." Frameworks.Executor.pp_run_report report;
@@ -481,15 +478,12 @@ let serve hp trace_spec max_batch max_delay_ms queue_cap deadline_ms real
    plan — per-pass stats, cache behavior, optional
    per-stage SDFG export and bitwise verification against the uncompiled
    interpreter. *)
-let compile_run hp mha do_verify show_trace dot_dir =
-  let params =
-    if mha then Transformer.Mha.param_names else Transformer.Encoder.param_names
-  in
+let compile_run hp mha flash_attn do_verify show_trace dot_dir =
   let keep_stages = dot_dir <> None in
-  let regime = Compile.Regime.current ~attention:!flash_attn () in
+  let regime = Compile.Regime.current ~attention:flash_attn () in
   let go () =
-    Compile.Compiled.compile ~name_table:(table_of ~mha) ~params
-      ~verify:do_verify ~keep_stages regime (program_of ~mha hp)
+    Compile.Compiled.compile ~name_table:(table_of ~mha) ~verify:do_verify
+      ~keep_stages regime (program_of ~mha hp)
   in
   let t0 = Pool.now () in
   let plan = go () in
@@ -534,10 +528,10 @@ let compile_run hp mha do_verify show_trace dot_dir =
 (* [env]: the consolidated SUBSTATION_* environment, one parse point. *)
 let env_dump () = print_string (Substation.Env.describe ())
 
-let faults_campaign hp device mha seed rates sigmas punch =
+let faults_campaign hp device mha flash_attn seed rates sigmas punch =
   let open Substation in
   let program =
-    Fusion.fuse ~name_table:(table_of ~mha) ~attention:!flash_attn (program_of ~mha hp)
+    Fusion.fuse ~name_table:(table_of ~mha) ~attention:flash_attn (program_of ~mha hp)
   in
   Format.printf "fault campaign: %a on %s, seed %d@.@." Transformer.Hparams.pp
     hp device.Gpu.Device.name seed;
@@ -653,13 +647,9 @@ let flash_attn_arg =
            across its contraction barriers, eliding the L x L score \
            containers.")
 
-let flash_attn_setup = Term.(const (fun b -> flash_attn := b) $ flash_attn_arg)
-
 let cmd name doc term =
   Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun () () () r -> r)
-      $ domains_setup $ guard_setup $ flash_attn_setup $ term)
+    Term.(const (fun () () r -> r) $ domains_setup $ guard_setup $ term)
 
 let analyze_cmd =
   cmd "analyze" "Dataflow analysis: flop, data volumes, operator classes."
@@ -667,7 +657,7 @@ let analyze_cmd =
 
 let fuse_cmd =
   cmd "fuse" "Run the fusion pass and report kernels and data-movement savings."
-    Term.(const fuse $ hp_arg $ device_arg $ mha_arg)
+    Term.(const fuse $ hp_arg $ device_arg $ mha_arg $ flash_attn_arg)
 
 let op_arg =
   Arg.(
@@ -714,8 +704,9 @@ let checkpoint_arg =
 let tune_cmd =
   cmd "tune" "Sweep every configuration of every operator (paper Figs. 4-5)."
     Term.(
-      const tune $ hp_arg $ device_arg $ mha_arg $ op_arg $ tune_csv_arg
-      $ fault_rate_arg $ noise_arg $ fault_seed_arg $ checkpoint_arg)
+      const tune $ hp_arg $ device_arg $ mha_arg $ flash_attn_arg $ op_arg
+      $ tune_csv_arg $ fault_rate_arg $ noise_arg $ fault_seed_arg
+      $ checkpoint_arg)
 
 let rates_arg =
   Arg.(
@@ -742,12 +733,13 @@ let faults_cmd =
     "Fault-injection campaign: sweep failure rates x noise levels and report \
      selection-quality degradation vs the clean run."
     Term.(
-      const faults_campaign $ hp_arg $ device_arg $ mha_arg $ fault_seed_arg
+      const faults_campaign $ hp_arg $ device_arg $ mha_arg $ flash_attn_arg
+      $ fault_seed_arg
       $ rates_arg $ sigmas_arg $ punch_arg)
 
 let select_cmd =
   cmd "select" "Global configuration selection via SSSP (paper Fig. 6)."
-    Term.(const select $ hp_arg $ device_arg $ mha_arg)
+    Term.(const select $ hp_arg $ device_arg $ mha_arg $ flash_attn_arg)
 
 let verify_arg =
   Arg.(
@@ -778,10 +770,10 @@ let dot_dir_arg =
 let compile_cmd =
   cmd "compile"
     "Lower a program through the staged compiler pipeline (canonicalize, \
-     DCE/CSE, attention windowing, fusion, memory planning, prepack) and \
-     report the cached plan."
+     DCE/CSE, attention windowing, fusion, memory planning) and report the \
+     cached plan."
     Term.(
-      const compile_run $ hp_arg $ mha_arg $ verify_arg
+      const compile_run $ hp_arg $ mha_arg $ flash_attn_arg $ verify_arg
       $ compile_trace_arg $ dot_dir_arg)
 
 let env_cmd =
@@ -838,7 +830,7 @@ let kv_fusion_cmd =
 
 let memory_cmd =
   cmd "memory" "Activation-memory profile of the training step."
-    Term.(const memory $ hp_arg $ device_arg $ mha_arg)
+    Term.(const memory $ hp_arg $ device_arg $ mha_arg $ flash_attn_arg)
 
 let trace_cmd =
   cmd "trace" "Export the optimized kernel timeline as a Chrome trace."
@@ -983,7 +975,7 @@ let resilience_cmd =
      guarded kernels fall back to the naive oracle and the result is \
      checked bitwise against a clean oracle run."
     Term.(
-      const resilience_demo $ hp_arg $ mha_arg $ exec_rate_arg
+      const resilience_demo $ hp_arg $ mha_arg $ flash_attn_arg $ exec_rate_arg
       $ fault_seed_arg $ deadline_ms_arg $ kernel_timeout_ms_arg
       $ no_fallback_arg $ retries_arg)
 

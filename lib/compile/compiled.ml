@@ -10,7 +10,6 @@ type plan = {
   cache_key : string;
   trace : Pass.stat list;
   memplan : Ops.Memplan.t option;
-  prepack : string list;  (* weight containers registered at execute *)
   attn_sites : Substation.Fusion.attn_site list;
   stages : (string * Ops.Program.t) list;  (* with ~keep_stages *)
   verified : bool;
@@ -58,23 +57,16 @@ let cache_stats () =
 
 let clear_cache () = Lru.clear cache
 
-(* Prepack invalidation for in-place weight updates: the packed-operand
-   registry is keyed on physical arrays, so dropping the stale pack is
-   all a weight update needs — cached plans stay valid (they hold names,
-   not values) and simply re-register on their next execution. *)
-let invalidate_weights tensors = List.iter Einsum.invalidate_prepacked tensors
+(* Kept only for perfbench: a plan holds container names, not values, and
+   no weight image is cached anywhere, so an in-place weight update needs
+   nothing. *)
+let invalidate_weights (_ : Dense.t list) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let execute ?check_op ?wrap_op (plan : plan) inputs =
-  List.iter
-    (fun c ->
-      match List.assoc_opt c inputs with
-      | Some t -> Einsum.register_prepacked t
-      | None -> ())
-    plan.prepack;
   let wrap op body = match wrap_op with Some w -> w op body | None -> body () in
   match plan.memplan with
   | Some mp -> Ops.Memplan.execute ?check_op ?wrap_op mp inputs
@@ -146,7 +138,7 @@ let verify_stage ~pass_name ~reference ~outputs plan inputs =
 (* ------------------------------------------------------------------ *)
 
 (* The name table decides the fused ops' names, so it keys the plan too. *)
-let cache_key_of ~fingerprint ~regime ~name_table ~params =
+let cache_key_of ~fingerprint ~regime ~name_table =
   let digest s = Digest.to_hex (Digest.string s) in
   let names =
     List.map
@@ -155,13 +147,11 @@ let cache_key_of ~fingerprint ~regime ~name_table ~params =
   in
   fingerprint ^ "|" ^ Regime.key regime ^ "|names:"
   ^ digest (String.concat "," names)
-  ^ "|params:"
-  ^ digest (String.concat "," params)
 
-let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
+let build ~name_table ~verify ?verify_inputs ~keep_stages ~fingerprint
     ~cache_key regime source =
   incr compiles;
-  let ctx = Pass.make_ctx ~name_table ~params regime in
+  let ctx = Pass.make_ctx ~name_table regime in
   let interim ~program ~trace ~stages =
     {
       source;
@@ -171,7 +161,6 @@ let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
       cache_key;
       trace = List.rev trace;
       memplan = ctx.Pass.memplan;
-      prepack = ctx.Pass.prepack;
       attn_sites = ctx.Pass.attn_sites;
       stages = List.rev stages;
       verified = false;
@@ -232,15 +221,15 @@ let build ~name_table ~params ~verify ?verify_inputs ~keep_stages ~fingerprint
   let plan = interim ~program ~trace ~stages in
   { plan with verified = verify }
 
-let compile ?device:_ ?(name_table = []) ?(params = []) ?(verify = false)
+let compile ?device:_ ?(name_table = []) ?params:_ ?(verify = false)
     ?verify_inputs ?(keep_stages = false) regime program =
   let fingerprint = Fingerprint.of_program program in
-  let cache_key = cache_key_of ~fingerprint ~regime ~name_table ~params in
+  let cache_key = cache_key_of ~fingerprint ~regime ~name_table in
   match if verify then None else Lru.find cache cache_key with
   | Some plan -> plan
   | None ->
       let plan =
-        build ~name_table ~params ~verify ?verify_inputs ~keep_stages
+        build ~name_table ~verify ?verify_inputs ~keep_stages
           ~fingerprint ~cache_key regime program
       in
       Lru.add cache cache_key plan;

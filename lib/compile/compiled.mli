@@ -3,9 +3,10 @@
     [compile regime program] lowers a program through the standard pass
     pipeline ({!Passes.pipeline}) and returns a {!plan}: the staged
     program plus every non-program artifact the passes produced — the
-    static memory plan, prepack annotations, recognized attention windows,
-    and a per-pass stats trace. Plans are cached in an LRU keyed by
-    (structural program fingerprint x regime x name table x params), so consumers that rebuild structurally-identical programs
+    static memory plan, recognized attention windows, and a per-pass
+    stats trace. Plans are cached in an LRU keyed by (structural program
+    fingerprint x regime x name table), so consumers that rebuild
+    structurally-identical programs
     every step (the training loop, serving sessions) compile once and
     execute many: a cache hit re-runs zero passes (observable through
     {!pass_runs}).
@@ -25,7 +26,6 @@ type plan = {
   cache_key : string;
   trace : Pass.stat list;  (** one entry per executed pass, in order *)
   memplan : Ops.Memplan.t option;
-  prepack : string list;  (** weight containers registered at execute *)
   attn_sites : Substation.Fusion.attn_site list;
   stages : (string * Ops.Program.t) list;  (** with [~keep_stages] *)
   verified : bool;
@@ -35,10 +35,12 @@ type plan = {
     differs from the uncompiled interpreter's in some bit. *)
 exception Verification_failed of { vf_pass : string; vf_container : string }
 
-(** Compile [program] under [regime]. [device] is accepted and ignored:
-    kernels choose their own tiles, so no pass depends on a device.
+(** Compile [program] under [regime]. [device] and [params] are accepted
+    and ignored, kept only for perfbench: kernels choose their own tiles,
+    so no pass depends on a device, and weights are stored in the layout
+    their GEMMs read, so no pass depends on which containers are weights.
     [name_table] names the fused kernels (it is part of the cache key).
-    [params] names the weight containers eligible for prepacking. [verify_inputs] supplies the verification run's inputs
+    [verify_inputs] supplies the verification run's inputs
     (synthesized deterministically from the program's pinned input
     containers when omitted). [keep_stages] records each pass's output
     program (for per-stage SDFG export). Every compile consults and fills
@@ -56,8 +58,8 @@ val compile :
   plan
 
 (** Execute a plan under the ambient backend mode, domain count and
-    guard level: registers prepacked weights and interprets through the
-    memory plan when one was produced (else op-for-op). [check_op op env] runs after each
+    guard level: interprets through the memory plan when one was produced
+    (else op-for-op). [check_op op env] runs after each
     op with its outputs still present (numerical guards); [wrap_op op
     body] wraps each op's execution + check (resilience retries) and must
     call [body] exactly once on the success path. *)
@@ -68,10 +70,9 @@ val execute :
   (string * Dense.t) list ->
   Ops.Op.env
 
-(** Drop the stale packed operands of in-place-updated weight tensors
-    ([Einsum.invalidate_prepacked] on each): cached plans stay valid —
-    they hold container names, not values — and re-register the packs on
-    their next execution. *)
+(** Does nothing; kept only for perfbench. Cached plans hold container
+    names, not values, and nothing caches a weight's contents, so an
+    in-place weight update needs no call. *)
 val invalidate_weights : Dense.t list -> unit
 
 (** {1 Cache and counters} *)

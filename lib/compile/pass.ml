@@ -1,7 +1,6 @@
 (* The typed pass interface: a named rewrite over [Ops.Program.t],
    threaded through a mutable compilation context that accumulates the
-   non-program plan artifacts (attention sites, the memory plan, prepack
-   annotations). *)
+   non-program plan artifacts (attention sites, the memory plan). *)
 
 type stat = {
   st_pass : string;
@@ -16,23 +15,19 @@ type stat = {
 type ctx = {
   regime : Regime.t;
   name_table : (string list * string) list;
-  params : string list;  (* weight containers eligible for prepacking *)
   mutable attn_sites : Substation.Fusion.attn_site list;
   mutable memplan : Ops.Memplan.t option;
-  mutable prepack : string list;  (* containers to register prepacked *)
   mutable note : string;  (* the running pass's [st_note] *)
   mutable peak_override : int option;  (* the planned peak once memory
                                           planning has run *)
 }
 
-let make_ctx ?(name_table = []) ?(params = []) regime =
+let make_ctx ?(name_table = []) regime =
   {
     regime;
     name_table;
-    params;
     attn_sites = [];
     memplan = None;
-    prepack = [];
     note = "";
     peak_override = None;
   }

@@ -18,17 +18,14 @@ type stat = {
 type ctx = {
   regime : Regime.t;
   name_table : (string list * string) list;
-  params : string list;
   mutable attn_sites : Substation.Fusion.attn_site list;
   mutable memplan : Ops.Memplan.t option;
-  mutable prepack : string list;
   mutable note : string;
   mutable peak_override : int option;
 }
 
 val make_ctx :
   ?name_table:(string list * string) list ->
-  ?params:string list ->
   Regime.t ->
   ctx
 

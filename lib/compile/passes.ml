@@ -223,36 +223,6 @@ let memory_plan =
         p);
   }
 
-(* ------------------------------------------------------------------ *)
-(* prepack annotation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let prepack =
-  {
-    Pass.p_name = "prepack";
-    p_enabled = (fun ctx -> ctx.Pass.params <> []);
-    p_rewrite =
-      (fun ctx p ->
-        let written = Hashtbl.create 32 in
-        let contraction_read = Hashtbl.create 32 in
-        List.iter
-          (fun (o : Ops.Op.t) ->
-            List.iter (fun c -> Hashtbl.replace written c ()) o.writes;
-            if Sdfg.Opclass.equal o.cls Sdfg.Opclass.Contraction then
-              List.iter (fun c -> Hashtbl.replace contraction_read c ()) o.reads)
-          p.Ops.Program.ops;
-        ctx.Pass.prepack <-
-          List.filter
-            (fun c ->
-              Hashtbl.mem contraction_read c && not (Hashtbl.mem written c))
-            ctx.Pass.params;
-        if ctx.Pass.prepack <> [] then
-          ctx.Pass.note <-
-            Printf.sprintf "%d weight container(s) annotated"
-              (List.length ctx.Pass.prepack);
-        p);
-  }
-
 (* The standard lowering order. *)
 let pipeline =
   [
@@ -261,5 +231,4 @@ let pipeline =
     attention_window;
     fusion;
     memory_plan;
-    prepack;
   ]

@@ -1,6 +1,5 @@
 (** The standard pass pipeline: canonicalize -> dead-code/CSE ->
-    attention windowing -> generic fusion -> memory planning -> prepack
-    annotation.
+    attention windowing -> generic fusion -> memory planning.
 
     Attention windowing runs {e before} the generic engine (window
     recognition needs the raw [Op.sem] chains, which fusion erases); the
@@ -13,7 +12,6 @@ val dce_cse : Pass.t
 val attention_window : Pass.t
 val fusion : Pass.t
 val memory_plan : Pass.t
-val prepack : Pass.t
 
 (** The passes above, in lowering order. *)
 val pipeline : Pass.t list

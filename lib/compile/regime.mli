@@ -11,10 +11,9 @@ type t = {
 }
 
 (** The full pipeline: DCE/CSE, attention windowing (when [attention],
-    default [true]), fusion, memory planning, and prepack (when params
-    are given). The memory plan drops each intermediate after its last
-    use, so only [keep] + terminal outputs survive in the returned
-    environment. Every [keep] container survives, fused or not: fusion
+    default [true]), fusion and memory planning. The memory plan drops
+    each intermediate after its last use, so only [keep] + terminal
+    outputs survive in the returned environment. Every [keep] container survives, fused or not: fusion
     treats it as read outside its group, and no attention window forms
     around it. *)
 val current : ?attention:bool -> ?keep:string list -> unit -> t

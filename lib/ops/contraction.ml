@@ -162,11 +162,14 @@ let grouped ~name ?(scale = 1.0) ~dims ?(backward = false) ~group_role
     invalid_arg "Contraction.grouped: accumulate requires a single output";
   let run env =
     if accumulate then begin
-      let results = List.map (fun p -> run_part env ~scale p) parts in
-      match results with
-      | [] -> assert false
-      | first :: rest ->
-          Op.store env (List.hd writes) (List.fold_left Dense.add first rest)
+      (* The first part's result is fresh, so the later parts are summed
+         into it in place, left to right: the Dense.add fold's bits
+         without a new array per part. *)
+      let acc = run_part env ~scale (List.hd parts) in
+      List.iter
+        (fun p -> Dense.add_into acc (run_part env ~scale p))
+        (List.tl parts);
+      Op.store env (List.hd writes) acc
     end
     else
       List.iter (fun p -> Op.store env p.output (run_part env ~scale p)) parts

@@ -161,13 +161,8 @@ let to_json t =
         e.Einsum.hits e.Einsum.misses e.Einsum.evictions e.Einsum.entries
         e.Einsum.capacity;
       Printf.sprintf
-        "\"arena\":{\"retained_floats\":%d,\"classes\":%d,\"evictions\":%d,\"capacity_floats\":%d,\"live_floats\":%d,\"peak_floats\":%d},"
+        "\"arena\":{\"retained_floats\":%d,\"classes\":%d,\"evictions\":%d,\"capacity_floats\":%d,\"live_floats\":%d,\"peak_floats\":%d}"
         a.Arena.retained_floats a.Arena.classes a.Arena.evictions
         a.Arena.capacity_floats a.Arena.live_floats a.Arena.peak_floats;
-      (let p = Einsum.prepack_stats () in
-       Printf.sprintf
-         "\"prepack\":{\"registered\":%d,\"images\":%d,\"floats\":%d,\"hits\":%d,\"builds\":%d}"
-         p.Einsum.pp_registered p.Einsum.pp_images p.Einsum.pp_floats
-         p.Einsum.pp_hits p.Einsum.pp_builds);
       "}";
     ]

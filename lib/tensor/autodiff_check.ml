@@ -1,6 +1,3 @@
-(* Perturbing [x] in place mutates it behind any cache keyed on its data
-   array, so each probe drops [x]'s prepacked GEMM images — the same
-   contract an optimizer's in-place update honors. *)
 let numerical_gradient ?(eps = 1e-5) ~f x =
   let grad = Dense.copy x in
   let data = Dense.unsafe_data x in
@@ -8,15 +5,12 @@ let numerical_gradient ?(eps = 1e-5) ~f x =
   for i = 0 to Array.length data - 1 do
     let saved = data.(i) in
     data.(i) <- saved +. eps;
-    Einsum.invalidate_prepacked x;
     let fp = f x in
     data.(i) <- saved -. eps;
-    Einsum.invalidate_prepacked x;
     let fm = f x in
     data.(i) <- saved;
     out.(i) <- (fp -. fm) /. (2.0 *. eps)
   done;
-  Einsum.invalidate_prepacked x;
   grad
 
 let check ?eps ?(tol = 1e-4) ~f ~grad x =

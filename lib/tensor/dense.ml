@@ -156,6 +156,16 @@ let map2 f t1 t2 =
   { t1 with data = Array.map2 f t1.data t2.data }
 
 let add = map2 ( +. )
+
+let add_into dst src =
+  if not (Shape.same_semantics dst.shape src.shape) then
+    invalid_arg "Dense.add_into: shapes differ semantically";
+  let s = if Shape.equal dst.shape src.shape then src else align src dst in
+  for i = 0 to Array.length dst.data - 1 do
+    Array.unsafe_set dst.data i
+      (Array.unsafe_get dst.data i +. Array.unsafe_get s.data i)
+  done
+
 let sub = map2 ( -. )
 let mul = map2 ( *. )
 let scale s t = map (fun v -> s *. v) t

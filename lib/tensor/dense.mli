@@ -64,6 +64,11 @@ val rename_axes : t -> (Axis.t * Axis.t) list -> t
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
+
+(** [add_into dst src] is [add dst src] written into [dst]'s storage:
+    the same sums, bit for bit, with no new array. *)
+val add_into : t -> t -> unit
+
 val sub : t -> t -> t
 val mul : t -> t -> t
 val scale : float -> t -> t

@@ -362,122 +362,13 @@ let dot idx strides =
   done;
   !acc
 
-(* ------------------------------------------------------------------ *)
-(* Weight prepacking: parameters contracted through a non-direct view
-   (e.g. the decode out-projection "whi,whbj->ibj", whose [i,w,h] row view
-   walks wo stored (w,h,i)) are re-packed into GEMM scratch on every call.
-   For weights that pack is identical every time — the operand is the
-   whole tensor (all batch strides 0) and [pack] is a pure strided copy —
-   so registered tensors keep one packed image per view signature, built
-   on first use and reused until the optimizer mutates the weight. This
-   removes the dominant per-token data movement of serving decode GEMVs.
+(* Kept only for perfbench, which still reads these counters. No weight
+   image is packed ahead of time any more (each weight is stored in the
+   layout its GEMM reads), so both counters stay zero. *)
+type prepack_stats = { pp_hits : int; pp_builds : int }
 
-   Registration is keyed by physical identity of the data array (the
-   optimizer mutates parameters in place), bounded FIFO so throwaway test
-   models cannot leak. Lookup on the hot path is lock-free over immutable
-   snapshots; insertions take a mutex (autotune sweeps contract in
-   parallel). *)
-
-type prepack_entry = {
-  pp_data : float array;  (* identity key: the registered tensor's storage *)
-  mutable pp_packs : (string * float array) list;  (* view signature -> image *)
-}
-
-type prepack_stats = {
-  pp_registered : int;
-  pp_images : int;
-  pp_floats : int;  (* floats held by packed images *)
-  pp_hits : int;
-  pp_builds : int;
-}
-
-let prepack_capacity = 1024
-let prepack_reg : prepack_entry list ref = ref []
-let prepack_on = ref true
-let prepack_hits = ref 0
-let prepack_builds = ref 0
-let prepack_mutex = Mutex.create ()
-
-let rec take n = function
-  | [] -> []
-  | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-
-let prepack_find data =
-  List.find_opt (fun e -> e.pp_data == data) !prepack_reg
-
-let register_prepacked t =
-  let data = Dense.unsafe_data t in
-  Mutex.protect prepack_mutex (fun () ->
-      if prepack_find data = None then
-        prepack_reg :=
-          take prepack_capacity ({ pp_data = data; pp_packs = [] } :: !prepack_reg))
-
-let invalidate_prepacked t =
-  let data = Dense.unsafe_data t in
-  Mutex.protect prepack_mutex (fun () ->
-      match prepack_find data with
-      | Some e -> e.pp_packs <- []
-      | None -> ())
-
-let clear_prepacked () =
-  Mutex.protect prepack_mutex (fun () ->
-      prepack_reg := [];
-      prepack_hits := 0;
-      prepack_builds := 0)
-
-let set_prepack_enabled b = prepack_on := b
-
-let prepack_stats () =
-  let reg = !prepack_reg in
-  let images = List.fold_left (fun acc e -> acc + List.length e.pp_packs) 0 reg in
-  let floats =
-    List.fold_left
-      (fun acc e ->
-        List.fold_left (fun a (_, b) -> a + Array.length b) acc e.pp_packs)
-      0 reg
-  in
-  {
-    pp_registered = List.length reg;
-    pp_images = images;
-    pp_floats = floats;
-    pp_hits = !prepack_hits;
-    pp_builds = !prepack_builds;
-  }
-
-let view_sig view =
-  let buf = Buffer.create 32 in
-  Array.iter (fun d -> Buffer.add_string buf (string_of_int d); Buffer.add_char buf ',') view.vdims;
-  Buffer.add_char buf '/';
-  Array.iter (fun s -> Buffer.add_string buf (string_of_int s); Buffer.add_char buf ',') view.vstrides;
-  Buffer.contents buf
-
-(* The packed image of [data] through [view], when [data] is registered
-   and the operand's batch strides are all zero (the pack then starts at
-   offset 0 for every batch, so one image serves the whole contraction,
-   bitwise-identical to the per-call [pack]). *)
-let prepacked_for data bstrides view count =
-  if (not !prepack_on) || not (Array.for_all (fun s -> s = 0) bstrides) then None
-  else
-    match prepack_find data with
-    | None -> None
-    | Some e -> (
-        let key = view_sig view in
-        match List.assoc_opt key e.pp_packs with
-        | Some img ->
-            incr prepack_hits;
-            Some img
-        | None ->
-            Mutex.protect prepack_mutex (fun () ->
-                match List.assoc_opt key e.pp_packs with
-                | Some img ->
-                    incr prepack_hits;
-                    Some img
-                | None ->
-                    let img = Array.make count 0.0 in
-                    pack data 0 view img count;
-                    e.pp_packs <- (key, img) :: e.pp_packs;
-                    incr prepack_builds;
-                    Some img))
+let prepack_stats () = { pp_hits = 0; pp_builds = 0 }
+let clear_prepacked () = ()
 
 (* Below this total multiply-accumulate volume a batch-parallel region is
    not worth dispatching. *)
@@ -493,18 +384,8 @@ let run_matmul p ~scale inputs =
   let mm = p.mm and nn = p.nn and kk = p.kk in
   let nb = Array.length p.batch_dims in
   let nbatches = Array.fold_left ( * ) 1 p.batch_dims in
-  (* Resolve prepacked operand images before the (possibly parallel) batch
-     sweep so workers never race on the registry. *)
-  let row_pre =
-    if p.row_view.direct then None
-    else prepacked_for rdata p.row_batch_strides p.row_view (mm * kk)
-  in
-  let col_pre =
-    if p.col_view.direct then None
-    else prepacked_for cdata p.col_batch_strides p.col_view (kk * nn)
-  in
-  let a_sz = if p.row_view.direct || row_pre <> None then 0 else mm * kk in
-  let b_sz = if p.col_view.direct || col_pre <> None then 0 else kk * nn in
+  let a_sz = if p.row_view.direct then 0 else mm * kk in
+  let b_sz = if p.col_view.direct then 0 else kk * nn in
   let c_sz = if p.out_view.direct then 0 else mm * nn in
   (* One worker's batch sub-range [b_lo, b_hi). Offsets start from the
      decomposed linear index and then bump incrementally exactly as the
@@ -523,21 +404,17 @@ let run_matmul p ~scale inputs =
                 for _ = b_lo + 1 to b_hi do
                   let a, a_off =
                     if p.row_view.direct then (rdata, !r_off)
-                    else
-                      match row_pre with
-                      | Some img -> (img, 0)
-                      | None ->
-                          pack rdata !r_off p.row_view a_buf (mm * kk);
-                          (a_buf, 0)
+                    else begin
+                      pack rdata !r_off p.row_view a_buf (mm * kk);
+                      (a_buf, 0)
+                    end
                   in
                   let b, b_off =
                     if p.col_view.direct then (cdata, !c_off)
-                    else
-                      match col_pre with
-                      | Some img -> (img, 0)
-                      | None ->
-                          pack cdata !c_off p.col_view b_buf (kk * nn);
-                          (b_buf, 0)
+                    else begin
+                      pack cdata !c_off p.col_view b_buf (kk * nn);
+                      (b_buf, 0)
+                    end
                   in
                   if p.out_view.direct then begin
                     (* out starts zeroed, so accumulate-in-place is assignment *)

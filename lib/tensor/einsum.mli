@@ -60,38 +60,16 @@ type cache_stats = {
 
 val cache_stats : unit -> cache_stats
 
-(** {1 Weight prepacking}
+(** {1 Kept only for perfbench}
 
-    A parameter contracted through a non-direct matrix view (a layout the
-    GEMM cannot stream directly, e.g. the decode out-projection
-    "whi,whbj->ibj") is normally re-packed into arena scratch on every
-    call. [register_prepacked] marks a tensor as long-lived: the packed
-    image is built once per view signature on first use and reused —
-    bitwise-identical to the per-call pack — until [invalidate_prepacked]
-    (called by the optimizer after an in-place weight update) drops the
-    images. Registration keys on physical identity of the data array and
-    is bounded (FIFO, 1024 tensors). *)
+    No weight image is packed ahead of time: each weight is stored in the
+    layout its GEMM reads in place. perfbench still reads these two
+    names; the stats are always zero and the clear does nothing. *)
 
-val register_prepacked : Dense.t -> unit
-val invalidate_prepacked : Dense.t -> unit
-
-(** Drop every registration and packed image (tests / benches). *)
-val clear_prepacked : unit -> unit
-
-(** Disable/enable prepacked-image use globally (default enabled). Off,
-    every call packs per call: the reference path the tests compare
-    prepacked results against. Registrations are kept. *)
-val set_prepack_enabled : bool -> unit
-
-type prepack_stats = {
-  pp_registered : int;  (** tensors registered *)
-  pp_images : int;  (** packed images currently held *)
-  pp_floats : int;  (** floats held by those images *)
-  pp_hits : int;  (** contractions served by a prepacked image *)
-  pp_builds : int;  (** images built *)
-}
+type prepack_stats = { pp_hits : int; pp_builds : int }
 
 val prepack_stats : unit -> prepack_stats
+val clear_prepacked : unit -> unit
 
 (** [flops spec ~size] is the number of floating-point operations (2 x the
     loop volume: one multiply and one accumulate) for the contraction when

@@ -88,13 +88,16 @@ let grow c =
    projections (dims (p,h,b,k=1) / (w,h,b,k=1)) onto the cache. *)
 let cache_append c ~k ~v ~b =
   if c.len = c.cap then grow c;
+  let kd = Dense.unsafe_data k and vd = Dense.unsafe_data v in
+  let ks = Dense.strides_for k [ "p"; "h"; "b" ]
+  and vs = Dense.strides_for v [ "w"; "h"; "b" ] in
   for pi = 0 to c.ph - 1 do
     for hi = 0 to c.hh - 1 do
       let r = (pi * c.hh) + hi in
       c.ck.((r * c.cap) + c.len) <-
-        Dense.get k [ ("p", pi); ("h", hi); ("b", b); ("k", 0) ];
+        kd.((pi * ks.(0)) + (hi * ks.(1)) + (b * ks.(2)));
       c.cv.((r * c.cap) + c.len) <-
-        Dense.get v [ ("w", pi); ("h", hi); ("b", b); ("k", 0) ]
+        vd.((pi * vs.(0)) + (hi * vs.(1)) + (b * vs.(2)))
     done
   done;
   c.len <- c.len + 1
@@ -131,6 +134,8 @@ let attend (hp : Hparams.t) ~params ~caches x =
   let assemble axis0 cache_of newcol =
     let t = Dense.zeros [ (axis0, ph); ("h", hh); ("b", nb); ("k", lmax) ] in
     let data = Dense.unsafe_data t in
+    let nd = Dense.unsafe_data newcol
+    and ns = Dense.strides_for newcol [ axis0; "h"; "b" ] in
     for pi = 0 to ph - 1 do
       for hi = 0 to hh - 1 do
         let r = (pi * hh) + hi in
@@ -139,7 +144,7 @@ let attend (hp : Hparams.t) ~params ~caches x =
           let base = ((r * nb) + b) * lmax in
           Array.blit (cache_of c) (r * c.cap) data base c.len;
           data.(base + c.len) <-
-            Dense.get newcol [ (axis0, pi); ("h", hi); ("b", b); ("k", 0) ]
+            nd.((pi * ns.(0)) + (hi * ns.(1)) + (b * ns.(2)))
         done
       done
     done;
@@ -177,10 +182,7 @@ let attend (hp : Hparams.t) ~params ~caches x =
             ~k:kkb_pad ~v:vvb_pad ())
     else naive_gam ()
   in
-  (* The out-projection reads [wo] through a non-direct row view ([i;w;h]
-     over (w,h,i) storage), which the GEMM would otherwise re-pack into
-     arena scratch on every decoded token — the dominant per-token cost of
-     a decode GEMV. [wo] is registered prepacked at {!Params.init}, so
-     einsum reuses the one packed image until the optimizer updates it. *)
+  (* {!Params.init} stores [wo] as (i,w,h), the row view this GEMM reads,
+     so a decoded token packs no weight. *)
   let attn = Einsum.eval "whi,whbj->ibj" [ p "wo"; gam ] in
   (Dense.add_bcast attn (p "bo"), kkb, vvb)

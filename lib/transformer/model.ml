@@ -12,13 +12,7 @@ let create ?(n_layers = 2) ?(vocab = 16) (hp : Hparams.t) =
     hp;
     vocab;
     n_layers;
-    embedding =
-      (let e =
-         Dense.randn prng [ ("v", vocab); ("i", hp.embed) ] ~stddev:0.05
-       in
-       (* The tied output head contracts the embedding every step. *)
-       Einsum.register_prepacked e;
-       e);
+    embedding = Dense.randn prng [ ("v", vocab); ("i", hp.embed) ] ~stddev:0.05;
     layer_params =
       Array.init n_layers (fun layer ->
           let hp_l =
@@ -74,8 +68,8 @@ let layer_plans hp ~activation ~causal =
       ("x" :: List.filter (fun c -> List.mem c written) read)
   in
   let plan regime ops =
-    Compile.Compiled.compile ~name_table:Encoder.kernel_names
-      ~params:Encoder.param_names regime (Ops.Program.replace_ops p ops)
+    Compile.Compiled.compile ~name_table:Encoder.kernel_names regime
+      (Ops.Program.replace_ops p ops)
   in
   ( plan (Compile.Regime.current ~keep:saved ()) fwd,
     plan (Compile.Regime.current ()) bwd )
@@ -190,9 +184,7 @@ let cross_entropy ~logits ~targets =
 
 let update_in_place p g ~lr =
   let pd = Dense.unsafe_data p and gd = Dense.unsafe_data (Dense.align g p) in
-  Array.iteri (fun i v -> pd.(i) <- v -. (lr *. gd.(i))) (Array.copy pd);
-  (* the weight changed under any prepacked GEMM images: drop them *)
-  Einsum.invalidate_prepacked p
+  Array.iteri (fun i v -> pd.(i) <- v -. (lr *. gd.(i))) (Array.copy pd)
 
 (* [f p g name layer] for every layer parameter [p] with a gradient [g]. *)
 let iter_layer_grads m grads f =
@@ -245,8 +237,7 @@ let adam_update ~beta1 ~beta2 ~eps ~lr ~step p g m1 v =
     vd.(i) <- (beta2 *. vd.(i)) +. ((1.0 -. beta2) *. gd.(i) *. gd.(i));
     let mhat = md.(i) /. c1 and vhat = vd.(i) /. c2 in
     pd.(i) <- pd.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
-  done;
-  Einsum.invalidate_prepacked p
+  done
 
 let adam_step ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) m state grads ~lr =
   state.step <- state.step + 1;
@@ -277,7 +268,7 @@ let snapshot m =
   let s_layers = copy_layers m.layer_params in
   { s_embedding = copy_buffer m.embedding; s_layers }
 
-(* Blit [src] into tensor [t] in place, dropping any stale packed image. *)
+(* Blit [src] into tensor [t] in place. *)
 let blit_into ~what src t =
   let dst = Dense.unsafe_data t in
   if Array.length src <> Array.length dst then
@@ -286,8 +277,7 @@ let blit_into ~what src t =
          "Model.restore: snapshot buffer %s has %d elements, model has %d \
           (snapshot from a different model?)"
          what (Array.length src) (Array.length dst));
-  Array.blit src 0 dst 0 (Array.length src);
-  Einsum.invalidate_prepacked t
+  Array.blit src 0 dst 0 (Array.length src)
 
 let restore_layers ~what snap live =
   if Array.length snap <> Array.length live then

@@ -18,10 +18,10 @@ let init (hp : Hparams.t) =
         else if name.[0] = 'b' then Dense.zeros dims
         else Dense.randn prng dims ~stddev
       in
-      (* Weights are long-lived GEMM operands: register them so einsum
-         packs each needed layout once instead of on every call (the
-         optimizer invalidates the images on in-place updates). *)
-      if name.[0] = 'w' then Einsum.register_prepacked value;
+      (* The out-projection "whi,whbj->ibj" reads wo in place as (i,w,h). *)
+      let value =
+        if name = "wo" then Dense.permute value [ "i"; "w"; "h" ] else value
+      in
       (name, value))
     Encoder.param_names
 

@@ -4,7 +4,9 @@
     standard deviation; biases start at zero; layer-norm gains at one.
     Initialization is deterministic in the hyperparameters' seed. *)
 
-(** [init hp] returns bindings for every name in {!Encoder.param_names}. *)
+(** [init hp] returns bindings for every name in {!Encoder.param_names}.
+    Each value is drawn in its declared order; [wo] is then stored as
+    (i,w,h), the layout the out-projection GEMM reads in place. *)
 val init : Hparams.t -> (string * Dense.t) list
 
 (** [random_input hp prng] draws an embedding-scaled input [x]. *)

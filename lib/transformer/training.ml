@@ -23,7 +23,9 @@ let step m ~tokens ~targets ~lr =
 
 (* --- crash-safe step checkpoints ------------------------------------ *)
 
-let checkpoint_magic = "SUBSTATION-TRAIN-CKPT/1"
+(* /2: [wo]'s buffer is stored (i,w,h), so a /1 buffer would restore
+   permuted. *)
+let checkpoint_magic = "SUBSTATION-TRAIN-CKPT/2"
 
 (* Everything one step boundary needs to resume bitwise: completed-step
    count, the losses so far, the PRNG counter (so the next batch draw is

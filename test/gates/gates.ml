@@ -151,25 +151,6 @@ let gate_kv_cache m =
     (bitwise && speedup >= 5.0)
     (Printf.sprintf "%.2fx, bitwise %b" speedup bitwise)
 
-let gate_prepack m =
-  let steps = 48 and reps = 3 in
-  let on = ref [||] and off = ref [||] in
-  let timed cols () =
-    Fastmode.with_mode true (fun () ->
-        best_of ~reps (fun () -> cols := cached_decode m ~steps))
-  in
-  let t_on = timed on () in
-  Einsum.set_prepack_enabled false;
-  let t_off =
-    Fun.protect ~finally:(fun () -> Einsum.set_prepack_enabled true) (timed off)
-  in
-  let bitwise = Array.for_all2 bits_equal !on !off in
-  let speedup = t_off /. t_on in
-  verdict "prepacked decode >= 1.0x per-call packing"
-    (bitwise && speedup >= 1.0)
-    (Printf.sprintf "%.2fx (%.0f vs %.0f tokens/s), bitwise %b" speedup
-       (float_of_int steps /. t_on) (float_of_int steps /. t_off) bitwise)
-
 (* ------------------------------------------------------------------ *)
 (* Streaming attention vs the unfused chain                             *)
 (* ------------------------------------------------------------------ *)
@@ -246,7 +227,6 @@ let () =
   gate_parallel_floor run;
   let m = decode_model () in
   gate_kv_cache m;
-  gate_prepack m;
   gate_attention ();
   if !failed > 0 then begin
     Printf.printf "%d gate(s) failed\n" !failed;

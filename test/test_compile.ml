@@ -3,7 +3,7 @@
    encoder/decoder geometries, fast and naive backends, serial and
    parallel pools, and with the kernel guard's oracle fallback engaged;
    the plan cache must hit with zero pass re-runs and stay valid across
-   in-place weight mutation (prepack invalidation); and a compiled
+   in-place weight mutation; and a compiled
    attention window's forward must be bitwise exact however it was
    compiled. *)
 
@@ -28,7 +28,6 @@ let layer_inputs hp seed =
 
 let compile_current ?(attention = true) program =
   Compile.Compiled.compile ~name_table:Transformer.Encoder.kernel_names
-    ~params:Transformer.Encoder.param_names
     (Compile.Regime.current ~attention ())
     program
 
@@ -41,7 +40,7 @@ let verify_program ~name hp program =
   let inputs = layer_inputs hp (Int64.of_int (Hashtbl.hash name)) in
   let plan =
     Compile.Compiled.compile ~name_table:Transformer.Encoder.kernel_names
-      ~params:Transformer.Encoder.param_names ~verify:true
+      ~verify:true
       ~verify_inputs:inputs
       (Compile.Regime.current ())
       program
@@ -51,8 +50,8 @@ let verify_program ~name hp program =
     (name ^ ": every pass traced")
     true
     (List.length plan.Compile.Compiled.trace >= 5);
-  (* the planned peak carries forward: no row after memory planning falls
-     back to the allocate-everything sum *)
+  (* the memory-plan row, and any row after it, reports the planned peak
+     instead of falling back to the allocate-everything sum *)
   let planned =
     match plan.Compile.Compiled.memplan with
     | Some mp -> (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats
@@ -65,8 +64,8 @@ let verify_program ~name hp program =
         else from_memory_plan rest
   in
   let rows = from_memory_plan plan.Compile.Compiled.trace in
-  check_bool (name ^ ": trace has rows after memory-plan") true
-    (List.length rows >= 2);
+  check_bool (name ^ ": trace has a memory-plan row") true
+    (List.length rows >= 1);
   List.iter
     (fun (s : Compile.Pass.stat) ->
       check_int
@@ -205,18 +204,17 @@ let test_cache_weight_mutation () =
   let y1 =
     Dense.copy (Ops.Op.lookup (Compile.Compiled.execute plan inputs) "y")
   in
-  (* mutate a prepacked weight in place, as an optimizer step would *)
+  (* mutate a weight in place, as an optimizer step would *)
   let w1 = List.assoc "w1" inputs in
   let data = Dense.unsafe_data w1 in
   Array.iteri (fun i v -> data.(i) <- v *. 1.5) (Array.copy data);
-  Compile.Compiled.invalidate_weights [ w1 ];
   (* the cached plan stays valid (zero re-compiles) and the next execute
-     re-registers the pack, reproducing the uncompiled interpreter on the
-     mutated weights bitwise *)
+     reproduces the uncompiled interpreter on the mutated weights
+     bitwise *)
   let runs = Compile.Compiled.pass_runs () in
   let plan' = compile_current program in
   check_bool "plan survives the weight update" true (plan' == plan);
-  check_int "no re-planning after invalidation" runs
+  check_int "no re-planning after the weight update" runs
     (Compile.Compiled.pass_runs ());
   let y2 = Ops.Op.lookup (Compile.Compiled.execute plan' inputs) "y" in
   let oracle =
@@ -318,7 +316,6 @@ let test_attention_exact_any_compile () =
   let compile device =
     Compile.Compiled.compile ?device
       ~name_table:Transformer.Encoder.kernel_names
-      ~params:Transformer.Encoder.param_names
       (Compile.Regime.current ())
       program
   in

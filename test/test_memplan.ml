@@ -1,11 +1,12 @@
-(* Tests for the static memory planner and weight prepacking: planned
+(* Tests for the static memory planner and weight layouts: planned
    execution (drop each container after its last use) must be
    bitwise-equal to the allocate-everything oracle (serial and parallel,
    fast and naive, unfused and fused), the reported planned peak must be
-   the peak the planned environment really holds, prepacked GEMM images
-   must match per-call packing bitwise and survive optimizer updates via
-   invalidation, and the einsum plan cache must key on shapes and layouts
-   only (one plan serves every domain count). *)
+   the peak the planned environment really holds, the out-projection GEMM
+   must read [wo] in place as [Params.init] stores it, with the same bits
+   as the declared layout through decode and optimizer updates, and the
+   einsum plan cache must key on shapes and layouts only (one plan serves
+   every domain count). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -333,44 +334,7 @@ let test_plan_cache_keys_on_domains () =
   check_bool "same result under either regime" true
     (bits_equal r1 r4 && bits_equal r1 r1')
 
-(* ---------------- weight prepacking ---------------- *)
-
-let test_prepack_bitwise_and_invalidation () =
-  Einsum.clear_prepacked ();
-  let prng = Prng.create 31L in
-  (* decode out-projection shape: "whi,whbj->ibj" reads wo through a
-     non-direct row view, the prepack target *)
-  let wo =
-    Dense.rand prng [ ("w", 4); ("h", 3); ("i", 5) ] ~lo:(-1.0) ~hi:1.0
-  in
-  let g = Dense.rand prng [ ("w", 4); ("h", 3); ("b", 2); ("j", 6) ] ~lo:(-1.0) ~hi:1.0 in
-  let out = [ "i"; "b"; "j" ] in
-  let fresh () = Einsum.contract ~fast:true [ wo; g ] ~out in
-  let baseline = fresh () in
-  Einsum.register_prepacked wo;
-  let s0 = Einsum.prepack_stats () in
-  let first = fresh () in
-  let second = fresh () in
-  let s1 = Einsum.prepack_stats () in
-  check_bool "prepacked result bitwise equals per-call packing" true
-    (bits_equal baseline first && bits_equal baseline second);
-  check_bool "image built once" true
-    (s1.Einsum.pp_builds = s0.Einsum.pp_builds + 1);
-  check_bool "second call hit the image" true (s1.Einsum.pp_hits > s0.Einsum.pp_hits);
-  (* in-place weight mutation + invalidation -> image rebuilt, result
-     tracks the new weight *)
-  (Dense.unsafe_data wo).(0) <- 2.5;
-  Einsum.invalidate_prepacked wo;
-  let updated = fresh () in
-  Einsum.set_prepack_enabled false;
-  let reference =
-    Fun.protect
-      ~finally:(fun () -> Einsum.set_prepack_enabled true)
-      fresh
-  in
-  check_bool "post-update result tracks the mutated weight" true
-    (bits_equal updated reference);
-  Einsum.clear_prepacked ()
+(* ---------------- weight layout ---------------- *)
 
 let model_hp =
   { (Transformer.Hparams.with_dropout tiny 0.0) with
@@ -378,59 +342,91 @@ let model_hp =
     seq = 4;
   }
 
-let test_decode_prepack_on_off_bitwise () =
-  (* KV-cached decode (decode_batch -> Mha.attend) reads the wo
-     out-projection through the non-direct view the prepack targets. *)
-  let m = Transformer.Model.create ~n_layers:1 ~vocab:7 model_hp in
-  let prompt = [| 1; 3; 2; 5 |] in
-  let decode_run () =
+(* [m] with every layer's [wo] re-stored in its declared (w,h,i) order,
+   the layout the out-projection GEMM cannot read in place. *)
+let with_declared_wo (m : Transformer.Model.t) =
+  Array.iteri
+    (fun l params ->
+      m.Transformer.Model.layer_params.(l) <-
+        List.map
+          (fun (n, t) ->
+            if n = "wo" then (n, Dense.permute t [ "w"; "h"; "i" ]) else (n, t))
+          params)
+    m.Transformer.Model.layer_params;
+  m
+
+let test_out_projection_reads_wo_in_place () =
+  let hp = model_hp in
+  let wo = List.assoc "wo" (Transformer.Params.init hp) in
+  let gam =
+    Dense.rand (Prng.create 31L)
+      [ ("w", hp.proj); ("h", hp.heads); ("b", 2); ("j", 1) ]
+      ~lo:(-1.0) ~hi:1.0
+  in
+  let scratch wo =
+    Arena.reset_peak Arena.global;
+    let r = Einsum.eval ~fast:true "whi,whbj->ibj" [ wo; gam ] in
+    ((Arena.stats Arena.global).Arena.peak_floats, r)
+  in
+  let peak, r = scratch wo in
+  let peak_declared, r_declared = scratch (Dense.permute wo [ "w"; "h"; "i" ]) in
+  check_int "wo as Params.init stores it borrows no packing scratch" 0 peak;
+  check_bool "wo stored (w,h,i) is packed through scratch" true
+    (peak_declared > 0);
+  check_bool "both layouts give the same bits" true (bits_equal r r_declared)
+
+let test_decode_wo_layouts_bitwise () =
+  (* KV-cached decode (decode_batch -> Mha.attend) runs the
+     out-projection once per token. *)
+  let decode_run m =
     let s = Transformer.Model.new_session m in
     Fastmode.with_mode true (fun () ->
-        Array.to_list prompt
+        [ 1; 3; 2; 5 ]
         |> List.concat_map (fun tok ->
                Array.to_list
                  (Transformer.Model.logits_column
                     (Transformer.Model.decode_batch m [| s |] ~tokens:[| tok |])
                     ~b:0)))
   in
-  let s0 = Einsum.prepack_stats () in
-  let on = decode_run () in
-  let s1 = Einsum.prepack_stats () in
-  Einsum.set_prepack_enabled false;
-  let off =
-    Fun.protect ~finally:(fun () -> Einsum.set_prepack_enabled true) decode_run
-  in
-  check_bool "decode served from prepacked images" true
-    (s1.Einsum.pp_hits > s0.Einsum.pp_hits);
-  check_bool "decode logits bitwise equal with prepack on/off" true
+  let create () = Transformer.Model.create ~n_layers:1 ~vocab:7 model_hp in
+  check_bool "decode logits bitwise equal for wo (i,w,h) and (w,h,i)" true
     (List.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       on off)
+       (decode_run (create ()))
+       (decode_run (with_declared_wo (create ()))))
 
-let test_optimizer_update_repacks () =
-  (* identical models; one steps with prepack enabled, the other with the
-     feature off entirely. In-place updates must invalidate the images, so
-     the post-update logits agree bitwise. *)
-  let run_with_prepack enabled =
-    Einsum.set_prepack_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Einsum.set_prepack_enabled true)
-      (fun () ->
-        let m = Transformer.Model.create ~n_layers:1 ~vocab:5 model_hp in
-        let tokens = [| [| 1; 2; 3; 0 |]; [| 4; 0; 2; 1 |] |] in
-        ignore (Transformer.Training.step m ~tokens ~targets:tokens ~lr:0.1);
-        ignore (Transformer.Training.step m ~tokens ~targets:tokens ~lr:0.1);
-        (Transformer.Model.forward m ~tokens).Transformer.Model.logits)
+let test_optimizer_updates_across_wo_layouts () =
+  (* two SGD steps, then one Adam step: each update aligns the gradient to
+     the parameter's own layout, so the wo layout changes no bit *)
+  let train m =
+    let tokens = [| [| 1; 2; 3; 0 |]; [| 4; 0; 2; 1 |] |] in
+    ignore (Transformer.Training.step m ~tokens ~targets:tokens ~lr:0.1);
+    ignore (Transformer.Training.step m ~tokens ~targets:tokens ~lr:0.1);
+    let cache = Transformer.Model.forward m ~tokens in
+    let _, d_logits =
+      Transformer.Model.cross_entropy ~logits:cache.Transformer.Model.logits
+        ~targets:tokens
+    in
+    let grads = Transformer.Model.backward m cache ~d_logits in
+    Transformer.Model.adam_step m (Transformer.Model.adam_init m) grads ~lr:0.01;
+    ( (Transformer.Model.forward m ~tokens).Transformer.Model.logits,
+      List.assoc "wo" m.Transformer.Model.layer_params.(0) )
   in
-  let with_pp = run_with_prepack true in
-  let without_pp = run_with_prepack false in
-  check_bool "two SGD steps with prepack == without, bitwise" true
-    (bits_equal with_pp without_pp)
+  List.iter
+    (fun p ->
+      let hp = Transformer.Hparams.with_dropout model_hp p in
+      let create () = Transformer.Model.create ~n_layers:1 ~vocab:5 hp in
+      let logits, wo = train (create ()) in
+      let logits', wo' = train (with_declared_wo (create ())) in
+      check_bool
+        (Printf.sprintf "SGD+Adam across wo layouts bitwise (dropout %g)" p)
+        true
+        (bits_equal logits logits' && bits_equal wo wo'))
+    [ 0.0; 0.1 ]
 
 let test_interrupted_training_then_planned_run () =
-  (* a crash/resume cycle (which restores weights in place, invalidating
-     any prepacked images) followed by planned execution over the restored
-     weights: everything stays bitwise-equal to the uninterrupted path *)
+  (* a crash/resume cycle (which restores weights in place) followed by
+     planned execution over the restored weights: everything stays bitwise-equal to the uninterrupted path *)
   let ckpt = Filename.temp_file "substation-memplan" ".ckpt" in
   Sys.remove ckpt;
   let steps = 3 and lr = 0.05 in
@@ -495,14 +491,14 @@ let () =
           Alcotest.test_case "plan cache keys on regime" `Quick
             test_plan_cache_keys_on_domains;
         ] );
-      ( "prepack",
+      ( "layout",
         [
-          Alcotest.test_case "bitwise + invalidation" `Quick
-            test_prepack_bitwise_and_invalidation;
-          Alcotest.test_case "decode on/off bitwise" `Quick
-            test_decode_prepack_on_off_bitwise;
-          Alcotest.test_case "optimizer update repacks" `Quick
-            test_optimizer_update_repacks;
+          Alcotest.test_case "out-projection reads wo in place" `Quick
+            test_out_projection_reads_wo_in_place;
+          Alcotest.test_case "decode wo layouts bitwise" `Quick
+            test_decode_wo_layouts_bitwise;
+          Alcotest.test_case "optimizer updates across wo layouts" `Quick
+            test_optimizer_updates_across_wo_layouts;
           Alcotest.test_case "interrupt/resume + planned run" `Quick
             test_interrupted_training_then_planned_run;
         ] );

@@ -422,11 +422,14 @@ let test_contraction_errors () =
      with Invalid_argument _ -> true)
 
 let test_accumulate_semantics () =
-  (* grouped accumulate = sum of the individual einsums *)
+  (* grouped accumulate = the left-to-right Dense.add fold of the
+     individual einsums, bit for bit; the third part writes "c" in
+     another storage order, so it is aligned before it is summed *)
   let small = [ ("m", 2); ("k", 3); ("n", 2) ] in
   let p = prng () in
   let a1 = Dense.rand p [ ("m", 2); ("k", 3) ] ~lo:(-1.0) ~hi:1.0 in
   let a2 = Dense.rand p [ ("m", 2); ("k", 3) ] ~lo:(-1.0) ~hi:1.0 in
+  let a3 = Dense.rand p [ ("m", 2); ("k", 3) ] ~lo:(-1.0) ~hi:1.0 in
   let b = Dense.rand p [ ("k", 3); ("n", 2) ] ~lo:(-1.0) ~hi:1.0 in
   let op =
     Ops.Contraction.grouped ~name:"acc" ~dims:small
@@ -434,18 +437,24 @@ let test_accumulate_semantics () =
       [
         Ops.Contraction.part ~spec:"mk,kn->mn" ~inputs:[ "a1"; "b" ] ~output:"c" ();
         Ops.Contraction.part ~spec:"mk,kn->mn" ~inputs:[ "a2"; "b" ] ~output:"c" ();
+        Ops.Contraction.part ~spec:"mk,kn->nm" ~inputs:[ "a3"; "b" ] ~output:"c" ();
       ]
       ()
   in
-  let env = env_with [ ("a1", a1); ("a2", a2); ("b", b) ] in
+  let env = env_with [ ("a1", a1); ("a2", a2); ("a3", a3); ("b", b) ] in
   op.Ops.Op.run env;
   let expected =
-    Dense.add
+    List.fold_left Dense.add
       (Einsum.eval "mk,kn->mn" [ a1; b ])
-      (Einsum.eval "mk,kn->mn" [ a2; b ])
+      [ Einsum.eval "mk,kn->mn" [ a2; b ]; Einsum.eval "mk,kn->nm" [ a3; b ] ]
   in
-  check_bool "accumulate sums parts" true
-    (Dense.approx_equal (Ops.Op.lookup env "c") expected)
+  let got = Ops.Op.lookup env "c" in
+  check_bool "accumulate sums parts" true (Dense.approx_equal got expected);
+  check_bool "accumulate is bitwise the Dense.add fold" true
+    (Dense.layout got = Dense.layout expected
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         (Dense.unsafe_data got) (Dense.unsafe_data expected))
 
 (* ---------------- program ---------------- *)
 
