@@ -104,13 +104,6 @@ let layernorm_stats x ~axis ~eps =
   let istd = Dense.map (fun v -> 1.0 /. sqrt (v +. eps)) var in
   (mean, istd)
 
-(* The full layernorm value in one call — the same stats/normalize/affine
-   sequence the [layernorm] op runs, shared with the incremental decode
-   path. *)
-let layernorm_value x ~gamma ~beta ~axis ~eps =
-  let mean, istd = layernorm_stats x ~axis ~eps in
-  Dense.add_bcast (Dense.mul_bcast (normalized x ~mean ~istd) gamma) beta
-
 let layernorm_dx_value ~dy ~x ~gamma ~mean ~istd ~axis =
   let xhat = normalized x ~mean ~istd in
   let dyg = Dense.mul_bcast dy gamma in

@@ -28,13 +28,6 @@ val causal_mask : q:Axis.t -> k:Axis.t -> (Axis.t * int) list -> Dense.t
 val softmax_masked :
   ?mask:Dense.t -> Dense.t -> axis:Axis.t -> prescale:float -> Dense.t
 
-(** [layernorm_value x ~gamma ~beta ~axis ~eps] is the forward layernorm
-    value — the exact stats/normalize/affine sequence of the {!layernorm}
-    op, exposed for the incremental decode path. *)
-val layernorm_value :
-  Dense.t -> gamma:Dense.t -> beta:Dense.t -> axis:Axis.t -> eps:float
-  -> Dense.t
-
 (** [softmax_dx ~name ~dy ~y ~out dims ~axis ?prescale] uses the saved
     forward output [y]: [dx = prescale * y * (dy - sum_axis(dy * y))]. *)
 val softmax_dx :

@@ -94,6 +94,10 @@ let create ?(policy = default_policy) ?(step_cost = default_step_cost) ~clock
   if policy.max_batch < 1 then invalid_arg "Scheduler.create: max_batch >= 1";
   if model.Model.hp.Transformer.Hparams.dropout_p <> 0.0 then
     invalid_arg "Scheduler.create: serving model must have dropout_p = 0";
+  (* every batch a step can form has its plans before the first step *)
+  for batch = 1 to policy.max_batch do
+    ignore (Model.decode_plans model ~batch)
+  done;
   (* bracket this serving run's scratch working set: the arena peak the
      metrics report starts at this scheduler's creation *)
   Arena.reset_peak Arena.global;

@@ -46,7 +46,8 @@ type t
 (** The serving model must have [dropout_p = 0]. [step_cost] is the
     simulated per-step service time (defaults to a dispatch overhead plus
     a term proportional to batch x cached length — time proportional to
-    bytes moved); ignored in real-clock mode. *)
+    bytes moved); ignored in real-clock mode. [create] resolves the
+    model's decode plans for every batch up to [max_batch]. *)
 val create :
   ?policy:policy -> ?step_cost:(batch:int -> max_len:int -> float)
   -> clock:Clock.t -> Transformer.Model.t -> t

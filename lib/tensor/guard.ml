@@ -25,28 +25,10 @@
    mutex; guarded launches happen on the submitting domain, so contention
    is nil and the lock is for safety only. *)
 
-type level = Off | Exceptions | Nan | Finite
+type level = Substation_env.guard_level = Off | Exceptions | Nan | Finite
 
-let level_to_string = function
-  | Off -> "off"
-  | Exceptions -> "exn"
-  | Nan -> "nan"
-  | Finite -> "finite"
-
-let level_of_string = function
-  | "off" | "0" | "none" -> Some Off
-  | "exn" | "exceptions" -> Some Exceptions
-  | "nan" -> Some Nan
-  | "finite" | "inf" -> Some Finite
-  | _ -> None
-
-let env_level () =
-  match Substation_env.guard () with
-  | None -> None
-  | Some Substation_env.Goff -> Some Off
-  | Some Substation_env.Gexn -> Some Exceptions
-  | Some Substation_env.Gnan -> Some Nan
-  | Some Substation_env.Gfinite -> Some Finite
+let level_to_string = Substation_env.guard_level_to_string
+let level_of_string = Substation_env.guard_level_of_string
 
 (* Exceptions are always caught by default: that costs nothing on the
    clean path (no output scan) and means a crashing kernel degrades to the
@@ -54,7 +36,8 @@ let env_level () =
    environment or, scoped, via the executor's resilience policy. *)
 let default_level = Exceptions
 
-let state_level = ref (Option.value (env_level ()) ~default:default_level)
+let state_level =
+  ref (Option.value (Substation_env.guard ()) ~default:default_level)
 let current_level () = !state_level
 let set_level l = state_level := l
 

@@ -18,7 +18,7 @@
     plans carry no level of their own: a plan executes under whatever
     level is ambient. *)
 
-type level =
+type level = Substation_env.guard_level =
   | Off  (** no supervision: fast-path failures propagate *)
   | Exceptions  (** catch exceptions and kernel timeouts (default) *)
   | Nan  (** [Exceptions] + scan outputs for NaN *)
@@ -27,8 +27,8 @@ type level =
 val level_to_string : level -> string
 
 val level_of_string : string -> level option
-(** Accepts the [SUBSTATION_GUARD] spellings: [off]/[0]/[none], [exn]/
-    [exceptions], [nan], [finite]/[inf]. *)
+(** Accepts the [SUBSTATION_GUARD] spellings
+    ({!Substation_env.guard_level_of_string}). *)
 
 val current_level : unit -> level
 val set_level : level -> unit

@@ -13,7 +13,21 @@
    Guard.with_level) win over the environment; the kernels read the
    resulting settings at run time, so no compiled plan captures them. *)
 
-type guard_level = Goff | Gexn | Gnan | Gfinite
+type guard_level = Off | Exceptions | Nan | Finite
+
+let guard_level_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "off" | "0" | "none" -> Some Off
+  | "exn" | "exceptions" -> Some Exceptions
+  | "nan" -> Some Nan
+  | "finite" | "inf" -> Some Finite
+  | _ -> None
+
+let guard_level_to_string = function
+  | Off -> "off"
+  | Exceptions -> "exn"
+  | Nan -> "nan"
+  | Finite -> "finite"
 
 type t = {
   naive : bool;  (* SUBSTATION_NAIVE: disable the fast CPU backend *)
@@ -35,12 +49,9 @@ let parse_bool ~var warnings s =
         :: warnings )
 
 let parse_guard ~var warnings s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" | "0" | "none" -> (Some Goff, warnings)
-  | "exn" | "exceptions" -> (Some Gexn, warnings)
-  | "nan" -> (Some Gnan, warnings)
-  | "finite" | "inf" -> (Some Gfinite, warnings)
-  | _ ->
+  match guard_level_of_string s with
+  | Some _ as level -> (level, warnings)
+  | None ->
       ( None,
         Printf.sprintf
           "%s=%S is not a guard level (want off|exn|nan|finite); using the \
@@ -115,12 +126,6 @@ let naive () = (get ()).naive
 let guard () = (get ()).guard
 let domains () = (get ()).domains
 let warnings () = (get ()).warnings
-
-let guard_level_to_string = function
-  | Goff -> "off"
-  | Gexn -> "exn"
-  | Gnan -> "nan"
-  | Gfinite -> "finite"
 
 let describe () =
   let t = get () in

@@ -20,7 +20,14 @@
     [Pool.with_domains], [Guard.with_level]) win over it. These
     settings are read at run time, never baked into a compiled plan. *)
 
-type guard_level = Goff | Gexn | Gnan | Gfinite
+(** The kernel-guard level, documented where {!Guard.level} re-exports it. *)
+type guard_level = Off | Exceptions | Nan | Finite
+
+(** Accepts the [SUBSTATION_GUARD] spellings, case-insensitively and
+    trimmed: [off]/[0]/[none], [exn]/[exceptions], [nan], [finite]/[inf]. *)
+val guard_level_of_string : string -> guard_level option
+
+val guard_level_to_string : guard_level -> string
 
 type t = {
   naive : bool;
@@ -43,8 +50,6 @@ val domains : unit -> int option
 
 (** Warnings for malformed values, in variable order. *)
 val warnings : unit -> string list
-
-val guard_level_to_string : guard_level -> string
 
 (** Human-readable dump of every toggle: the raw setting, the effective
     value, and any parse warnings — what [substation_cli env] prints. *)

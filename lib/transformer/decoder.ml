@@ -5,37 +5,3 @@ let run hp ~x ~d_y ~params =
   Ops.Program.run (program hp) (("x", x) :: ("d_y", d_y) :: params)
 
 let kernel_names = Encoder.kernel_names
-
-(* --- incremental decode step (serving path) -------------------------- *)
-
-(* One KV-cached decode step through the whole block: cached attention,
-   residual, layernorm, GELU feed-forward, residual, layernorm — the same
-   value helpers the op program's run closures call, in the same order, so
-   the incremental path reproduces the oracle's per-column values bitwise.
-   Inference only: requires dropout_p = 0 (at which the program's dropout
-   ops are bitwise identities). *)
-let cached_step (hp : Hparams.t) ~params ~caches x =
-  if hp.dropout_p <> 0.0 then
-    invalid_arg "Decoder.cached_step: requires dropout_p = 0 (inference)";
-  let p n =
-    match List.assoc_opt n params with
-    | Some t -> t
-    | None -> invalid_arg ("Decoder.cached_step: missing parameter " ^ n)
-  in
-  let attn_b, knew, vnew = Mha.attend hp ~params ~caches x in
-  let res1 = Dense.add attn_b x in
-  let ln1_out =
-    Ops.Normalization.layernorm_value res1 ~gamma:(p "ln1_g") ~beta:(p "ln1_b")
-      ~axis:"i" ~eps:hp.eps
-  in
-  let ff1 = Einsum.eval "ui,ibj->ubj" [ p "w1"; ln1_out ] in
-  let ff1b = Dense.add_bcast ff1 (p "b1") in
-  let act = Dense.map Ops.Elementwise.gelu_value ff1b in
-  let ff2 = Einsum.eval "iu,ubj->ibj" [ p "w2"; act ] in
-  let ff2b = Dense.add_bcast ff2 (p "b2") in
-  let res2 = Dense.add ff2b ln1_out in
-  let y =
-    Ops.Normalization.layernorm_value res2 ~gamma:(p "ln2_g") ~beta:(p "ln2_b")
-      ~axis:"i" ~eps:hp.eps
-  in
-  (y, knew, vnew)

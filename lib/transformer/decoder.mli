@@ -6,7 +6,8 @@
     The block is the encoder layer with causally-masked self-attention and
     a GELU feed-forward activation; everything else — containers, backward
     structure, fusion opportunities — is shared, which is exactly the
-    paper's point. *)
+    paper's point. KV-cached decoding runs slices of this same program
+    around the cached attention (see {!Model.decode_plans}). *)
 
 val program : ?variant:Encoder.qkv_variant -> Hparams.t -> Ops.Program.t
 
@@ -16,11 +17,3 @@ val run :
 
 (** Kernel-name table for the decoder's fused groups (BGD replaces BRD). *)
 val kernel_names : (string list * string) list
-
-(** [cached_step hp ~params ~caches x] is one KV-cached incremental decode
-    step through the block for a ragged batch (see {!Mha.attend}): returns
-    [(y, new K column, new V column)]. Requires [dropout_p = 0]; bitwise
-    equal per column to running {!program} over the full prefix. *)
-val cached_step :
-  Hparams.t -> params:(string * Dense.t) list -> caches:Mha.cache array
-  -> Dense.t -> Dense.t * Dense.t * Dense.t

@@ -102,37 +102,31 @@ let cache_append c ~k ~v ~b =
   done;
   c.len <- c.len + 1
 
-(* One incremental attention step for a ragged batch of sessions. [x] is
-   the new-token hidden column, dims (i, b, j=1), slot b paired with
-   caches.(b). Computes only the new token's Q/K/V projections, attends
-   against cached keys/values padded to the longest session, and returns
-   (attn_b, new K column, new V column). The caller commits the K/V
-   columns with [cache_append] once the whole layer stack has succeeded,
-   so an aborted step leaves every session untouched.
+(* Dims (p|w, h, b, k). Every layer's caches hold the same lengths, so
+   one pair serves every layer of a step. *)
+type pads = { kpad : Dense.t; vpad : Dense.t }
 
-   Bitwise parity with the oracle rests on: padded tail columns being
-   exact zeros (their products contribute +0.0 at the tail of the
-   ascending-k reduction), and the -inf pad mask entering the softmax at
-   the same point as the oracle's additive causal mask. *)
-let attend (hp : Hparams.t) ~params ~caches x =
-  let p n =
-    match List.assoc_opt n params with
-    | Some t -> t
-    | None -> invalid_arg ("Mha.attend: missing parameter " ^ n)
+let pads (hp : Hparams.t) ~keys =
+  let dims a =
+    [ (a, hp.proj); ("h", hp.heads); ("b", hp.batch); ("k", keys) ]
   in
+  { kpad = Dense.zeros (dims "p"); vpad = Dense.zeros (dims "w") }
+
+(* The one part of a decode step that is not a compiled plan: its key
+   axis is the sessions' ragged cached prefixes. Bitwise parity with the
+   oracle rests on: padded tail columns being exact zeros (their products
+   contribute +0.0 at the tail of the ascending-k reduction), and the -inf
+   pad mask entering the softmax at the same point as the oracle's
+   additive causal mask. *)
+let attend (hp : Hparams.t) ~pads ~caches ~q ~k ~v =
   let nb = Array.length caches in
-  if nb = 0 then invalid_arg "Mha.attend: empty batch";
-  let qq = Einsum.eval "phi,ibj->phbj" [ p "wq"; x ] in
-  let xk = Dense.rename_axes x [ ("j", "k") ] in
-  let kk = Einsum.eval "phi,ibk->phbk" [ p "wk"; xk ] in
-  let vv = Einsum.eval "whi,ibk->whbk" [ p "wv"; xk ] in
-  let qqb = Dense.add_bcast qq (p "bq") in
-  let kkb = Dense.add_bcast kk (p "bk") in
-  let vvb = Dense.add_bcast vv (p "bv") in
-  let lmax = 1 + Array.fold_left (fun acc c -> max acc c.len) 0 caches in
+  let shape = Dense.shape pads.kpad in
+  let lmax = Shape.size shape "k" in
+  if Shape.size shape "b" <> nb || Array.exists (fun c -> c.len >= lmax) caches
+  then invalid_arg "Mha.attend: pads do not fit the batch";
   let ph = hp.proj and hh = hp.heads in
-  let assemble axis0 cache_of newcol =
-    let t = Dense.zeros [ (axis0, ph); ("h", hh); ("b", nb); ("k", lmax) ] in
+  (* Row (r, b) of [t]: the cached prefix, the new column, then zeros. *)
+  let assemble t axis0 cache_of newcol =
     let data = Dense.unsafe_data t in
     let nd = Dense.unsafe_data newcol
     and ns = Dense.strides_for newcol [ axis0; "h"; "b" ] in
@@ -144,19 +138,20 @@ let attend (hp : Hparams.t) ~params ~caches x =
           let base = ((r * nb) + b) * lmax in
           Array.blit (cache_of c) (r * c.cap) data base c.len;
           data.(base + c.len) <-
-            nd.((pi * ns.(0)) + (hi * ns.(1)) + (b * ns.(2)))
+            nd.((pi * ns.(0)) + (hi * ns.(1)) + (b * ns.(2)));
+          Array.fill data (base + c.len + 1) (lmax - c.len - 1) 0.0
         done
       done
     done;
     t
   in
-  let kkb_pad = assemble "p" (fun c -> c.ck) kkb in
-  let vvb_pad = assemble "w" (fun c -> c.cv) vvb in
+  let kkb_pad = assemble pads.kpad "p" (fun c -> c.ck) k in
+  let vvb_pad = assemble pads.vpad "w" (fun c -> c.cv) v in
   (* The naive interior stays in-tree as the oracle: QK^T over the padded
      keys, a 0/-inf pad mask (column k of slot b is valid when k <= len_b:
      cached prefix plus the new token), masked softmax, V contraction. *)
   let naive_gam () =
-    let beta = Einsum.eval "phbk,phbj->hbjk" [ kkb_pad; qqb ] in
+    let beta = Einsum.eval "phbk,phbj->hbjk" [ kkb_pad; q ] in
     let mask =
       Dense.init [ ("b", nb); ("k", lmax) ] (fun idx ->
           if List.assoc "k" idx <= caches.(List.assoc "b" idx).len then 0.0
@@ -171,18 +166,12 @@ let attend (hp : Hparams.t) ~params ~caches x =
   (* Streaming kernel: the ragged [valid] limits reproduce the pad mask
      bitwise, so the decode step stays bitwise equal to the recompute
      oracle. *)
-  let gam =
-    if Fastmode.enabled () then
-      Guard.protected ~kernel:"flashattn.attend"
-        ~outputs:(fun g -> [ Dense.unsafe_data g ])
-        ~fallback:naive_gam
-        (fun () ->
-          let valid = Array.map (fun c -> c.len + 1) caches in
-          Flashattn.forward ~valid ~prescale:(Hparams.scaler hp) ~q:qqb
-            ~k:kkb_pad ~v:vvb_pad ())
-    else naive_gam ()
-  in
-  (* {!Params.init} stores [wo] as (i,w,h), the row view this GEMM reads,
-     so a decoded token packs no weight. *)
-  let attn = Einsum.eval "whi,whbj->ibj" [ p "wo"; gam ] in
-  (Dense.add_bcast attn (p "bo"), kkb, vvb)
+  if Fastmode.enabled () then
+    Guard.protected ~kernel:"flashattn.attend"
+      ~outputs:(fun g -> [ Dense.unsafe_data g ])
+      ~fallback:naive_gam
+      (fun () ->
+        let valid = Array.map (fun c -> c.len + 1) caches in
+        Flashattn.forward ~valid ~prescale:(Hparams.scaler hp) ~q ~k:kkb_pad
+          ~v:vvb_pad ())
+  else naive_gam ()

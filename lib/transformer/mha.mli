@@ -23,11 +23,10 @@ val kernel_names : (string list * string) list
 (** {1 KV cache — incremental decoding}
 
     Per-session, per-layer store of the biased K/V projections of every
-    token decoded so far, so step [t] computes only the new token's
-    projections and attends against the cache: O(L) bytes moved per token
-    instead of the O(L^2) of a full recompute. The full-recompute path
-    ({!Decoder.program} run over the whole prefix) stays in-tree as the
-    oracle; [attend] is bitwise equal to it at [dropout_p = 0]. *)
+    token decoded so far: a decode step moves O(L) bytes per token instead
+    of a full recompute's O(L^2). Decoding runs {!Decoder.program} as
+    compiled plans around {!attend} (see {!Model.decode_batch}) and is
+    bitwise equal to the full recompute at [dropout_p = 0]. *)
 
 type cache
 
@@ -38,12 +37,20 @@ val cache_len : cache -> int
     K/V projections (dims [(p,h,b,k=1)] / [(w,h,b,k=1)]). *)
 val cache_append : cache -> k:Dense.t -> v:Dense.t -> b:int -> unit
 
-(** [attend hp ~params ~caches x] is one incremental attention step over a
-    ragged batch: [x] is the new-token hidden column (dims [(i,b,j=1)]),
-    slot [b] of which belongs to [caches.(b)]. Returns
-    [(attn_b, new K column, new V column)]; the caller commits the columns
-    with {!cache_append} after the whole layer stack succeeds, so an
-    aborted step leaves sessions untouched. *)
+(** One decode step's cached K/V for [hp.batch] sessions, padded to
+    [keys]: the longest cached prefix plus the new token. Every layer of
+    the step refills the same [pads]. *)
+type pads
+
+val pads : Hparams.t -> keys:int -> pads
+
+(** [attend hp ~pads ~caches ~q ~k ~v] attends the new token's biased
+    projections ([qqb]/[kkb]/[vvb], slot [b] paired with [caches.(b)])
+    over each session's cached prefix plus the new column and returns
+    [gam]: the guarded [flashattn.attend] kernel, or its naive
+    masked-softmax chain in naive mode and as the guard's fallback. The
+    caches are only read; the caller commits [k]/[v] with {!cache_append}
+    once the whole stack has succeeded. *)
 val attend :
-  Hparams.t -> params:(string * Dense.t) list -> caches:cache array
-  -> Dense.t -> Dense.t * Dense.t * Dense.t
+  Hparams.t -> pads:pads -> caches:cache array -> q:Dense.t -> k:Dense.t
+  -> v:Dense.t -> Dense.t

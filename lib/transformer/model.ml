@@ -1,9 +1,14 @@
+(* Keyed by a decode step's hparams, which differ only in batch. *)
+type held_plans =
+  (Hparams.t, Compile.Compiled.plan * Compile.Compiled.plan) Hashtbl.t
+
 type t = {
   hp : Hparams.t;
   vocab : int;
   n_layers : int;
   embedding : Dense.t;
   layer_params : (string * Dense.t) list array;
+  held_plans : held_plans;
 }
 
 let create ?(n_layers = 2) ?(vocab = 16) (hp : Hparams.t) =
@@ -19,6 +24,7 @@ let create ?(n_layers = 2) ?(vocab = 16) (hp : Hparams.t) =
             { hp with seed = Int64.add hp.seed (Int64.of_int (layer + 1)) }
           in
           Params.init hp_l);
+    held_plans = Hashtbl.create 8;
   }
 
 type layer_cache = {
@@ -343,6 +349,32 @@ let new_session m =
 
 let session_len s = if Array.length s.kv = 0 then 0 else Mha.cache_len s.kv.(0)
 
+(* The decoder's forward at one token per session, minus the attention
+   window that [Mha.attend] replaces, split around it. Each batch size
+   resolves its plans once: even a plan-cache hit rebuilds and
+   fingerprints the program. *)
+let decode_plans m ~batch =
+  let hp = { m.hp with Hparams.batch; seq = 1 } in
+  match Hashtbl.find_opt m.held_plans hp with
+  | Some plans -> plans
+  | None ->
+      let p = Decoder.program hp in
+      let named names (o : Ops.Op.t) = List.mem o.name names in
+      let pre, post =
+        List.filter
+          (fun o -> not (named [ "qkt"; "softmax"; "attn_dropout"; "gamma" ] o))
+          (Ops.Program.forward_ops p)
+        |> List.partition (named [ "qkv"; "bias_q"; "bias_k"; "bias_v" ])
+      in
+      let plan keep ops =
+        Compile.Compiled.compile ~name_table:Decoder.kernel_names
+          (Compile.Regime.current ~keep ())
+          (Ops.Program.replace_ops p ops)
+      in
+      let plans = (plan [ "qqb"; "kkb"; "vvb" ] pre, plan [ "y" ] post) in
+      Hashtbl.replace m.held_plans hp plans;
+      plans
+
 (* One incremental decode step for a ragged batch of sessions: feeds token
    [tokens.(b)] to [sessions.(b)] and returns the logits column, dims
    (v, b, j=1). New K/V columns are staged per layer and committed only
@@ -361,21 +393,28 @@ let decode_batch m sessions ~tokens =
   if m.hp.Hparams.dropout_p <> 0.0 then
     invalid_arg "Model.decode_batch: requires dropout_p = 0 (inference)";
   let hp = { m.hp with Hparams.batch = nb; seq = 1 } in
+  let pre, post = decode_plans m ~batch:nb in
   let x = ref (embed m hp (fun b _ -> tokens.(b))) in
+  let longest = Array.fold_left (fun a s -> max a (session_len s)) 0 sessions in
+  let pads = Mha.pads hp ~keys:(longest + 1) in
   let staged =
     Array.init m.n_layers (fun layer ->
+        let params = m.layer_params.(layer) in
+        let proj = Compile.Compiled.execute pre (("x", !x) :: params) in
+        let q = Ops.Op.lookup proj "qqb"
+        and k = Ops.Op.lookup proj "kkb"
+        and v = Ops.Op.lookup proj "vvb" in
         let caches = Array.map (fun s -> s.kv.(layer)) sessions in
-        let y, knew, vnew =
-          Decoder.cached_step hp ~params:m.layer_params.(layer) ~caches !x
+        let gam = Mha.attend hp ~pads ~caches ~q ~k ~v in
+        let out =
+          Compile.Compiled.execute post (("x", !x) :: ("gam", gam) :: params)
         in
-        x := y;
-        (knew, vnew))
+        x := Ops.Op.lookup out "y";
+        (k, v))
   in
   Array.iteri
-    (fun layer (knew, vnew) ->
-      Array.iteri
-        (fun b s -> Mha.cache_append s.kv.(layer) ~k:knew ~v:vnew ~b)
-        sessions)
+    (fun layer (k, v) ->
+      Array.iteri (fun b s -> Mha.cache_append s.kv.(layer) ~k ~v ~b) sessions)
     staged;
   Einsum.eval "vi,ibj->vbj" [ m.embedding; !x ]
 

@@ -4,12 +4,16 @@
     the paper's optimized layers "can be extended to support a full
     training pipeline by stacking" (§VI-C). *)
 
+(** The {!decode_plans} of each batch size used so far. *)
+type held_plans
+
 type t = {
   hp : Hparams.t;
   vocab : int;
   n_layers : int;
   embedding : Dense.t;  (** [v; i] — also the tied output head *)
   layer_params : (string * Dense.t) list array;
+  held_plans : held_plans;
 }
 
 val create : ?n_layers:int -> ?vocab:int -> Hparams.t -> t
@@ -125,8 +129,20 @@ val new_session : t -> session
 val session_len : session -> int
 
 (** [decode_batch m sessions ~tokens] feeds [tokens.(b)] to
-    [sessions.(b)]; returns logits, dims [(v, b, j=1)]. *)
+    [sessions.(b)]; returns logits, dims [(v, b, j=1)]. Each layer runs
+    the two {!decode_plans}, with the cached attention ({!Mha.attend})
+    between them as the only step outside a plan. *)
 val decode_batch : t -> session array -> tokens:int array -> Dense.t
+
+(** [decode_plans m ~batch] is the pair of plans every layer of a decode
+    step of [batch] sessions runs, sliced from {!Decoder.program}'s
+    forward at [seq = 1]: [qkv] and the input biases (keeping
+    [qqb]/[kkb]/[vvb]), then [out] through [ln2] (reading [gam] and [x],
+    keeping [y]). The first call for a batch size compiles them or finds
+    them in the plan cache; [m] then holds them, so later steps neither
+    compile nor look up. *)
+val decode_plans :
+  t -> batch:int -> Compile.Compiled.plan * Compile.Compiled.plan
 
 (** [logits_column logits ~b] is slot [b]'s vocabulary column at the last
     position. *)

@@ -36,13 +36,15 @@ let compile_current ?(attention = true) program =
 (* [~verify:true] executes the staged program after every pass and raises
    on any container outside the verified envelope — so "compiles without
    Verification_failed" IS the per-pass preservation property. *)
-let verify_program ~name hp program =
-  let inputs = layer_inputs hp (Int64.of_int (Hashtbl.hash name)) in
+let verify_program ?keep ?(extra_inputs = []) ~name hp program =
+  let inputs =
+    extra_inputs @ layer_inputs hp (Int64.of_int (Hashtbl.hash name))
+  in
   let plan =
     Compile.Compiled.compile ~name_table:Transformer.Encoder.kernel_names
       ~verify:true
       ~verify_inputs:inputs
-      (Compile.Regime.current ())
+      (Compile.Regime.current ?keep ())
       program
   in
   check_bool (name ^ ": verified") true plan.Compile.Compiled.verified;
@@ -113,7 +115,34 @@ let test_verified_encoder_decoder () =
          hp
          (Transformer.Encoder.program_with ~causal:true ~activation:`Gelu hp))
   done;
-  ignore (verify_program ~name:"encoder L=64" l64 (Transformer.Encoder.program l64))
+  ignore
+    (verify_program ~name:"encoder L=64" l64 (Transformer.Encoder.program l64));
+  (* the two slices of the decoder program a KV-cached decode step runs,
+     at three one-token sessions, under the keep sets decoding reads *)
+  let hp = { tiny with Transformer.Hparams.dropout_p = 0.0 } in
+  let m = Transformer.Model.create ~n_layers:1 hp in
+  let pre, post = Transformer.Model.decode_plans m ~batch:3 in
+  let step_hp = { hp with Transformer.Hparams.batch = 3; seq = 1 } in
+  let names (plan : Compile.Compiled.plan) =
+    List.map (fun (o : Ops.Op.t) -> o.name) plan.source.Ops.Program.ops
+  in
+  check_bool "pre slice: the projections and their biases" true
+    (names pre = [ "qkv"; "bias_q"; "bias_k"; "bias_v" ]);
+  check_bool "post slice: out through ln2" true
+    (List.hd (names post) = "out"
+    && List.nth (names post) (List.length (names post) - 1) = "ln2");
+  let gam =
+    Dense.rand (Prng.of_key 5L "gam")
+      (Ops.Program.container_dims post.Compile.Compiled.source "gam")
+      ~lo:(-1.0) ~hi:1.0
+  in
+  List.iter
+    (fun (name, (plan : Compile.Compiled.plan)) ->
+      ignore
+        (verify_program ~keep:plan.regime.Compile.Regime.keep
+           ~extra_inputs:[ ("gam", gam) ] ~name step_hp plan.source))
+    [ ("decode pre-attention slice", pre);
+      ("decode post-attention slice", post) ]
 
 let test_verified_fast_and_naive () =
   List.iter
@@ -387,7 +416,7 @@ let test_env_parse () =
   in
   check_bool "naive parsed" true ok.Substation.Env.naive;
   check_bool "guard parsed" true
-    (ok.Substation.Env.guard = Some Substation.Env.Gfinite);
+    (ok.Substation.Env.guard = Some Substation.Env.Finite);
   check_bool "domains parsed" true (ok.Substation.Env.domains = Some 4);
   check_bool "clean parse has no warnings" true
     (ok.Substation.Env.warnings = []);

@@ -15,7 +15,8 @@ module E = Ops.Elementwise
 let dims_beta ~nh ~nb ~nj ~nk = [ ("h", nh); ("b", nb); ("j", nj); ("k", nk) ]
 
 (* The naive chain at value level. [valid.(b)] limits slot b to its first
-   valid keys via a 0/-inf pad mask, exactly as Mha.attend builds it. *)
+   valid keys via a 0/-inf pad mask, exactly as a decode step's cached
+   attention (Mha.attend) builds it for its naive fallback. *)
 let oracle ?(causal = false) ?valid ?dropmask ~prescale ~qt ~kt ~vt ~nj ~nk
     () =
   let beta = Einsum.eval "phbk,phbj->hbjk" [ kt; qt ] in

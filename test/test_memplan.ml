@@ -376,8 +376,8 @@ let test_out_projection_reads_wo_in_place () =
   check_bool "both layouts give the same bits" true (bits_equal r r_declared)
 
 let test_decode_wo_layouts_bitwise () =
-  (* KV-cached decode (decode_batch -> Mha.attend) runs the
-     out-projection once per token. *)
+  (* KV-cached decode runs the out-projection once per token, as the
+     [out] op of each layer's post-attention plan. *)
   let decode_run m =
     let s = Transformer.Model.new_session m in
     Fastmode.with_mode true (fun () ->

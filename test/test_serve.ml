@@ -216,6 +216,42 @@ let test_scheduler_serves_oracle_generations () =
         (c.Serve.Scheduler.c_tokens = expect))
     (List.combine prompts gens)
 
+(* Once [Scheduler.create] has resolved the decode plans for every batch
+   size its policy allows, decode steps run those plans and nothing else:
+   no compile pass and not even a plan-cache lookup. *)
+let test_decode_runs_only_plans () =
+  let m = M.create ~n_layers:2 ~vocab hp0 in
+  let stats0 = Compile.Compiled.cache_stats () in
+  let _sched =
+    Serve.Scheduler.create
+      ~policy:
+        { Serve.Scheduler.default_policy with Serve.Scheduler.max_batch = 3 }
+      ~clock:(Serve.Clock.sim ()) m
+  in
+  let stats = Compile.Compiled.cache_stats () in
+  check_int "create resolved two plans per batch size 1..3" 6
+    (stats.hits + stats.misses - stats0.hits - stats0.misses);
+  let passes = Compile.Compiled.pass_runs () in
+  let sessions = Array.init 3 (fun _ -> M.new_session m) in
+  let step slots =
+    ignore
+      (M.decode_batch m
+         (Array.map (fun b -> sessions.(b)) slots)
+         ~tokens:
+           (Array.map
+              (fun b -> (b + M.session_len sessions.(b)) mod vocab)
+              slots))
+  in
+  (* ragged: the sessions reach lengths 6, 4 and 2 through batches of 1-3 *)
+  List.iter step
+    [ [| 0 |]; [| 0 |]; [| 0; 1 |]; [| 1 |]; [| 0; 1; 2 |]; [| 2; 0; 1 |];
+      [| 0 |] ];
+  check_bool "ragged lengths" true
+    (Array.map M.session_len sessions = [| 6; 4; 2 |]);
+  check_int "decode ran no compile pass" passes (Compile.Compiled.pass_runs ());
+  check_bool "decode neither compiled nor looked up a plan" true
+    (Compile.Compiled.cache_stats () = stats)
+
 (* ---------------- scheduler: determinism under a fixed trace seed ---- *)
 
 let run_trace ?(policy = Serve.Scheduler.default_policy) ?step_cost spec =
@@ -499,6 +535,8 @@ let () =
             test_scheduler_determinism;
           Alcotest.test_case "continuous batching retires finished" `Quick
             test_continuous_batching_retirement;
+          Alcotest.test_case "decode runs only plans" `Quick
+            test_decode_runs_only_plans;
         ] );
       ( "deadlines",
         [
