@@ -45,133 +45,102 @@ let kernel_names =
    token decoded so far. Step t recomputes only the new token's
    projections — O(L) bytes moved per token instead of the O(L^2) a full
    recompute re-streams (the serving-side face of the paper's
-   data-movement argument). Rows are (p*heads + h); columns are token
-   positions, capacity-doubling and zero-padded so freshly exposed tail
-   columns are exact 0.0 contributions. *)
-type cache = {
-  ph : int;  (* proj *)
-  hh : int;  (* heads *)
-  mutable cap : int;
-  mutable len : int;
-  mutable ck : float array;  (* (ph*hh) rows x cap columns, row-major *)
-  mutable cv : float array;
-}
+   data-movement argument). [k]/[v] are the tensors the attention kernel
+   reads in place, dims (p|w, h, b=1, k=cap): row (p*heads + h), one
+   column per token position, capacity doubling.
 
-let cache_create (hp : Hparams.t) =
-  let ph = hp.proj and hh = hp.heads in
+   Invariant: columns < [len] are committed; columns > [len] are exact
+   zeros, because capacity grows into zeros and only column [len] is ever
+   written; column [len] is written by the current step before anything
+   reads it. So an aborted step changes no committed state, and the zero
+   tails keep decode bitwise equal to the recompute oracle: their
+   products add +0.0 at the end of the ascending-k sums, and their -inf
+   mask enters the softmax where the oracle's causal mask does. *)
+type cache = { mutable k : Dense.t; mutable v : Dense.t; mutable len : int }
+
+let cache_dims (hp : Hparams.t) a ~cap =
+  [ (a, hp.proj); ("h", hp.heads); ("b", 1); ("k", cap) ]
+
+let cache_create hp =
   let cap = 16 in
   {
-    ph;
-    hh;
-    cap;
+    k = Dense.zeros (cache_dims hp "p" ~cap);
+    v = Dense.zeros (cache_dims hp "w" ~cap);
     len = 0;
-    ck = Array.make (ph * hh * cap) 0.0;
-    cv = Array.make (ph * hh * cap) 0.0;
   }
 
 let cache_len c = c.len
+let commit c = c.len <- c.len + 1
+let capacity c = Shape.size (Dense.shape c.k) "k"
 
-let grow c =
-  let cap' = 2 * c.cap in
-  let regrow old =
-    let nu = Array.make (c.ph * c.hh * cap') 0.0 in
-    for r = 0 to (c.ph * c.hh) - 1 do
-      Array.blit old (r * c.cap) nu (r * cap') c.len
+(* Doubles the capacity; only the committed columns move. *)
+let grow hp c =
+  let cap = capacity c in
+  let regrow t a =
+    let nu = Dense.zeros (cache_dims hp a ~cap:(2 * cap)) in
+    let src = Dense.unsafe_data t and dst = Dense.unsafe_data nu in
+    for r = 0 to (Array.length src / cap) - 1 do
+      Array.blit src (r * cap) dst (r * 2 * cap) c.len
     done;
     nu
   in
-  c.ck <- regrow c.ck;
-  c.cv <- regrow c.cv;
-  c.cap <- cap'
+  c.k <- regrow c.k "p";
+  c.v <- regrow c.v "w"
 
-(* [cache_append c ~k ~v ~b] pushes slot b's column of a step's biased K/V
-   projections (dims (p,h,b,k=1) / (w,h,b,k=1)) onto the cache. *)
-let cache_append c ~k ~v ~b =
-  if c.len = c.cap then grow c;
-  let kd = Dense.unsafe_data k and vd = Dense.unsafe_data v in
-  let ks = Dense.strides_for k [ "p"; "h"; "b" ]
-  and vs = Dense.strides_for v [ "w"; "h"; "b" ] in
-  for pi = 0 to c.ph - 1 do
-    for hi = 0 to c.hh - 1 do
-      let r = (pi * c.hh) + hi in
-      c.ck.((r * c.cap) + c.len) <-
-        kd.((pi * ks.(0)) + (hi * ks.(1)) + (b * ks.(2)));
-      c.cv.((r * c.cap) + c.len) <-
-        vd.((pi * vs.(0)) + (hi * vs.(1)) + (b * vs.(2)))
+(* [column hp t a ~b dst ~dst_off ~dst_step] copies slot b's column of a
+   one-token tensor, dims (a, h, b, j|k = 1) in any storage order, into
+   [dst.(dst_off + r * dst_step)], r the (a*heads + h) row. *)
+let column (hp : Hparams.t) t a ~b dst ~dst_off ~dst_step =
+  let d = Dense.unsafe_data t and s = Dense.strides_for t [ a; "h"; "b" ] in
+  for ai = 0 to hp.proj - 1 do
+    for hi = 0 to hp.heads - 1 do
+      dst.(dst_off + (((ai * hp.heads) + hi) * dst_step)) <-
+        d.((ai * s.(0)) + (hi * s.(1)) + (b * s.(2)))
     done
-  done;
-  c.len <- c.len + 1
+  done
 
-(* Dims (p|w, h, b, k). Every layer's caches hold the same lengths, so
-   one pair serves every layer of a step. *)
-type pads = { kpad : Dense.t; vpad : Dense.t }
-
-let pads (hp : Hparams.t) ~keys =
-  let dims a =
-    [ (a, hp.proj); ("h", hp.heads); ("b", hp.batch); ("k", keys) ]
-  in
-  { kpad = Dense.zeros (dims "p"); vpad = Dense.zeros (dims "w") }
-
-(* The one part of a decode step that is not a compiled plan: its key
-   axis is the sessions' ragged cached prefixes. Bitwise parity with the
-   oracle rests on: padded tail columns being exact zeros (their products
-   contribute +0.0 at the tail of the ascending-k reduction), and the -inf
-   pad mask entering the softmax at the same point as the oracle's
-   additive causal mask. *)
-let attend (hp : Hparams.t) ~pads ~caches ~q ~k ~v =
-  let nb = Array.length caches in
-  let shape = Dense.shape pads.kpad in
-  let lmax = Shape.size shape "k" in
-  if Shape.size shape "b" <> nb || Array.exists (fun c -> c.len >= lmax) caches
-  then invalid_arg "Mha.attend: pads do not fit the batch";
-  let ph = hp.proj and hh = hp.heads in
-  (* Row (r, b) of [t]: the cached prefix, the new column, then zeros. *)
-  let assemble t axis0 cache_of newcol =
-    let data = Dense.unsafe_data t in
-    let nd = Dense.unsafe_data newcol
-    and ns = Dense.strides_for newcol [ axis0; "h"; "b" ] in
-    for pi = 0 to ph - 1 do
-      for hi = 0 to hh - 1 do
-        let r = (pi * hh) + hi in
-        for b = 0 to nb - 1 do
-          let c = caches.(b) in
-          let base = ((r * nb) + b) * lmax in
-          Array.blit (cache_of c) (r * c.cap) data base c.len;
-          data.(base + c.len) <-
-            nd.((pi * ns.(0)) + (hi * ns.(1)) + (b * ns.(2)));
-          Array.fill data (base + c.len + 1) (lmax - c.len - 1) 0.0
-        done
-      done
-    done;
-    t
-  in
-  let kkb_pad = assemble pads.kpad "p" (fun c -> c.ck) k in
-  let vvb_pad = assemble pads.vpad "w" (fun c -> c.cv) v in
-  (* The naive interior stays in-tree as the oracle: QK^T over the padded
-     keys, a 0/-inf pad mask (column k of slot b is valid when k <= len_b:
-     cached prefix plus the new token), masked softmax, V contraction. *)
-  let naive_gam () =
-    let beta = Einsum.eval "phbk,phbj->hbjk" [ kkb_pad; q ] in
+(* One session's attention: its query column against the cache's first
+   [len + 1] columns, read in place. The naive interior stays in-tree as
+   the oracle: QK^T over every cached column, a 0/-inf mask (column k is
+   valid when k <= len), masked softmax, V contraction. The streaming
+   kernel's [valid] limit reproduces that mask bitwise. *)
+let attend_one hp c q =
+  let prescale = Hparams.scaler hp in
+  let naive () =
+    let beta = Einsum.eval "phbk,phbj->hbjk" [ c.k; q ] in
     let mask =
-      Dense.init [ ("b", nb); ("k", lmax) ] (fun idx ->
-          if List.assoc "k" idx <= caches.(List.assoc "b" idx).len then 0.0
-          else neg_infinity)
+      Dense.init [ ("b", 1); ("k", capacity c) ] (fun idx ->
+          if List.assoc "k" idx <= c.len then 0.0 else neg_infinity)
     in
     let alpha =
-      Ops.Normalization.softmax_masked ~mask beta ~axis:"k"
-        ~prescale:(Hparams.scaler hp)
+      Ops.Normalization.softmax_masked ~mask beta ~axis:"k" ~prescale
     in
-    Einsum.eval "whbk,hbjk->whbj" [ vvb_pad; alpha ]
+    Einsum.eval "whbk,hbjk->whbj" [ c.v; alpha ]
   in
-  (* Streaming kernel: the ragged [valid] limits reproduce the pad mask
-     bitwise, so the decode step stays bitwise equal to the recompute
-     oracle. *)
   if Fastmode.enabled () then
     Guard.protected ~kernel:"flashattn.attend"
       ~outputs:(fun g -> [ Dense.unsafe_data g ])
-      ~fallback:naive_gam
+      ~fallback:naive
       (fun () ->
-        let valid = Array.map (fun c -> c.len + 1) caches in
-        Flashattn.forward ~valid ~prescale:(Hparams.scaler hp) ~q ~k:kkb_pad
-          ~v:vvb_pad ())
-  else naive_gam ()
+        Flashattn.forward ~valid:[| c.len + 1 |] ~prescale ~q ~k:c.k ~v:c.v
+          ())
+  else naive ()
+
+(* The one part of a decode step that is not a compiled plan: its key
+   axis is each session's ragged cached prefix. *)
+let attend (hp : Hparams.t) ~caches ~q ~k ~v =
+  let nb = Array.length caches in
+  let dims a ~nb = [ (a, hp.proj); ("h", hp.heads); ("b", nb); ("j", 1) ] in
+  let gam = Dense.zeros (dims "w" ~nb) in
+  Array.iteri
+    (fun b c ->
+      if c.len = capacity c then grow hp c;
+      let cap = capacity c in
+      column hp k "p" ~b (Dense.unsafe_data c.k) ~dst_off:c.len ~dst_step:cap;
+      column hp v "w" ~b (Dense.unsafe_data c.v) ~dst_off:c.len ~dst_step:cap;
+      let qb = Dense.zeros (dims "p" ~nb:1) in
+      column hp q "p" ~b (Dense.unsafe_data qb) ~dst_off:0 ~dst_step:1;
+      column hp (attend_one hp c qb) "w" ~b:0 (Dense.unsafe_data gam)
+        ~dst_off:b ~dst_step:nb)
+    caches;
+  gam

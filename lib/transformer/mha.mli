@@ -26,31 +26,34 @@ val kernel_names : (string list * string) list
     token decoded so far: a decode step moves O(L) bytes per token instead
     of a full recompute's O(L^2). Decoding runs {!Decoder.program} as
     compiled plans around {!attend} (see {!Model.decode_batch}) and is
-    bitwise equal to the full recompute at [dropout_p = 0]. *)
+    bitwise equal to the full recompute at [dropout_p = 0].
+
+    A cache holds its K and V as the tensors the attention kernel reads
+    in place, dims [(p,h,b=1,k=cap)] / [(w,h,b=1,k=cap)], capacity
+    doubling. Columns below {!cache_len} are committed; the column at
+    [cache_len] belongs to the step in flight; every column above it is
+    zero. *)
 
 type cache
 
 val cache_create : Hparams.t -> cache
 val cache_len : cache -> int
 
-(** [cache_append c ~k ~v ~b] pushes slot [b]'s column of a step's biased
-    K/V projections (dims [(p,h,b,k=1)] / [(w,h,b,k=1)]). *)
-val cache_append : cache -> k:Dense.t -> v:Dense.t -> b:int -> unit
-
-(** One decode step's cached K/V for [hp.batch] sessions, padded to
-    [keys]: the longest cached prefix plus the new token. Every layer of
-    the step refills the same [pads]. *)
-type pads
-
-val pads : Hparams.t -> keys:int -> pads
-
-(** [attend hp ~pads ~caches ~q ~k ~v] attends the new token's biased
+(** [attend hp ~caches ~q ~k ~v] attends the new token's biased
     projections ([qqb]/[kkb]/[vvb], slot [b] paired with [caches.(b)])
     over each session's cached prefix plus the new column and returns
-    [gam]: the guarded [flashattn.attend] kernel, or its naive
-    masked-softmax chain in naive mode and as the guard's fallback. The
-    caches are only read; the caller commits [k]/[v] with {!cache_append}
-    once the whole stack has succeeded. *)
+    [gam]. Per slot it grows the cache at capacity, writes slot [b]'s
+    [k]/[v] column at column {!cache_len}, and runs the guarded
+    [flashattn.attend] kernel on the cache tensors in place (its naive
+    masked-softmax chain in naive mode and as the guard's fallback). No
+    committed column changes, so a step that fails here or later leaves
+    the session as it was; the next step overwrites the column. The
+    caches must be distinct. *)
 val attend :
-  Hparams.t -> pads:pads -> caches:cache array -> q:Dense.t -> k:Dense.t
-  -> v:Dense.t -> Dense.t
+  Hparams.t -> caches:cache array -> q:Dense.t -> k:Dense.t -> v:Dense.t
+  -> Dense.t
+
+(** [commit c] makes the column the last {!attend} wrote part of the
+    cached prefix. Call it once per layer after the whole stack of a
+    step has succeeded. *)
+val commit : cache -> unit

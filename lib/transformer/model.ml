@@ -1,6 +1,11 @@
-(* Keyed by a decode step's hparams, which differ only in batch. *)
+(* A training layer's forward/backward pair per geometry, and a decode
+   step's pre/post-attention pair per batch size. *)
+type plan_key =
+  | Layer of Hparams.t * [ `Gelu | `Relu ] * bool  (* activation, causal *)
+  | Decode of Hparams.t
+
 type held_plans =
-  (Hparams.t, Compile.Compiled.plan * Compile.Compiled.plan) Hashtbl.t
+  (plan_key, Compile.Compiled.plan * Compile.Compiled.plan) Hashtbl.t
 
 type t = {
   hp : Hparams.t;
@@ -57,14 +62,24 @@ let embed m hp token =
   done;
   x
 
+(* The plans held under [key], built on first use: even a plan-cache hit
+   rebuilds and fingerprints the program. *)
+let held m key build =
+  match Hashtbl.find_opt m.held_plans key with
+  | Some plans -> plans
+  | None ->
+      let plans = build () in
+      Hashtbl.replace m.held_plans key plans;
+      plans
+
 (* One encoder layer as two plans over the split of [Encoder.program_with].
    The forward keeps exactly what the backward reads of it, plus its input
    [x] (its regime's [keep]), and is fused and memory-planned around that
    set; the backward runs on the saved set, the params and [d_y].
-   Structure depends only on (hp, activation, causal), so after the first
-   compile of a geometry both are plan-cache hits that re-run zero
-   passes. *)
-let layer_plans hp ~activation ~causal =
+   Structure depends only on (hp, activation, causal), so the model
+   resolves each geometry's pair once. *)
+let layer_plans m hp ~activation ~causal =
+  held m (Layer (hp, activation, causal)) @@ fun () ->
   let p = Encoder.program_with ~activation ~causal hp in
   let fwd = Ops.Program.forward_ops p and bwd = Ops.Program.backward_ops p in
   let written = List.concat_map (fun (o : Ops.Op.t) -> o.writes) fwd in
@@ -80,10 +95,10 @@ let layer_plans hp ~activation ~causal =
   ( plan (Compile.Regime.current ~keep:saved ()) fwd,
     plan (Compile.Regime.current ()) bwd )
 
-(* Warm the plan cache for a geometry before the hot loop starts. *)
+(* Resolve a geometry's plans before the hot loop starts. *)
 let precompile ?(causal = false) ?(activation = `Relu) m ~batch ~seq =
   let hp = { m.hp with Hparams.batch; seq } in
-  ignore (layer_plans hp ~activation ~causal)
+  ignore (layer_plans m hp ~activation ~causal)
 
 (* Like [forward], but batch/seq follow the token array and the layer
    program can be the causal decoder block ([forward] is the training
@@ -98,7 +113,7 @@ let forward_with ?(causal = false) ?(activation = `Relu) m ~tokens =
   let x = ref x0 in
   let layers =
     Array.init m.n_layers (fun layer ->
-        let fwd, backward_plan = layer_plans hp ~activation ~causal in
+        let fwd, backward_plan = layer_plans m hp ~activation ~causal in
         let env =
           Compile.Compiled.execute fwd (("x", !x) :: m.layer_params.(layer))
         in
@@ -350,79 +365,80 @@ let new_session m =
 let session_len s = if Array.length s.kv = 0 then 0 else Mha.cache_len s.kv.(0)
 
 (* The decoder's forward at one token per session, minus the attention
-   window that [Mha.attend] replaces, split around it. Each batch size
-   resolves its plans once: even a plan-cache hit rebuilds and
-   fingerprints the program. *)
+   window that [Mha.attend] replaces, split around it; resolved once per
+   batch size. *)
 let decode_plans m ~batch =
   let hp = { m.hp with Hparams.batch; seq = 1 } in
-  match Hashtbl.find_opt m.held_plans hp with
-  | Some plans -> plans
-  | None ->
-      let p = Decoder.program hp in
-      let named names (o : Ops.Op.t) = List.mem o.name names in
-      let pre, post =
-        List.filter
-          (fun o -> not (named [ "qkt"; "softmax"; "attn_dropout"; "gamma" ] o))
-          (Ops.Program.forward_ops p)
-        |> List.partition (named [ "qkv"; "bias_q"; "bias_k"; "bias_v" ])
-      in
-      let plan keep ops =
-        Compile.Compiled.compile ~name_table:Decoder.kernel_names
-          (Compile.Regime.current ~keep ())
-          (Ops.Program.replace_ops p ops)
-      in
-      let plans = (plan [ "qqb"; "kkb"; "vvb" ] pre, plan [ "y" ] post) in
-      Hashtbl.replace m.held_plans hp plans;
-      plans
+  held m (Decode hp) @@ fun () ->
+  let p = Decoder.program hp in
+  let named names (o : Ops.Op.t) = List.mem o.name names in
+  let pre, post =
+    List.filter
+      (fun o -> not (named [ "qkt"; "softmax"; "attn_dropout"; "gamma" ] o))
+      (Ops.Program.forward_ops p)
+    |> List.partition (named [ "qkv"; "bias_q"; "bias_k"; "bias_v" ])
+  in
+  let plan keep ops =
+    Compile.Compiled.compile ~name_table:Decoder.kernel_names
+      (Compile.Regime.current ~keep ())
+      (Ops.Program.replace_ops p ops)
+  in
+  (plan [ "qqb"; "kkb"; "vvb" ] pre, plan [ "y" ] post)
 
 (* One incremental decode step for a ragged batch of sessions: feeds token
    [tokens.(b)] to [sessions.(b)] and returns the logits column, dims
-   (v, b, j=1). New K/V columns are staged per layer and committed only
-   after every layer has succeeded, so a mid-step crash or deadline abort
-   leaves the sessions exactly as they were. *)
+   (v, b, j=1). Every layer writes its new K/V column in place past the
+   committed prefix, and the columns are committed only after every layer
+   has succeeded, so a mid-step crash or deadline abort leaves the
+   sessions exactly as they were. *)
 let decode_batch m sessions ~tokens =
   let nb = Array.length sessions in
   if nb = 0 then invalid_arg "Model.decode_batch: empty batch";
   if Array.length tokens <> nb then
     invalid_arg "Model.decode_batch: sessions/tokens length mismatch";
-  Array.iter
-    (fun s ->
+  Array.iteri
+    (fun b s ->
       if s.sess_model != m then
-        invalid_arg "Model.decode_batch: session belongs to a different model")
+        invalid_arg "Model.decode_batch: session belongs to a different model";
+      for b' = 0 to b - 1 do
+        if sessions.(b') == s then
+          invalid_arg "Model.decode_batch: a session appears twice in the batch"
+      done)
     sessions;
   if m.hp.Hparams.dropout_p <> 0.0 then
     invalid_arg "Model.decode_batch: requires dropout_p = 0 (inference)";
   let hp = { m.hp with Hparams.batch = nb; seq = 1 } in
   let pre, post = decode_plans m ~batch:nb in
   let x = ref (embed m hp (fun b _ -> tokens.(b))) in
-  let longest = Array.fold_left (fun a s -> max a (session_len s)) 0 sessions in
-  let pads = Mha.pads hp ~keys:(longest + 1) in
-  let staged =
-    Array.init m.n_layers (fun layer ->
-        let params = m.layer_params.(layer) in
-        let proj = Compile.Compiled.execute pre (("x", !x) :: params) in
-        let q = Ops.Op.lookup proj "qqb"
-        and k = Ops.Op.lookup proj "kkb"
-        and v = Ops.Op.lookup proj "vvb" in
-        let caches = Array.map (fun s -> s.kv.(layer)) sessions in
-        let gam = Mha.attend hp ~pads ~caches ~q ~k ~v in
-        let out =
-          Compile.Compiled.execute post (("x", !x) :: ("gam", gam) :: params)
-        in
-        x := Ops.Op.lookup out "y";
-        (k, v))
-  in
-  Array.iteri
-    (fun layer (k, v) ->
-      Array.iteri (fun b s -> Mha.cache_append s.kv.(layer) ~k ~v ~b) sessions)
-    staged;
+  for layer = 0 to m.n_layers - 1 do
+    let params = m.layer_params.(layer) in
+    let proj = Compile.Compiled.execute pre (("x", !x) :: params) in
+    let q = Ops.Op.lookup proj "qqb"
+    and k = Ops.Op.lookup proj "kkb"
+    and v = Ops.Op.lookup proj "vvb" in
+    let caches = Array.map (fun s -> s.kv.(layer)) sessions in
+    let gam = Mha.attend hp ~caches ~q ~k ~v in
+    let out =
+      Compile.Compiled.execute post (("x", !x) :: ("gam", gam) :: params)
+    in
+    x := Ops.Op.lookup out "y"
+  done;
+  Array.iter (fun s -> Array.iter Mha.commit s.kv) sessions;
   Einsum.eval "vi,ibj->vbj" [ m.embedding; !x ]
 
 (* Slot b's vocabulary column at the last position of a logits tensor. *)
 let logits_column logits ~b =
   let shape = Dense.shape logits in
-  let v = Shape.size shape "v" and j = Shape.size shape "j" in
-  Array.init v (fun vi -> Dense.get logits [ ("v", vi); ("b", b); ("j", j - 1) ])
+  if b < 0 || b >= Shape.size shape "b" then
+    invalid_arg "Model.logits_column: slot out of range";
+  let ld = Dense.unsafe_data logits
+  and s = Dense.strides_for logits [ "v"; "b"; "j" ] in
+  let base = (b * s.(1)) + ((Shape.size shape "j" - 1) * s.(2)) in
+  let col = Array.create_float (Shape.size shape "v") in
+  for vi = 0 to Array.length col - 1 do
+    col.(vi) <- ld.(base + (vi * s.(0)))
+  done;
+  col
 
 (* Full-recompute oracle: run the causal decoder stack over the whole
    prefix and return the final position's vocabulary column. The KV-cached

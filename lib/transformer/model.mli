@@ -4,7 +4,9 @@
     the paper's optimized layers "can be extended to support a full
     training pipeline by stacking" (§VI-C). *)
 
-(** The {!decode_plans} of each batch size used so far. *)
+(** The plans the model has resolved so far: each training geometry's
+    forward/backward pair ({!precompile}, {!forward_with}) and each batch
+    size's {!decode_plans}, under keys that keep the two kinds apart. *)
 type held_plans
 
 type t = {
@@ -94,18 +96,20 @@ val parameter_count : t -> int
 
 (** {1 Inference: KV-cached incremental decoding}
 
-    A [session] holds one sequence's per-layer K/V caches. [decode_batch]
-    advances a ragged batch of sessions one token each; per-layer cache
-    appends are committed only after the whole stack succeeds, so an
-    aborted step (crash, deadline) leaves sessions untouched. Decoding
-    requires [dropout_p = 0] and is bitwise equal, per column, to
-    [forward_with ~causal:true ~activation:`Gelu] over the full prefix. *)
+    A [session] holds one sequence's per-layer K/V caches ({!Mha.cache}).
+    [decode_batch] advances a ragged batch of sessions one token each.
+    Every layer writes its new K/V column in place past the committed
+    prefix, and the columns are committed ({!Mha.commit}) only after the
+    whole stack succeeds, so an aborted step (crash, deadline) leaves
+    sessions untouched. Decoding requires [dropout_p = 0] and is bitwise
+    equal, per column, to [forward_with ~causal:true ~activation:`Gelu]
+    over the full prefix. *)
 
-(** [precompile ?causal ?activation m ~batch ~seq] warms the compiled-plan
-    cache with a layer geometry's forward and backward plans before the hot
-    loop starts; {!forward_with} and {!backward} then re-run zero passes.
-    Redundant but harmless when omitted — the first forward compiles and
-    caches the same plans. *)
+(** [precompile ?causal ?activation m ~batch ~seq] resolves a layer
+    geometry's forward and backward plans before the hot loop starts and
+    holds them in [m]; {!forward_with} and {!backward} then neither
+    compile nor look up a plan. Redundant but harmless when omitted — the
+    first forward resolves and holds the same plans. *)
 val precompile :
   ?causal:bool -> ?activation:[ `Gelu | `Relu ] -> t
   -> batch:int -> seq:int -> unit
@@ -115,8 +119,8 @@ val precompile :
     causal (decoder) block. [forward] is [forward_with] at the defaults.
     Each layer's forward is a fused, memory-planned {!Compile.Compiled}
     plan that keeps exactly the containers its backward reads (see
-    {!layer_cache}); the forward and backward plans are compiled once per
-    geometry through the plan cache and executed per layer. *)
+    {!layer_cache}); the forward and backward plans are resolved once per
+    geometry, held in the model, and executed per layer. *)
 val forward_with :
   ?causal:bool -> ?activation:[ `Gelu | `Relu ] -> t
   -> tokens:int array array -> cache
@@ -130,8 +134,10 @@ val session_len : session -> int
 
 (** [decode_batch m sessions ~tokens] feeds [tokens.(b)] to
     [sessions.(b)]; returns logits, dims [(v, b, j=1)]. Each layer runs
-    the two {!decode_plans}, with the cached attention ({!Mha.attend})
-    between them as the only step outside a plan. *)
+    the two {!decode_plans}, with the cached attention ({!Mha.attend},
+    reading every session's cache in place) between them as the only
+    step outside a plan. Raises [Invalid_argument] when a session appears
+    twice in [sessions]. *)
 val decode_batch : t -> session array -> tokens:int array -> Dense.t
 
 (** [decode_plans m ~batch] is the pair of plans every layer of a decode
@@ -145,7 +151,8 @@ val decode_plans :
   t -> batch:int -> Compile.Compiled.plan * Compile.Compiled.plan
 
 (** [logits_column logits ~b] is slot [b]'s vocabulary column at the last
-    position. *)
+    position, read in place through the tensor's strides. Raises
+    [Invalid_argument] when [b] is not a slot of [logits]. *)
 val logits_column : Dense.t -> b:int -> float array
 
 (** [decode_oracle m ~prompt] recomputes the whole causal prefix and

@@ -15,8 +15,9 @@ module E = Ops.Elementwise
 let dims_beta ~nh ~nb ~nj ~nk = [ ("h", nh); ("b", nb); ("j", nj); ("k", nk) ]
 
 (* The naive chain at value level. [valid.(b)] limits slot b to its first
-   valid keys via a 0/-inf pad mask, exactly as a decode step's cached
-   attention (Mha.attend) builds it for its naive fallback. *)
+   valid keys via a 0/-inf mask, the mask a decode step's cached
+   attention (Mha.attend) builds over each session's cache for its naive
+   fallback. *)
 let oracle ?(causal = false) ?valid ?dropmask ~prescale ~qt ~kt ~vt ~nj ~nk
     () =
   let beta = Einsum.eval "phbk,phbj->hbjk" [ kt; qt ] in

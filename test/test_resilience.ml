@@ -211,10 +211,11 @@ let test_hang_times_out_to_fallback () =
 
 (* The streaming attention kernel runs under the same guard. KV-cached
    decode (Model.decode_batch: per layer, two compiled plans around the
-   cached attention Mha.attend) with every fast kernel crashing heals each
-   step's attention to the naive einsum + masked-softmax chain and every
-   planned kernel to its oracle, so the logits land bitwise on the
-   all-naive run and the quarantine names the streaming kernel. *)
+   cached attention Mha.attend, one kernel launch per session on its
+   cache in place) with every fast kernel crashing heals each session's
+   attention to the naive einsum + masked-softmax chain and every planned
+   kernel to its oracle, so the logits land bitwise on the all-naive run
+   and the quarantine names the streaming kernel. *)
 let test_flashattn_crash_heals () =
   Guard.reset ();
   let module H = Transformer.Hparams in

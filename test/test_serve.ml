@@ -92,6 +92,86 @@ let test_decode_bitwise_ragged () =
       prompts
   done
 
+(* A batch that names one session twice is refused before anything runs:
+   its two slots would write the same cache column. *)
+let test_decode_rejects_duplicate_session () =
+  let m = M.create ~n_layers:2 ~vocab hp0 in
+  let a = M.new_session m and b = M.new_session m in
+  ignore (M.decode_batch m [| a |] ~tokens:[| 1 |]);
+  (match M.decode_batch m [| a; b; a |] ~tokens:[| 2; 3; 4 |] with
+  | _ -> Alcotest.fail "duplicate session accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "refused batch committed nothing" true
+    (M.session_len a = 1 && M.session_len b = 0)
+
+(* An aborted step commits nothing: with the fallback off, a crash of a
+   later streaming-attention launch (after earlier launches of the same
+   step have written their K/V columns) propagates out of
+   [decode_batch], every session keeps its length, and the following clean
+   steps still match the recompute oracle bitwise. *)
+let test_aborted_step_commits_nothing () =
+  Guard.reset ();
+  let m = M.create ~n_layers:2 ~vocab hp0 in
+  let prng = Prng.create 31L in
+  let prompts =
+    Array.init 2 (fun _ -> Array.init 20 (fun _ -> Prng.int prng ~bound:vocab))
+  in
+  let sessions = Array.map (fun _ -> M.new_session m) prompts in
+  let feed slots =
+    M.decode_batch m
+      (Array.map (fun b -> sessions.(b)) slots)
+      ~tokens:
+        (Array.map (fun b -> prompts.(b).(M.session_len sessions.(b))) slots)
+  in
+  for _ = 1 to 13 do
+    ignore (feed [| 0 |])
+  done;
+  ignore (feed [| 0; 1 |]);
+  ignore (feed [| 0; 1 |]);
+  ignore (feed [| 0 |]);
+  (* launch 0 runs and writes its column, launch 1 crashes; slot 0 sits at
+     16 tokens, so the aborted steps also grow its caches *)
+  let crash_second =
+    {
+      Execfault.on_kernel =
+        (fun ~kernel ~instance ->
+          if kernel = "flashattn.attend" && instance >= 1 then
+            raise (Execfault.Injected_crash { kernel; instance; chunk = -1 }));
+      on_chunk = (fun ~label:_ ~chunk:_ -> ());
+      corrupt = (fun ~kernel:_ ~instance:_ _ -> ());
+    }
+  in
+  List.iter
+    (fun slots ->
+      let before = Array.map M.session_len sessions in
+      let raised =
+        match
+          Execfault.with_hooks crash_second (fun () ->
+              Guard.with_fallback false (fun () ->
+                  Fastmode.with_mode true (fun () -> feed slots)))
+        with
+        | _ -> false
+        | exception Execfault.Injected_crash _ -> true
+      in
+      check_bool "aborted step raised" true raised;
+      check_bool "aborted step left every session length" true
+        (Array.map M.session_len sessions = before))
+    [ [| 0 |]; [| 1; 0 |] ];
+  Guard.reset ();
+  List.iter
+    (fun slots ->
+      let logits = Fastmode.with_mode true (fun () -> feed slots) in
+      Array.iteri
+        (fun i b ->
+          check_column
+            ~what:(Printf.sprintf "after abort slot %d" b)
+            (M.logits_column logits ~b:i)
+            (M.decode_oracle m
+               ~prompt:(Array.sub prompts.(b) 0 (M.session_len sessions.(b)))))
+        slots)
+    [ [| 0; 1 |]; [| 1 |]; [| 0; 1 |] ];
+  Guard.reset ()
+
 (* Random storage layouts: permuting every parameter's storage order must
    leave both paths identical (pure data movement). *)
 let prop_decode_bitwise_layouts =
@@ -525,6 +605,10 @@ let () =
             test_decode_bitwise_ragged;
           Alcotest.test_case "greedy generation matches oracle" `Quick
             test_generate_matches_oracle;
+          Alcotest.test_case "a session twice in one batch is refused" `Quick
+            test_decode_rejects_duplicate_session;
+          Alcotest.test_case "aborted step commits nothing" `Quick
+            test_aborted_step_commits_nothing;
           q prop_decode_bitwise_layouts;
         ] );
       ( "scheduler",
