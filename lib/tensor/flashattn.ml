@@ -2,22 +2,41 @@
 
    Operation-order discipline: the naive oracle is the encoder's
    qkt -> softmax(+causal/pad mask) -> dropout -> gamma chain, whose fast
-   kernels in turn replicate the naive constructors bitwise. Every path
-   here follows the same floating-point recipe —
+   kernels in turn replicate the naive constructors bitwise. Both
+   directions walk blocks of [block_rows] Q rows and run every
+   contraction as a {!Gemm.gemm} into a zeroed C, which sums each element
+   in ascending k from 0.0: the order of the naive einsum. Per block —
 
-     score   = prescale *. (ascending-p dot from 0.0)  [+. 0.0 under a mask]
-     max     = Float.max fold, ascending k
-     exp     = exp (score +. (-1.0 *. max))
-     sum     = ascending-k fold from 0.0
-     alpha   = (exp *. (1.0 /. sum)) [*. maskv]
-     context = ascending-k fold of (v *. alpha) from 0.0
+     S        = Q_blk . K^T                  (ascending p)
+     score    = prescale *. S  [+. 0.0 under a mask]
+     max      = Float.max fold, ascending k
+     exp      = exp (score +. (-1.0 *. max))
+     sum      = ascending-k fold from 0.0
+     alpha    = (exp *. (1.0 /. sum)) [*. maskv]
+     O_blk    = alpha . V                    (ascending k)
 
-   — so the forward is bitwise equal to the oracle, and the backward,
-   which recomputes each row's probabilities with the same recipe, feeds
-   the oracle's softmax_dx the oracle's own values. Masked-out positions
-   are skipped rather than computed: they contribute exp(-inf + nm) = 0.0
-   to an ascending sum of non-negatives and leave a Float.max fold
-   unchanged, so skipping preserves every bit. *)
+   and the backward, which recomputes y (alpha before the mask) with the
+   same recipe —
+
+     dA       = dO_blk . V^T                 (ascending w)
+     dy       = dA *. maskv,  rs = ascending-k fold of (dy *. y)
+     dS       = prescale *. (y *. (dy +. (-1.0 *. rs)))
+     dQ_blk^T = K^T . dS^T                   (ascending k)
+     dK      += dS^T . Q_blk                 (ascending j)
+     dV      += (y *. maskv)^T . dO_blk      (ascending j)
+
+   — so the forward is bitwise equal to the oracle, and the backward feeds
+   the oracle's softmax_dx the oracle's own values. dK and dV carry across
+   blocks, so their sums run over all rows in ascending j. Products
+   commute, so the operand order inside a GEMM product does not matter.
+
+   A block reads the key prefix of its last row ([kmax] is nondecreasing
+   in j). A row whose own prefix is shorter (under a causal mask) gets
+   alpha, dS and y *. maskv of 0.0 past it; adding an exact zero to an
+   accumulator that starts at +0.0 changes no bit. Keys past the block's
+   prefix are skipped rather than computed: a masked key contributes
+   exp(-inf + nm) = 0.0 to an ascending sum of non-negatives and leaves a
+   Float.max fold unchanged, so skipping preserves every bit. *)
 
 type axes = {
   feat_qk : Axis.t;
@@ -67,15 +86,13 @@ type geom = {
 }
 
 let extent t ax =
-  let rec go = function
-    | [] ->
-        invalid_arg
-          ("Flashattn: tensor is missing axis " ^ ax ^ " (layout "
-          ^ String.concat "," (Dense.axes t)
-          ^ ")")
-    | (a, n) :: rest -> if Axis.equal a ax then n else go rest
-  in
-  go (Shape.to_list (Dense.shape t))
+  match Shape.size (Dense.shape t) ax with
+  | n -> n
+  | exception Not_found ->
+      invalid_arg
+        ("Flashattn: tensor is missing axis " ^ ax ^ " (layout "
+        ^ String.concat "," (Dense.axes t)
+        ^ ")")
 
 let check_drop_dims axes d ~nh ~nb ~nj ~nk =
   let expect =
@@ -148,191 +165,167 @@ let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
 
 (* Mask element for flat position [e] of the (h, b, j, k) stream: the
    value [Elementwise.dropout_mask] stores there. *)
-let mask_at g e = Prng.keep_at g.drop_state e ~p:g.drop_p ~scale:g.drop_scale
+let[@inline] mask_at g e =
+  Prng.keep_at g.drop_state e ~p:g.drop_p ~scale:g.drop_scale
 
 (* Valid key range for row [jj] of slot [b]: [0, kmax). *)
 let kmax_of g ~b ~jj =
   let m = match g.valid with Some a -> min g.nk a.(b) | None -> g.nk in
   if g.causal then min m (jj + 1) else m
 
-(* Pack K/V columns [0, n) of (h, b) into contiguous [col][feat] panels:
-   the kernel's cache-resident working set. *)
-let pack_panel data (str : int array) ~h ~b ~n ~nf dst =
+(* Q rows per block: the m of the block's score and gradient GEMMs. *)
+let block_rows = 16
+
+(* Pack sequence positions [lo, lo + n) of (h, b) into a [pos][feat]
+   panel at [dst.(at)]: a Q or dO block, or the K/V panel a GEMM reads
+   as B. *)
+let pack_rows (data : float array) (str : int array) ~h ~b ~lo ~n ~nf
+    (dst : float array) ~at =
   let base = (h * str.(1)) + (b * str.(2)) in
   let sf = str.(0) and sk = str.(3) in
-  for kk = 0 to n - 1 do
-    let src = base + (kk * sk) in
-    let row = kk * nf in
+  for r = 0 to n - 1 do
+    let src = base + ((lo + r) * sk) and row = at + (r * nf) in
     for f = 0 to nf - 1 do
       Array.unsafe_set dst (row + f) (Array.unsafe_get data (src + (f * sf)))
     done
   done
 
+(* Pack sequence positions [0, n) of (h, b) into a [feat][pos] panel of
+   row stride n at [dst.(at)]: K^T or V^T, the B operand of a product
+   over features. *)
+let pack_cols (data : float array) (str : int array) ~h ~b ~n ~nf
+    (dst : float array) ~at =
+  let base = (h * str.(1)) + (b * str.(2)) in
+  let sf = str.(0) and sk = str.(3) in
+  for f = 0 to nf - 1 do
+    let src = base + (f * sf) and row = at + (f * n) in
+    for kk = 0 to n - 1 do
+      Array.unsafe_set dst (row + kk) (Array.unsafe_get data (src + (kk * sk)))
+    done
+  done
+
+(* Write a block of scratch, position r and feature f at
+   [src.(at + r * rs + f * fs)], to positions [lo, lo + n) of (h, b) in
+   an output laid out (feat, heads, batch, seq) with [ns] positions.
+   Each work item owns the positions it writes. *)
+let unpack g (dst : float array) ~ns ~h ~b ~lo ~n ~nf (src : float array)
+    ~at ~rs ~fs =
+  let step = g.nh * g.nb * ns and base = (((h * g.nb) + b) * ns) + lo in
+  for f = 0 to nf - 1 do
+    for r = 0 to n - 1 do
+      Array.unsafe_set dst (base + r + (f * step))
+        (Array.unsafe_get src (at + (r * rs) + (f * fs)))
+    done
+  done
+
+(* [Float.max] with the ordered cases first: [Float.max] itself asks
+   [Float.sign_bit], a C call, whenever y <= x, which is almost every
+   score. Equal (signed zeros) and NaN operands take [Float.max]'s own
+   sign-bit and NaN rules, so every result keeps its bits. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if y < x then x
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+(* Turn the raw dots [s.(off) .. s.(off + km - 1)] of one row into
+   probabilities in place: prescale (+. 0.0 under a mask), max, exp, sum,
+   normalize. *)
+let softmax_row g s ~off ~km =
+  let mx = ref neg_infinity in
+  for i = off to off + km - 1 do
+    let v = g.prescale *. Array.unsafe_get s i in
+    let v = if g.masking then v +. 0.0 else v in
+    Array.unsafe_set s i v;
+    mx := fmax !mx v
+  done;
+  let nm = -1.0 *. !mx in
+  let sum = ref 0.0 in
+  for i = off to off + km - 1 do
+    let e = exp (Array.unsafe_get s i +. nm) in
+    Array.unsafe_set s i e;
+    sum := !sum +. e
+  done;
+  let inv = 1.0 /. !sum in
+  for i = off to off + km - 1 do
+    Array.unsafe_set s i (Array.unsafe_get s i *. inv)
+  done
+
+(* Flat position of (h, b, jj, 0) in the (h, b, j, k) dropout stream. *)
+let stream_row g ~h ~b ~jj = ((((h * g.nb) + b) * g.nj) + jj) * g.nk
+
 (* Threshold below which parallel dispatch costs more than the work. *)
 let par_min_flop = 4096
+
+(* Run [item] over [0, work): on the Pool workers when there are several
+   items and enough flop, else inline, where each GEMM may shard its own
+   rows (a GEMM inside a worker runs inline). *)
+let run_items g ~label ~work item =
+  let flops = g.nj * g.nk * (g.np + g.nw) in
+  if work >= 2 && flops >= par_min_flop && Pool.num_domains () > 1 then
+    Pool.parallel_for ~label ~start:0 ~finish:work (fun lo hi ->
+        for it = lo to hi - 1 do
+          item it
+        done)
+  else
+    for it = 0 to work - 1 do
+      item it
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Forward                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Rows per register block: scores and V-products for [row_block]
-   consecutive Q rows are computed against each packed K/V column load,
-   turning the panel traversals into 1-load / 4-FMA loops (GEMM-style
-   register blocking applied to the streaming passes). Per-row operation
-   order is unchanged and additions sharing a destination keep ascending
-   row order, so blocked runs stay bitwise identical to row-at-a-time. *)
-let row_block = 4
-
-(* One (h, b, Q-tile) work item: each row against its whole unmasked
-   key prefix, normalized per element before the V products — bitwise the
-   naive chain. Rows with no valid key keep the output's zeros. *)
+(* One (h, b, Q-tile) work item: row blocks of the tile against packed
+   K^T/V panels, all in one scratch borrow. Rows with no valid key keep
+   the output's zeros. *)
 let fwd_item g ~od ~h ~b ~qlo ~qhi =
-  let kmax_tile = kmax_of g ~b ~jj:(qhi - 1) in
-  if kmax_tile > 0 then
-    Arena.with_scratch Arena.global (kmax_tile * g.np) (fun kp ->
-    Arena.with_scratch Arena.global (kmax_tile * g.nw) (fun vp ->
-    Arena.with_scratch Arena.global (row_block * kmax_tile) (fun sb ->
-    Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
-    Arena.with_scratch Arena.global (row_block * g.nw) (fun ob ->
-        pack_panel g.kd g.ks ~h ~b ~n:kmax_tile ~nf:g.np kp;
-        pack_panel g.vd g.vs ~h ~b ~n:kmax_tile ~nf:g.nw vp;
-        let np = g.np and nw = g.nw in
-        let nkt = kmax_tile in
-        let km = Array.make row_block 0 in
-        let ostep = g.nh * g.nb * g.nj in
-        let sp = g.qs.(0) in
-        let j0 = ref qlo in
-        while !j0 < qhi do
-          let j0v = !j0 in
-          let jn = min row_block (qhi - j0v) in
-          for r = 0 to jn - 1 do
-            let jj = j0v + r in
-            km.(r) <- kmax_of g ~b ~jj;
-            let qbase = (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3)) in
-            for p = 0 to np - 1 do
-              Array.unsafe_set qb ((r * np) + p)
-                (Array.unsafe_get g.qd (qbase + (p * sp)))
-            done
-          done;
-          (* [kmax] is nondecreasing in j, so row 0's range is the
-             block's common prefix; causal tails replay per row. *)
-          let common = if jn = row_block then km.(0) else 0 in
-          (* scores (ascending-p dots, prescale, the oracle's +. 0.0) *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let row = kk * np in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (row + p) in
-                a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-              done;
-              let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-              let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-              if g.masking then begin
-                Array.unsafe_set sb kk (s0 +. 0.0);
-                Array.unsafe_set sb (nkt + kk) (s1 +. 0.0);
-                Array.unsafe_set sb ((2 * nkt) + kk) (s2 +. 0.0);
-                Array.unsafe_set sb ((3 * nkt) + kk) (s3 +. 0.0)
-              end
-              else begin
-                Array.unsafe_set sb kk s0;
-                Array.unsafe_set sb (nkt + kk) s1;
-                Array.unsafe_set sb ((2 * nkt) + kk) s2;
-                Array.unsafe_set sb ((3 * nkt) + kk) s3
-              end
-            done;
-          for r = 0 to jn - 1 do
-            let qrow = r * np and srow = r * nkt in
-            for kk = common to km.(r) - 1 do
-              let row = kk * np in
-              let acc = ref 0.0 in
-              for p = 0 to np - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get kp (row + p)
-                     *. Array.unsafe_get qb (qrow + p))
-              done;
-              let s = g.prescale *. !acc in
-              Array.unsafe_set sb (srow + kk)
-                (if g.masking then s +. 0.0 else s)
-            done
-          done;
-          (* per-row softmax (max, exp, sum, normalize) and dropout:
-             scores become probabilities in place *)
-          for r = 0 to jn - 1 do
-            let kmr = km.(r) in
-            let jj = j0v + r in
-            if kmr > 0 then begin
-              let srow = r * nkt in
-              let mx = ref neg_infinity in
-              for kk = 0 to kmr - 1 do
-                mx := Float.max !mx (Array.unsafe_get sb (srow + kk))
-              done;
-              let nm = -1.0 *. !mx in
-              let s = ref 0.0 in
-              for kk = 0 to kmr - 1 do
-                let ev = exp (Array.unsafe_get sb (srow + kk) +. nm) in
-                Array.unsafe_set sb (srow + kk) ev;
-                s := !s +. ev
-              done;
-              let inv = 1.0 /. !s in
-              let ebase = ((((h * g.nb) + b) * g.nj) + jj) * g.nk in
-              for kk = 0 to kmr - 1 do
-                let alpha = Array.unsafe_get sb (srow + kk) *. inv in
-                let alpha =
-                  if g.drop_p > 0.0 then alpha *. mask_at g (ebase + kk)
-                  else alpha
-                in
-                Array.unsafe_set sb (srow + kk) alpha
-              done
-            end
-          done;
-          (* context accumulation: block-local output rows, ascending k *)
-          Array.fill ob 0 (jn * nw) 0.0;
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let vrow = kk * nw in
-              let a0 = Array.unsafe_get sb kk
-              and a1 = Array.unsafe_get sb (nkt + kk)
-              and a2 = Array.unsafe_get sb ((2 * nkt) + kk)
-              and a3 = Array.unsafe_get sb ((3 * nkt) + kk) in
-              for w = 0 to nw - 1 do
-                let vv = Array.unsafe_get vp (vrow + w) in
-                Array.unsafe_set ob w (Array.unsafe_get ob w +. (vv *. a0));
-                Array.unsafe_set ob (nw + w)
-                  (Array.unsafe_get ob (nw + w) +. (vv *. a1));
-                Array.unsafe_set ob ((2 * nw) + w)
-                  (Array.unsafe_get ob ((2 * nw) + w) +. (vv *. a2));
-                Array.unsafe_set ob ((3 * nw) + w)
-                  (Array.unsafe_get ob ((3 * nw) + w) +. (vv *. a3))
-              done
-            done;
-          for r = 0 to jn - 1 do
-            let srow = r * nkt and orow = r * nw in
-            for kk = common to km.(r) - 1 do
-              let alpha = Array.unsafe_get sb (srow + kk) in
-              let vrow = kk * nw in
-              for w = 0 to nw - 1 do
-                Array.unsafe_set ob (orow + w)
-                  (Array.unsafe_get ob (orow + w)
-                  +. (Array.unsafe_get vp (vrow + w) *. alpha))
-              done
-            done
-          done;
-          (* commit the block's context rows (owned by this item) *)
-          for r = 0 to jn - 1 do
-            let obase = (h * g.nb * g.nj) + (b * g.nj) + j0v + r in
-            for w = 0 to nw - 1 do
-              Array.unsafe_set od (obase + (w * ostep))
-                (Array.unsafe_get ob ((r * nw) + w))
-            done
-          done;
-          j0 := j0v + jn
-        done)))))
+  let nt = kmax_of g ~b ~jj:(qhi - 1) in
+  if nt > 0 then begin
+    let np = g.np and nw = g.nw and rows = min block_rows (qhi - qlo) in
+    (* scratch offsets: K^T [p][k], V [k][w], then the block's
+       Q [r][p], scores/alpha [r][k] and context [r][w] *)
+    let kt = 0 and vp = np * nt in
+    let qb = vp + (nt * nw) in
+    let sb = qb + (rows * np) in
+    let ob = sb + (rows * nt) in
+    Arena.with_scratch Arena.global (ob + (rows * nw)) @@ fun buf ->
+    pack_rows g.vd g.vs ~h ~b ~lo:0 ~n:nt ~nf:nw buf ~at:vp;
+    (* K^T's row stride is the block's key count: repack when it changes
+       (every block under a causal mask, never otherwise) *)
+    let packed = ref 0 in
+    let lo = ref qlo in
+    while !lo < qhi do
+      let j0 = !lo in
+      let jn = min block_rows (qhi - j0) in
+      let n = kmax_of g ~b ~jj:(j0 + jn - 1) in
+      if n <> !packed then begin
+        pack_cols g.kd g.ks ~h ~b ~n ~nf:np buf ~at:kt;
+        packed := n
+      end;
+      pack_rows g.qd g.qs ~h ~b ~lo:j0 ~n:jn ~nf:np buf ~at:qb;
+      Array.fill buf sb (jn * n) 0.0;
+      Gemm.gemm ~a_off:qb ~b_off:kt ~c_off:sb ~m:jn ~n ~k:np buf buf buf;
+      for r = 0 to jn - 1 do
+        let km = kmax_of g ~b ~jj:(j0 + r) and off = sb + (r * n) in
+        softmax_row g buf ~off ~km;
+        if g.drop_p > 0.0 then begin
+          let e0 = stream_row g ~h ~b ~jj:(j0 + r) - off in
+          for i = off to off + km - 1 do
+            Array.unsafe_set buf i
+              (Array.unsafe_get buf i *. mask_at g (e0 + i))
+          done
+        end;
+        Array.fill buf (off + km) (n - km) 0.0
+      done;
+      Array.fill buf ob (jn * nw) 0.0;
+      Gemm.gemm ~a_off:sb ~b_off:vp ~c_off:ob ~m:jn ~n:nw ~k:n buf buf buf;
+      unpack g od ~ns:g.nj ~h ~b ~lo:j0 ~n:jn ~nf:nw buf ~at:ob ~rs:nw ~fs:1;
+      lo := j0 + jn
+    done
+  end
 
 (* Q rows per forward work item: the parallel sharding unit. *)
 let q_tile = 32
@@ -347,319 +340,99 @@ let forward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
   in
   let od = Dense.unsafe_data out in
   let nq_tiles = (g.nj + q_tile - 1) / q_tile in
-  let work = g.nh * g.nb * nq_tiles in
-  let item it =
-    let qi = it mod nq_tiles in
-    let hb = it / nq_tiles in
-    let b = hb mod g.nb in
-    let h = hb / g.nb in
-    let qlo = qi * q_tile in
-    let qhi = min (qlo + q_tile) g.nj in
-    fwd_item g ~od ~h ~b ~qlo ~qhi
-  in
-  let flops = g.nj * g.nk * (g.np + g.nw) in
-  if work >= 2 && flops >= par_min_flop && Pool.num_domains () > 1 then
-    Pool.parallel_for ~label:"flashattn.fwd" ~start:0 ~finish:work
-      (fun lo hi ->
-        for it = lo to hi - 1 do
-          item it
-        done)
-  else
-    for it = 0 to work - 1 do
-      item it
-    done;
+  run_items g ~label:"flashattn.fwd" ~work:(g.nh * g.nb * nq_tiles) (fun it ->
+      let qi = it mod nq_tiles in
+      let hb = it / nq_tiles in
+      let qlo = qi * q_tile in
+      fwd_item g ~od ~h:(hb / g.nb) ~b:(hb mod g.nb) ~qlo
+        ~qhi:(min (qlo + q_tile) g.nj));
   out
 
 (* ------------------------------------------------------------------ *)
 (* Backward                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One (h, b) work item: streams Q-row blocks against packed K/V panels,
-   recomputing scores and probabilities. Scratch is O(L * d): the panels
-   plus four K-length row buffers (probabilities, d-probabilities,
-   dropout masks). dK/dV accumulate over rows in ascending j — additions
-   sharing a destination are nested in ascending row order and the
-   causal tail of each block replays rows one at a time, so blocked runs
-   are bitwise identical to a row-at-a-time walk (and items own disjoint
-   (h, b) slabs, so sharding is bitwise too). *)
+(* One (h, b) work item: row blocks against packed K, K^T and V^T panels,
+   recomputing scores and probabilities. Scratch is O(L * d), one borrow:
+   the panels, the dK/dV accumulators, and four block-by-key buffers (y
+   and dS by row, dS^T and (y *. maskv)^T by key). Items own disjoint
+   (h, b) slabs, so sharding is bitwise. *)
 let bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
-  let nk = kmax_of g ~b ~jj:(g.nj - 1) in
   (* widest key range any row of this slot touches *)
-  if nk > 0 then
-    Arena.with_scratch Arena.global (nk * g.np) (fun kp ->
-    Arena.with_scratch Arena.global (nk * g.nw) (fun vp ->
-    Arena.with_zeroed Arena.global (nk * g.np) (fun dk ->
-    Arena.with_zeroed Arena.global (nk * g.nw) (fun dv ->
-    Arena.with_scratch Arena.global (row_block * nk) (fun yb ->
-    Arena.with_scratch Arena.global (row_block * nk) (fun db ->
-    Arena.with_scratch Arena.global (row_block * nk) (fun mb ->
-    Arena.with_scratch Arena.global (row_block * g.np) (fun qb ->
-    Arena.with_scratch Arena.global (row_block * g.np) (fun dqb ->
-    Arena.with_scratch Arena.global (row_block * g.nw) (fun dgb ->
-        pack_panel g.kd g.ks ~h ~b ~n:nk ~nf:g.np kp;
-        pack_panel g.vd g.vs ~h ~b ~n:nk ~nf:g.nw vp;
-        let np = g.np and nw = g.nw in
-        let km = Array.make row_block 0 in
-        let dqstep = g.nh * g.nb * g.nj in
-        let sp = g.qs.(0) and sw = dgs.(0) in
-        let j0 = ref 0 in
-        while !j0 < g.nj do
-          let j0v = !j0 in
-          let jn = min row_block (g.nj - j0v) in
-          for r = 0 to jn - 1 do
-            let jj = j0v + r in
-            km.(r) <- kmax_of g ~b ~jj;
-            let qbase = (h * g.qs.(1)) + (b * g.qs.(2)) + (jj * g.qs.(3)) in
-            let dgbase = (h * dgs.(1)) + (b * dgs.(2)) + (jj * dgs.(3)) in
-            for p = 0 to np - 1 do
-              Array.unsafe_set qb ((r * np) + p)
-                (Array.unsafe_get g.qd (qbase + (p * sp)))
-            done;
-            for w = 0 to nw - 1 do
-              Array.unsafe_set dgb ((r * nw) + w)
-                (Array.unsafe_get dgd (dgbase + (w * sw)))
-            done
-          done;
-          (* [kmax] is nondecreasing in j (causal widens, valid is
-             per-slot), so row 0's range is the block's common prefix;
-             the causal tail is replayed per row below. *)
-          let common = if jn = row_block then km.(0) else 0 in
-          (* scores (ascending-p dots, prescale, the oracle's +. 0.0) *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let row = kk * np in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (row + p) in
-                a0 := !a0 +. (kv *. Array.unsafe_get qb p);
-                a1 := !a1 +. (kv *. Array.unsafe_get qb (np + p));
-                a2 := !a2 +. (kv *. Array.unsafe_get qb ((2 * np) + p));
-                a3 := !a3 +. (kv *. Array.unsafe_get qb ((3 * np) + p))
-              done;
-              let s0 = g.prescale *. !a0 and s1 = g.prescale *. !a1 in
-              let s2 = g.prescale *. !a2 and s3 = g.prescale *. !a3 in
-              if g.masking then begin
-                Array.unsafe_set yb kk (s0 +. 0.0);
-                Array.unsafe_set yb (nk + kk) (s1 +. 0.0);
-                Array.unsafe_set yb ((2 * nk) + kk) (s2 +. 0.0);
-                Array.unsafe_set yb ((3 * nk) + kk) (s3 +. 0.0)
-              end
-              else begin
-                Array.unsafe_set yb kk s0;
-                Array.unsafe_set yb (nk + kk) s1;
-                Array.unsafe_set yb ((2 * nk) + kk) s2;
-                Array.unsafe_set yb ((3 * nk) + kk) s3
-              end
-            done;
-          for r = 0 to jn - 1 do
-            let qrow = r * np and yrow = r * nk in
-            for kk = common to km.(r) - 1 do
-              let row = kk * np in
-              let acc = ref 0.0 in
-              for p = 0 to np - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get kp (row + p)
-                     *. Array.unsafe_get qb (qrow + p))
-              done;
-              let s = g.prescale *. !acc in
-              Array.unsafe_set yb (yrow + kk)
-                (if g.masking then s +. 0.0 else s)
-            done
-          done;
-          (* y_k: the probabilities, recomputed with the forward's recipe
-             (max, exp in place, sum, then [*. (1.0 /. sum)]) *)
-          for r = 0 to jn - 1 do
-            let kmr = km.(r) in
-            if kmr > 0 then begin
-              let yrow = r * nk in
-              let mx = ref neg_infinity in
-              for kk = 0 to kmr - 1 do
-                mx := Float.max !mx (Array.unsafe_get yb (yrow + kk))
-              done;
-              let nm = -1.0 *. !mx in
-              let s = ref 0.0 in
-              for kk = 0 to kmr - 1 do
-                let ev = exp (Array.unsafe_get yb (yrow + kk) +. nm) in
-                Array.unsafe_set yb (yrow + kk) ev;
-                s := !s +. ev
-              done;
-              let inv = 1.0 /. !s in
-              for kk = 0 to kmr - 1 do
-                Array.unsafe_set yb (yrow + kk)
-                  (Array.unsafe_get yb (yrow + kk) *. inv)
-              done
-            end
-          done;
-          (* d_alpha_k = sum_w v . d_out (gamma_dx1), then through the
-             dropout mask (dropout_dx); the mask element is drawn once
-             per (row, k) and kept for the dV alpha below. A missing
-             dropout behaves as mask 1.0 ([x *. 1.0] is exact). *)
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let vrow = kk * nw in
-              let a0 = ref 0.0 and a1 = ref 0.0 in
-              let a2 = ref 0.0 and a3 = ref 0.0 in
-              for w = 0 to nw - 1 do
-                let vv = Array.unsafe_get vp (vrow + w) in
-                a0 := !a0 +. (vv *. Array.unsafe_get dgb w);
-                a1 := !a1 +. (vv *. Array.unsafe_get dgb (nw + w));
-                a2 := !a2 +. (vv *. Array.unsafe_get dgb ((2 * nw) + w));
-                a3 := !a3 +. (vv *. Array.unsafe_get dgb ((3 * nw) + w))
-              done;
-              let m0 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v) * g.nk) + kk)
-                else 1.0
-              and m1 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 1) * g.nk) + kk)
-                else 1.0
-              and m2 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 2) * g.nk) + kk)
-                else 1.0
-              and m3 =
-                if g.drop_p > 0.0 then
-                  mask_at g
-                    ((((((h * g.nb) + b) * g.nj) + j0v + 3) * g.nk) + kk)
-                else 1.0
-              in
-              Array.unsafe_set mb kk m0;
-              Array.unsafe_set mb (nk + kk) m1;
-              Array.unsafe_set mb ((2 * nk) + kk) m2;
-              Array.unsafe_set mb ((3 * nk) + kk) m3;
-              Array.unsafe_set db kk (!a0 *. m0);
-              Array.unsafe_set db (nk + kk) (!a1 *. m1);
-              Array.unsafe_set db ((2 * nk) + kk) (!a2 *. m2);
-              Array.unsafe_set db ((3 * nk) + kk) (!a3 *. m3)
-            done;
-          for r = 0 to jn - 1 do
-            let grow = r * nw and yrow = r * nk in
-            let ebase = ((((h * g.nb) + b) * g.nj) + j0v + r) * g.nk in
-            for kk = common to km.(r) - 1 do
-              let vrow = kk * nw in
-              let acc = ref 0.0 in
-              for w = 0 to nw - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get vp (vrow + w)
-                     *. Array.unsafe_get dgb (grow + w))
-              done;
-              let maskv =
-                if g.drop_p > 0.0 then mask_at g (ebase + kk) else 1.0
-              in
-              Array.unsafe_set mb (yrow + kk) maskv;
-              Array.unsafe_set db (yrow + kk) (!acc *. maskv)
-            done
-          done;
-          (* softmax_dx per row: rowsum of dy*y, then
-             prescale * y * (dy - rowsum); alpha = y through the mask *)
-          for r = 0 to jn - 1 do
-            let kmr = km.(r) in
-            if kmr > 0 then begin
-              let yrow = r * nk in
-              let rs = ref 0.0 in
-              for kk = 0 to kmr - 1 do
-                rs :=
-                  !rs
-                  +. (Array.unsafe_get db (yrow + kk)
-                     *. Array.unsafe_get yb (yrow + kk))
-              done;
-              let ns = -1.0 *. !rs in
-              for kk = 0 to kmr - 1 do
-                let y = Array.unsafe_get yb (yrow + kk) in
-                Array.unsafe_set db (yrow + kk)
-                  (g.prescale *. (y *. (Array.unsafe_get db (yrow + kk) +. ns)));
-                Array.unsafe_set yb (yrow + kk)
-                  (y *. Array.unsafe_get mb (yrow + kk))
-              done
-            end
-          done;
-          (* accumulate dq (block-local rows), dk, dv *)
-          Array.fill dqb 0 (jn * np) 0.0;
-          if common > 0 then
-            for kk = 0 to common - 1 do
-              let krow = kk * np and vrow = kk * nw in
-              let b0 = Array.unsafe_get db kk
-              and b1 = Array.unsafe_get db (nk + kk)
-              and b2 = Array.unsafe_get db ((2 * nk) + kk)
-              and b3 = Array.unsafe_get db ((3 * nk) + kk) in
-              for p = 0 to np - 1 do
-                let kv = Array.unsafe_get kp (krow + p) in
-                Array.unsafe_set dk (krow + p)
-                  (Array.unsafe_get dk (krow + p)
-                  +. (Array.unsafe_get qb p *. b0)
-                  +. (Array.unsafe_get qb (np + p) *. b1)
-                  +. (Array.unsafe_get qb ((2 * np) + p) *. b2)
-                  +. (Array.unsafe_get qb ((3 * np) + p) *. b3));
-                Array.unsafe_set dqb p (Array.unsafe_get dqb p +. (kv *. b0));
-                Array.unsafe_set dqb (np + p)
-                  (Array.unsafe_get dqb (np + p) +. (kv *. b1));
-                Array.unsafe_set dqb ((2 * np) + p)
-                  (Array.unsafe_get dqb ((2 * np) + p) +. (kv *. b2));
-                Array.unsafe_set dqb ((3 * np) + p)
-                  (Array.unsafe_get dqb ((3 * np) + p) +. (kv *. b3))
-              done;
-              let a0 = Array.unsafe_get yb kk
-              and a1 = Array.unsafe_get yb (nk + kk)
-              and a2 = Array.unsafe_get yb ((2 * nk) + kk)
-              and a3 = Array.unsafe_get yb ((3 * nk) + kk) in
-              for w = 0 to nw - 1 do
-                Array.unsafe_set dv (vrow + w)
-                  (Array.unsafe_get dv (vrow + w)
-                  +. (a0 *. Array.unsafe_get dgb w)
-                  +. (a1 *. Array.unsafe_get dgb (nw + w))
-                  +. (a2 *. Array.unsafe_get dgb ((2 * nw) + w))
-                  +. (a3 *. Array.unsafe_get dgb ((3 * nw) + w)))
-              done
-            done;
-          for r = 0 to jn - 1 do
-            let yrow = r * nk and qrow = r * np and grow = r * nw in
-            for kk = common to km.(r) - 1 do
-              let krow = kk * np and vrow = kk * nw in
-              let bv = Array.unsafe_get db (yrow + kk) in
-              for p = 0 to np - 1 do
-                Array.unsafe_set dk (krow + p)
-                  (Array.unsafe_get dk (krow + p)
-                  +. (Array.unsafe_get qb (qrow + p) *. bv));
-                Array.unsafe_set dqb (qrow + p)
-                  (Array.unsafe_get dqb (qrow + p)
-                  +. (Array.unsafe_get kp (krow + p) *. bv))
-              done;
-              let av = Array.unsafe_get yb (yrow + kk) in
-              for w = 0 to nw - 1 do
-                Array.unsafe_set dv (vrow + w)
-                  (Array.unsafe_get dv (vrow + w)
-                  +. (av *. Array.unsafe_get dgb (grow + w)))
-              done
-            done
-          done;
-          (* commit the block's dq rows (each row owned by this item) *)
-          for r = 0 to jn - 1 do
-            let dqbase = (h * g.nb * g.nj) + (b * g.nj) + j0v + r in
-            for p = 0 to np - 1 do
-              Array.unsafe_set dqd (dqbase + (p * dqstep))
-                (Array.unsafe_get dqb ((r * np) + p))
-            done
-          done;
-          j0 := j0v + jn
+  let nk = kmax_of g ~b ~jj:(g.nj - 1) in
+  if nk > 0 then begin
+    let np = g.np and nw = g.nw and rows = min block_rows g.nj in
+    (* scratch offsets: panels K^T [p][k], V^T [w][k]; accumulators
+       dK [k][p], dV [k][w]; the block's Q [r][p], dO [r][w], y [r][k],
+       dy [r][k], dS^T [k][r], (y *. maskv)^T [k][r] and dQ^T [p][r] *)
+    let kt = 0 and vt = np * nk in
+    let dk = vt + (nw * nk) in
+    let dv = dk + (nk * np) in
+    let qb = dv + (nk * nw) in
+    let gb = qb + (rows * np) in
+    let yb = gb + (rows * nw) in
+    let db = yb + (rows * nk) in
+    let dst = db + (rows * nk) in
+    let ymt = dst + (nk * rows) in
+    let dqt = ymt + (nk * rows) in
+    Arena.with_scratch Arena.global (dqt + (np * rows)) @@ fun buf ->
+    Array.fill buf dk (nk * (np + nw)) 0.0;
+    let packed = ref 0 in
+    let lo = ref 0 in
+    while !lo < g.nj do
+      let j0 = !lo in
+      let jn = min block_rows (g.nj - j0) in
+      let n = kmax_of g ~b ~jj:(j0 + jn - 1) in
+      if n <> !packed then begin
+        pack_cols g.kd g.ks ~h ~b ~n ~nf:np buf ~at:kt;
+        pack_cols g.vd g.vs ~h ~b ~n ~nf:nw buf ~at:vt;
+        packed := n
+      end;
+      pack_rows g.qd g.qs ~h ~b ~lo:j0 ~n:jn ~nf:np buf ~at:qb;
+      pack_rows dgd dgs ~h ~b ~lo:j0 ~n:jn ~nf:nw buf ~at:gb;
+      Array.fill buf yb (jn * n) 0.0;
+      Gemm.gemm ~a_off:qb ~b_off:kt ~c_off:yb ~m:jn ~n ~k:np buf buf buf;
+      Array.fill buf db (jn * n) 0.0;
+      Gemm.gemm ~a_off:gb ~b_off:vt ~c_off:db ~m:jn ~n ~k:nw buf buf buf;
+      (* per row: y, dropout_dx (a missing dropout is mask 1.0, and
+         [x *. 1.0] is exact), then softmax_dx, written transposed for
+         the dQ/dK/dV products *)
+      for r = 0 to jn - 1 do
+        let km = kmax_of g ~b ~jj:(j0 + r) and off = r * n in
+        softmax_row g buf ~off:(yb + off) ~km;
+        let e0 = stream_row g ~h ~b ~jj:(j0 + r) in
+        let rs = ref 0.0 in
+        for kk = 0 to km - 1 do
+          let m = if g.drop_p > 0.0 then mask_at g (e0 + kk) else 1.0 in
+          let y = Array.unsafe_get buf (yb + off + kk) in
+          let dy = Array.unsafe_get buf (db + off + kk) *. m in
+          Array.unsafe_set buf (db + off + kk) dy;
+          Array.unsafe_set buf (ymt + (kk * jn) + r) (y *. m);
+          rs := !rs +. (dy *. y)
         done;
-        (* commit this slot's dK/dV slabs (canonical (feat,h,b,k) order) *)
-        let kstep = g.nh * g.nb * g.nk in
-        let kbase = (h * g.nb * g.nk) + (b * g.nk) in
-        for kk = 0 to nk - 1 do
-          for p = 0 to g.np - 1 do
-            dkd.(kbase + kk + (p * kstep)) <- dk.((kk * g.np) + p)
-          done;
-          for w = 0 to g.nw - 1 do
-            dvd.(kbase + kk + (w * kstep)) <- dv.((kk * g.nw) + w)
-          done
-        done))))))))))
+        let ns = -1.0 *. !rs in
+        for kk = 0 to km - 1 do
+          Array.unsafe_set buf
+            (dst + (kk * jn) + r)
+            (g.prescale
+            *. (Array.unsafe_get buf (yb + off + kk)
+               *. (Array.unsafe_get buf (db + off + kk) +. ns)))
+        done;
+        for kk = km to n - 1 do
+          Array.unsafe_set buf (dst + (kk * jn) + r) 0.0;
+          Array.unsafe_set buf (ymt + (kk * jn) + r) 0.0
+        done
+      done;
+      Array.fill buf dqt (np * jn) 0.0;
+      Gemm.gemm ~a_off:kt ~b_off:dst ~c_off:dqt ~m:np ~n:jn ~k:n buf buf buf;
+      Gemm.gemm ~a_off:dst ~b_off:qb ~c_off:dk ~m:n ~n:np ~k:jn buf buf buf;
+      Gemm.gemm ~a_off:ymt ~b_off:gb ~c_off:dv ~m:n ~n:nw ~k:jn buf buf buf;
+      unpack g dqd ~ns:g.nj ~h ~b ~lo:j0 ~n:jn ~nf:np buf ~at:dqt ~rs:1 ~fs:jn;
+      lo := j0 + jn
+    done;
+    unpack g dkd ~ns:g.nk ~h ~b ~lo:0 ~n:nk ~nf:np buf ~at:dk ~rs:np ~fs:1;
+    unpack g dvd ~ns:g.nk ~h ~b ~lo:0 ~n:nk ~nf:nw buf ~at:dv ~rs:nw ~fs:1
+  end
 
 let backward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v ~d_out () =
   let axes_v = Option.value axes ~default:paper_axes in
@@ -689,21 +462,6 @@ let backward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v ~d_out () =
   let dqd = Dense.unsafe_data dq in
   let dkd = Dense.unsafe_data dk in
   let dvd = Dense.unsafe_data dv in
-  let work = g.nh * g.nb in
-  let item it =
-    let b = it mod g.nb in
-    let h = it / g.nb in
-    bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b
-  in
-  let flops = g.nj * g.nk * (g.np + g.nw) in
-  if work >= 2 && flops >= par_min_flop && Pool.num_domains () > 1 then
-    Pool.parallel_for ~label:"flashattn.bwd" ~start:0 ~finish:work
-      (fun lo hi ->
-        for it = lo to hi - 1 do
-          item it
-        done)
-  else
-    for it = 0 to work - 1 do
-      item it
-    done;
+  run_items g ~label:"flashattn.bwd" ~work:(g.nh * g.nb) (fun it ->
+      bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h:(it / g.nb) ~b:(it mod g.nb));
   (dq, dk, dv)

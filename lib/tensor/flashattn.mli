@@ -5,25 +5,36 @@
     The naive chain materializes the full L_q x L_k score matrix four
     times over (scores, softmax, dropout mask, dropped probabilities) and
     re-reads it for the V contraction — O(L^2) bytes moved per head each
-    direction. [forward] instead takes a tile of Q rows at a time against
-    packed K/V panels of each row's unmasked key prefix, so the scratch
-    working set is O(L * d_head), independent of L^2. [backward]
-    recomputes scores and probabilities on the fly from Q/K, producing
+    direction. [forward] instead takes 16-row blocks of Q at a time
+    against packed K/V panels of the block's unmasked key prefix, so the
+    scratch working set is O(L * d_head), independent of L^2. [backward]
+    recomputes scores and probabilities block by block from Q/K, producing
     dQ/dK/dV without ever storing the L^2 probabilities.
 
     Numerics contract: both directions are {b bitwise} equal to the naive
-    einsum + softmax(+mask) + dropout + einsum chain and its backward
-    (same operation order: ascending-k accumulation, [-1.0 *. m] sign
-    flips, per-element normalization before the V products). The backward
-    recomputes each row's probabilities exactly as the forward computes
-    them. Dropout is counter-based ({!Prng.keep_at}): rows draw mask
-    elements at arbitrary positions yet agree bitwise with the mask
+    einsum + softmax(+mask) + dropout + einsum chain and its backward.
+    Every contraction of a block (S = Q.K^T and O = alpha.V forward; S,
+    dA = dO.V^T, dQ^T = K^T.dS^T, dK += dS^T.Q and dV += alpha^T.dO
+    backward) runs as a {!Gemm.gemm} into a zeroed C, which sums each
+    element in ascending k from 0.0 as the naive einsum does; the
+    element-wise steps between them replay the chain's own operations
+    ([-1.0 *. m] sign flips, per-element normalization before the V
+    products). dK and dV carry across blocks, so they sum over rows in
+    ascending order. A row's keys past its own causal prefix enter the
+    products as exact zeros, which change no bit. The backward recomputes
+    each row's probabilities exactly as the forward computes them.
+    Dropout is counter-based ({!Prng.keep_at}): rows draw mask elements at
+    arbitrary positions yet agree bitwise with the mask
     [Elementwise.dropout_mask] materializes.
 
-    Parallelism: the forward shards over (head, batch, 32-row Q tile), the
-    backward over (head, batch); work items write disjoint output slabs
-    and draw scratch from the domain-local {!Arena}, so parallel runs are
-    bitwise identical to serial ones. *)
+    Parallelism: the forward shards over (head, batch, 32-row Q tile)
+    work items, the backward over (head, batch); items write disjoint
+    output slabs and draw scratch from the domain-local {!Arena}. With a
+    single item (one head and one batch slot in the backward) the kernel
+    runs it inline and each GEMM shards its own rows over the workers;
+    inside a worker the GEMMs run inline. Both splits keep every
+    summation order, so parallel runs are bitwise identical to serial
+    ones. *)
 
 (** Axis names binding q/k/v tensors to kernel roles. [q] carries
     (feat_qk, heads, batch, q_seq), [k] (feat_qk, heads, batch, k_seq),
@@ -92,5 +103,6 @@ val backward :
     probabilities on the fly, exactly as [forward] computes them, and
     returns [(dq, dk, dv)] with dims (feat_qk, heads, batch, q_seq) /
     (feat_qk, heads, batch, k_seq) / (feat_v, heads, batch, k_seq).
-    Scratch is O(L * d_head) per (head, batch) work item — row
-    score/probability buffers and packed K/V panels — never O(L^2). *)
+    Scratch is O(L * d_head) per (head, batch) work item — packed K/V
+    panels, the dK/dV accumulators and block-by-key buffers for one row
+    block — never O(L^2). *)

@@ -13,7 +13,9 @@
     M dimension: each worker owns a disjoint row-block of C and runs the
     unchanged k-ascending panel nest over it, so the parallel result is
     bitwise identical to the serial one (and hence to the naive triple
-    loop) at every domain count. *)
+    loop) at every domain count. It may be called inside a {!Pool}
+    worker (as {!Flashattn} does per work item): the nested region then
+    runs inline on that worker, with the same result. *)
 
 val gemm :
   ?a_off:int ->

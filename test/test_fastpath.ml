@@ -421,6 +421,57 @@ let test_einsum_allocation_budget () =
           ("whbk,hbjk->whbj", [ whbk; hbjk ]);
         ])
 
+(* Allocation budget of the streaming attention kernel, single domain:
+   its contractions run as GEMMs over one arena borrow per work item, so
+   a call allocates a few words per item and per row block, never per
+   score. The decode launch is one query row per head against 40 of 64
+   cached keys, the serving path's shape. *)
+let test_flashattn_allocation_budget () =
+  Pool.with_domains 1 (fun () ->
+      let prng = Prng.create 47L in
+      let rand dims = Dense.rand prng dims ~lo:(-1.0) ~hi:1.0 in
+      let np = 32 and nh = 4 and l = 128 in
+      let q = rand [ ("p", np); ("h", nh); ("b", 1); ("j", l) ] in
+      let k = rand [ ("p", np); ("h", nh); ("b", 1); ("k", l) ] in
+      let v = rand [ ("w", np); ("h", nh); ("b", 1); ("k", l) ] in
+      let d_out = rand [ ("w", np); ("h", nh); ("b", 1); ("j", l) ] in
+      let dropout =
+        { Flashattn.p = 0.1; seed = 5L; key = "attn_dropout";
+          dims = [ ("h", nh); ("b", 1); ("j", l); ("k", l) ] }
+      in
+      let prescale = 1.0 /. sqrt (float_of_int np) in
+      let scores = float_of_int (nh * l * l) in
+      List.iter
+        (fun (dir, f) ->
+          let w = minor_words f in
+          check_bool
+            (Printf.sprintf "L=%d %s: %.4f minor words/score < 0.05" l dir
+               (w /. scores))
+            true
+            (w /. scores < 0.05))
+        [
+          ( "forward",
+            fun () ->
+              ignore
+                (Flashattn.forward ~causal:true ~dropout ~prescale ~q ~k ~v ())
+          );
+          ( "backward",
+            fun () ->
+              ignore
+                (Flashattn.backward ~causal:true ~dropout ~prescale ~q ~k ~v
+                   ~d_out ()) );
+        ];
+      let q = rand [ ("p", 16); ("h", 8); ("b", 1); ("j", 1) ] in
+      let k = rand [ ("p", 16); ("h", 8); ("b", 1); ("k", 64) ] in
+      let v = rand [ ("w", 16); ("h", 8); ("b", 1); ("k", 64) ] in
+      let w =
+        minor_words (fun () ->
+            ignore (Flashattn.forward ~valid:[| 40 |] ~prescale:0.25 ~q ~k ~v ()))
+      in
+      check_bool
+        (Printf.sprintf "decode launch: %.0f minor words < 2000" w)
+        true (w < 2000.0))
+
 (* ---------------- standalone reduction kernels ---------------- *)
 
 (* Softmax over a permuted-layout input with explicit -inf entries (an
@@ -524,6 +575,8 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
           Alcotest.test_case "einsum allocation budget" `Quick
             test_einsum_allocation_budget;
+          Alcotest.test_case "flashattn allocation budget" `Quick
+            test_flashattn_allocation_budget;
         ] );
       ( "reduction kernels",
         [ q prop_softmax_masked_layouts; q prop_layernorm_layouts ] );
