@@ -82,11 +82,11 @@ let relu_dx ~name ~dy ~x ~out dims =
 let gelu_c = sqrt (2.0 /. Float.pi)
 
 let gelu_value x =
-  let inner = gelu_c *. (x +. (0.044715 *. (x ** 3.0))) in
+  let inner = gelu_c *. (x +. (0.044715 *. (x *. x *. x))) in
   0.5 *. x *. (1.0 +. tanh inner)
 
 let gelu_grad x =
-  let u = gelu_c *. (x +. (0.044715 *. (x ** 3.0))) in
+  let u = gelu_c *. (x +. (0.044715 *. (x *. x *. x))) in
   let t = tanh u in
   let du = gelu_c *. (1.0 +. (3.0 *. 0.044715 *. x *. x)) in
   (0.5 *. (1.0 +. t)) +. (0.5 *. x *. (1.0 -. (t *. t)) *. du)
@@ -115,15 +115,21 @@ let dropout_keep_scale p =
 
 let dropout_mask ~seed ~name dims ~p =
   let scale = dropout_keep_scale p in
-  let state = Prng.state (Prng.of_key seed name) in
-  let m = Dense.zeros dims in
-  let d = Dense.unsafe_data m in
-  (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. Draw [i] of
-     the operator's stream lands at storage position [i]. *)
-  for i = 0 to Array.length d - 1 do
-    Array.unsafe_set d i (Prng.keep_at state i ~p ~scale)
-  done;
-  m
+  if p = 0.0 then
+    (* No draw is below 0 and the scale is 1: the draws would give all
+       ones, so skip them. *)
+    Dense.full dims 1.0
+  else begin
+    let state = Prng.state (Prng.of_key seed name) in
+    let m = Dense.zeros dims in
+    let d = Dense.unsafe_data m in
+    (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. Draw [i] of
+       the operator's stream lands at storage position [i]. *)
+    for i = 0 to Array.length d - 1 do
+      Array.unsafe_set d i (Prng.keep_at state i ~p ~scale)
+    done;
+    m
+  end
 
 let dropout ~name ~x ~out ~mask dims ~p ~seed ?(backward = false) () =
   ignore (dropout_keep_scale p);

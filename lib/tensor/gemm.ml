@@ -10,14 +10,18 @@
    B value once for two rows. A 2x4 tile needs 14 live float registers; a
    4x4 tile would need 24, more than x86-64's 16, and spills.
 
-   What the tile does not cover runs through the row-streaming loop (the
-   k loop unrolled 4x, each step sweeping a row of C): the leftover
-   columns (n mod 4, which covers every GEMV with n < 4) on the tiled row
-   pairs, and a leftover row (odd m, or an odd row shard) over every
-   column.
+   The leftover columns (n mod 4, which covers every decode GEMV with
+   n < 4) run as 8x1 register tiles: eight accumulators hold one column of
+   an 8-row block of C, and each k step feeds them eight A values and one
+   shared B value (10 live float registers). A narrow product thus also
+   loads and stores C once per panel, with eight independent add chains
+   instead of one. What neither tile covers runs through the row-streaming
+   loop (the k loop unrolled 4x, each step sweeping a row of C): the
+   leftover columns on the row pairs past the last full 8-row block, and
+   a leftover row (odd m, or an odd row shard) over every column.
 
    Accumulation into each C element proceeds in strictly increasing k order
-   (panels are ascending, the tile's k loop ascends, the unrolled streaming
+   (panels are ascending, the tiles' k loops ascend, the unrolled streaming
    sum associates left-to-right), matching the naive odometer reference
    summation order, so every path is bitwise equal to the triple loop.
 
@@ -75,10 +79,61 @@ let stream_rows ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo ~i_hi ~j_lo ~j_hi
     done
   done
 
+(* Rows [i_lo, i_hi) (a multiple of 8 rows) x columns [j_lo, n) of C over
+   the k panel [p_lo, p_hi), as 8x1 tiles: eight accumulators, one per row,
+   share each B value. *)
+let narrow_cols ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo ~i_hi ~j_lo
+    a b c =
+  let n2 = 2 * n and n4 = 4 * n and k2 = 2 * k and k4 = 4 * k in
+  let i = ref i_lo in
+  while !i < i_hi do
+    let i0 = !i in
+    let arow0 = a_off + (i0 * k) in
+    for j = j_lo to n - 1 do
+      let c0 = c_off + (i0 * n) + j in
+      let c4 = c0 + n4 in
+      let s0 = ref (Array.unsafe_get c c0)
+      and s1 = ref (Array.unsafe_get c (c0 + n))
+      and s2 = ref (Array.unsafe_get c (c0 + n2))
+      and s3 = ref (Array.unsafe_get c (c0 + n2 + n))
+      and s4 = ref (Array.unsafe_get c c4)
+      and s5 = ref (Array.unsafe_get c (c4 + n))
+      and s6 = ref (Array.unsafe_get c (c4 + n2))
+      and s7 = ref (Array.unsafe_get c (c4 + n2 + n)) in
+      let ap = ref (arow0 + p_lo) and bp = ref (b_off + (p_lo * n) + j) in
+      let ap_hi = arow0 + p_hi in
+      while !ap < ap_hi do
+        let q = !ap and r = !bp in
+        let q4 = q + k4 in
+        let bv = Array.unsafe_get b r in
+        s0 := !s0 +. (Array.unsafe_get a q *. bv);
+        s1 := !s1 +. (Array.unsafe_get a (q + k) *. bv);
+        s2 := !s2 +. (Array.unsafe_get a (q + k2) *. bv);
+        s3 := !s3 +. (Array.unsafe_get a (q + k2 + k) *. bv);
+        s4 := !s4 +. (Array.unsafe_get a q4 *. bv);
+        s5 := !s5 +. (Array.unsafe_get a (q4 + k) *. bv);
+        s6 := !s6 +. (Array.unsafe_get a (q4 + k2) *. bv);
+        s7 := !s7 +. (Array.unsafe_get a (q4 + k2 + k) *. bv);
+        ap := q + 1;
+        bp := r + n
+      done;
+      Array.unsafe_set c c0 !s0;
+      Array.unsafe_set c (c0 + n) !s1;
+      Array.unsafe_set c (c0 + n2) !s2;
+      Array.unsafe_set c (c0 + n2 + n) !s3;
+      Array.unsafe_set c c4 !s4;
+      Array.unsafe_set c (c4 + n) !s5;
+      Array.unsafe_set c (c4 + n2) !s6;
+      Array.unsafe_set c (c4 + n2 + n) !s7
+    done;
+    i := i0 + 8
+  done
+
 let gemm_rows ~a_off ~b_off ~c_off ~i_lo ~i_hi ~n ~k (a : float array)
     (b : float array) (c : float array) =
   let n4 = n - (n land 3) in
   let i2 = i_hi - ((i_hi - i_lo) land 1) in
+  let i8 = i_lo + ((i2 - i_lo) land lnot 7) in
   let kb = ref 0 in
   while !kb < k do
     let p_lo = !kb in
@@ -132,9 +187,12 @@ let gemm_rows ~a_off ~b_off ~c_off ~i_lo ~i_hi ~n ~k (a : float array)
       done;
       i := i0 + 2
     done;
-    if n4 < n then
-      stream_rows ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo ~i_hi:i2
-        ~j_lo:n4 ~j_hi:n a b c;
+    if n4 < n then begin
+      narrow_cols ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo ~i_hi:i8
+        ~j_lo:n4 a b c;
+      stream_rows ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo:i8 ~i_hi:i2
+        ~j_lo:n4 ~j_hi:n a b c
+    end;
     if i2 < i_hi then
       stream_rows ~a_off ~b_off ~c_off ~n ~k ~p_lo ~p_hi ~i_lo:i2 ~i_hi
         ~j_lo:0 ~j_hi:n a b c;

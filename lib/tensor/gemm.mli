@@ -5,6 +5,11 @@
     given offsets (default 0). The caller is responsible for zeroing [c]
     when plain assignment semantics are wanted.
 
+    Every shape runs on register tiles that load and store each C element
+    once per k panel: 2x4 tiles over the first [n - n mod 4] columns, and
+    8x1 tiles over the leftover columns, so a decode GEMV ([n < 4]) is
+    tiled too. Only a few leftover rows per call stream through C.
+
     Per C element, the k summation runs in strictly increasing order, so
     results agree with a naive sequential-accumulation triple loop bitwise
     — no floating-point reassociation is introduced anywhere.

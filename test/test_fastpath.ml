@@ -47,14 +47,15 @@ let prop_gemm_matches_triple_loop =
 
 (* Past the panel depth (k up to 300 crosses two k-panel boundaries), with
    odd m (a leftover row beside the 2x4 tiles), every n mod 4 (leftover
-   columns), a non-zero starting C and non-zero offsets into larger
-   buffers: still the triple loop, bitwise. *)
+   columns, on 8x1 tiles), m up to 40 (two full 8-row blocks and every
+   remainder past them), a non-zero starting C and non-zero offsets into
+   larger buffers: still the triple loop, bitwise. *)
 let prop_gemm_panels_remainders_offsets =
   QCheck.Test.make
     ~name:"gemm across k panels, tile remainders and offsets equals triple loop"
     ~count:60
     QCheck.(
-      quad (int_range 1 9) (int_range 1 20) (int_range 1 300) (int_range 0 63))
+      quad (int_range 1 40) (int_range 1 20) (int_range 1 300) (int_range 0 63))
     (fun (m, n, k, offs) ->
       let a_off = offs land 3 and b_off = (offs lsr 2) land 3
       and c_off = offs lsr 4 in
@@ -75,6 +76,27 @@ let prop_gemm_panels_remainders_offsets =
         done
       done;
       Array.for_all2 Float.equal c r)
+
+(* Decode GEMVs (n < 4) run on the 8x1 tiles: their accumulators must stay
+   unboxed, so a call allocates nothing. A multiply-add routed through a
+   function the compiler does not inline boxes every result it returns. *)
+let test_gemm_narrow_allocation () =
+  Pool.with_domains 1 (fun () ->
+      List.iter
+        (fun (m, n, k) ->
+          let a = Array.make (m * k) 0.5 and b = Array.make (k * n) 0.25 in
+          let c = Array.make (m * n) 0.0 in
+          let calls = 200 in
+          Gemm.gemm ~m ~n ~k a b c;
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            Gemm.gemm ~m ~n ~k a b c
+          done;
+          let w = (Gc.minor_words () -. before) /. float_of_int calls in
+          check_bool
+            (Printf.sprintf "%dx%dx%d: %.2f minor words/call < 1" m n k w)
+            true (w < 1.0))
+        [ (128, 1, 128); (512, 2, 128) ])
 
 (* ---------------- einsum fast path vs oracle ---------------- *)
 
@@ -246,6 +268,25 @@ let test_dropout_mask_is_bernoulli_walk () =
   check_bool "mask equals the sequential walk bitwise" true
     (Array.for_all2 Float.equal (Dense.unsafe_data expect)
        (Dense.unsafe_data got))
+
+(* At p = 0 the mask skips the draws; it must still equal them bitwise. *)
+let test_dropout_mask_p0_is_keep_at () =
+  List.iter
+    (fun dims ->
+      let got =
+        Dense.unsafe_data
+          (Ops.Elementwise.dropout_mask ~seed:9L ~name:"drop0" dims ~p:0.0)
+      in
+      let state = Prng.state (Prng.of_key 9L "drop0") in
+      let scale = Ops.Elementwise.dropout_keep_scale 0.0 in
+      let expect = Array.mapi (fun i _ -> Prng.keep_at state i ~p:0.0 ~scale) got in
+      check_bool "p = 0 mask equals the keep_at loop bitwise" true
+        (Array.for_all2 Float.equal expect got))
+    [
+      [ ("i", 1) ];
+      [ ("j", 7); ("b", 3); ("i", 11) ];
+      [ ("i", 512); ("b", 2); ("j", 1) ];
+    ]
 
 let bitwise_equal a b =
   let b = Dense.align b a in
@@ -547,8 +588,12 @@ let () =
   Alcotest.run "fastpath"
     [
       ( "gemm",
-        [ q prop_gemm_matches_triple_loop; q prop_gemm_panels_remainders_offsets ]
-      );
+        [
+          q prop_gemm_matches_triple_loop;
+          q prop_gemm_panels_remainders_offsets;
+          Alcotest.test_case "narrow allocation budget" `Quick
+            test_gemm_narrow_allocation;
+        ] );
       ( "einsum",
         [
           q prop_einsum_matmul_layouts;
@@ -568,6 +613,8 @@ let () =
             test_dropout_masks_bitwise;
           Alcotest.test_case "dropout mask is the bernoulli walk" `Quick
             test_dropout_mask_is_bernoulli_walk;
+          Alcotest.test_case "dropout mask at p = 0 is the keep_at loop" `Quick
+            test_dropout_mask_p0_is_keep_at;
         ] );
       ( "chain kernels",
         [

@@ -199,7 +199,15 @@ let test_gemm_odd_row_shards () =
             true
             (Array.for_all2 Float.equal c r))
         [ 1; 2; 3 ])
-    [ (7, 37, 200); (9, 38, 150); (7, 39, 260); (9, 40, 131) ]
+    [
+      (7, 37, 200); (9, 38, 150); (7, 39, 260); (9, 40, 131);
+      (* Narrow columns (n mod 4 <> 0, the 8x1 tiles) over shards that
+         start off an 8-row boundary: m = 27 splits [0,14) [14,27) over 2
+         domains and [0,9) [9,18) [18,27) over 3, m = 19 [0,10) [10,19)
+         and [0,7) [7,13) [13,19). Each m*n*k is past the sharding
+         threshold. *)
+      (27, 1, 320); (27, 3, 130); (19, 5, 129);
+    ]
 
 (* ---------------- bitwise identity: einsum ---------------- *)
 
