@@ -46,10 +46,10 @@ let prop_gemm_matches_triple_loop =
       Array.for_all2 (fun x y -> Float.equal x y) c r)
 
 (* Past the panel depth (k up to 300 crosses two k-panel boundaries), with
-   odd m (a leftover row beside the 2x4 tiles), every n mod 4 (leftover
-   columns, on 8x1 tiles), m up to 40 (two full 8-row blocks and every
-   remainder past them), a non-zero starting C and non-zero offsets into
-   larger buffers: still the triple loop, bitwise. *)
+   every m mod 4 (leftover rows beside the 4-row tiles), every n mod 8 (the
+   4x4 tile and the narrow columns, on 8-row tiles), m up to 40 (full
+   8-row blocks and every remainder past them), a non-zero starting C and
+   non-zero offsets into larger buffers: still the triple loop, bitwise. *)
 let prop_gemm_panels_remainders_offsets =
   QCheck.Test.make
     ~name:"gemm across k panels, tile remainders and offsets equals triple loop"
@@ -77,9 +77,75 @@ let prop_gemm_panels_remainders_offsets =
       done;
       Array.for_all2 Float.equal c r)
 
-(* Decode GEMVs (n < 4) run on the 8x1 tiles: their accumulators must stay
-   unboxed, so a call allocates nothing. A multiply-add routed through a
-   function the compiler does not inline boxes every result it returns. *)
+(* The triple loop over [r] in place: C at [c_off] += A at [a_off] times B
+   at [b_off], each element summed in ascending k. *)
+let naive_gemm ~a_off ~b_off ~c_off ~m ~n ~k a b r =
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let t = c_off + (i * n) + j in
+      for l = 0 to k - 1 do
+        r.(t) <- r.(t) +. (a.(a_off + (i * k) + l) *. b.(b_off + (l * n) + j))
+      done
+    done
+  done
+
+let rand_floats prng len =
+  Dense.unsafe_data (Dense.rand prng [ ("x", len) ] ~lo:(-1.0) ~hi:1.0)
+
+(* Flashattn passes one buffer as A, B and C at disjoint offsets. The
+   kernel must read A and B from that buffer while writing C into it,
+   leave the A and B regions as they were, and still equal the triple
+   loop bitwise: on 4x8 tiles with a 4x4 and leftover rows (18x12x40,
+   C ahead of A and B) and on the narrow 8-row tiles past a k panel
+   (19x1x130, C behind them, gaps between the regions). *)
+let test_gemm_aliased_buffer () =
+  let prng = Prng.create 211L in
+  List.iter
+    (fun (m, n, k, c_first) ->
+      let sa = m * k and sb = k * n and sc = m * n in
+      let a_off, b_off, c_off =
+        if c_first then (sc + 5, sc + sa + 9, 2) else (3, sa + 7, sa + sb + 11)
+      in
+      let buf = rand_floats prng (sa + sb + sc + 16) in
+      let r = Array.copy buf in
+      naive_gemm ~a_off ~b_off ~c_off ~m ~n ~k buf buf r;
+      Gemm.gemm ~a_off ~b_off ~c_off ~m ~n ~k buf buf buf;
+      check_bool
+        (Printf.sprintf "%dx%dx%d in one buffer = triple loop" m n k)
+        true
+        (Array.for_all2 Float.equal buf r))
+    [ (18, 12, 40, true); (19, 1, 130, false) ]
+
+(* The shapes the workloads reach, at 1 and 2 domains from a non-zero C:
+   multi-panel full tiles (the encoder's projections), Flashattn's 16-row
+   blocks against 512 keys and its key-side backward, and the decode
+   GEMVs. *)
+let test_gemm_workload_shapes () =
+  let prng = Prng.create 223L in
+  List.iter
+    (fun (m, n, k) ->
+      let a = rand_floats prng (m * k) and b = rand_floats prng (k * n) in
+      let c0 = rand_floats prng (m * n) in
+      let r = Array.copy c0 in
+      naive_gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b r;
+      List.iter
+        (fun d ->
+          let c = Array.copy c0 in
+          Pool.with_domains d (fun () -> Gemm.gemm ~m ~n ~k a b c);
+          check_bool
+            (Printf.sprintf "%dx%dx%d at %d domain(s) = triple loop" m n k d)
+            true
+            (Array.for_all2 Float.equal c r))
+        [ 1; 2 ])
+    [
+      (128, 128, 512); (512, 128, 128);
+      (16, 512, 32); (16, 32, 512); (512, 32, 16);
+      (128, 1, 128); (512, 2, 128);
+    ]
+
+(* The kernel is a [noalloc] external over untagged ints: a call allocates
+   nothing, on the narrow tiles (decode GEMVs, n < 4) and the 4x8 tiles
+   alike. *)
 let test_gemm_narrow_allocation () =
   Pool.with_domains 1 (fun () ->
       List.iter
@@ -96,7 +162,7 @@ let test_gemm_narrow_allocation () =
           check_bool
             (Printf.sprintf "%dx%dx%d: %.2f minor words/call < 1" m n k w)
             true (w < 1.0))
-        [ (128, 1, 128); (512, 2, 128) ])
+        [ (128, 1, 128); (512, 2, 128); (64, 64, 64); (16, 512, 32) ])
 
 (* ---------------- einsum fast path vs oracle ---------------- *)
 
@@ -593,6 +659,10 @@ let () =
           q prop_gemm_panels_remainders_offsets;
           Alcotest.test_case "narrow allocation budget" `Quick
             test_gemm_narrow_allocation;
+          Alcotest.test_case "one buffer as A, B and C" `Quick
+            test_gemm_aliased_buffer;
+          Alcotest.test_case "workload shapes at 1 and 2 domains" `Quick
+            test_gemm_workload_shapes;
         ] );
       ( "einsum",
         [

@@ -131,6 +131,9 @@ let prop_gemm_parallel_bitwise =
     ~count:30
     QCheck.(triple (int_range 2 40) (int_range 1 40) (int_range 1 40))
     (fun (m, n, k) ->
+      (* Deepen k past the sharding threshold (m*n*k >= 2^18) so every
+         shape actually runs on row shards. *)
+      let k = k + (((1 lsl 18) + (m * n) - 1) / (m * n)) in
       let prng = Prng.create (Int64.of_int ((m * 1763) + (n * 43) + k)) in
       let a =
         Dense.unsafe_data
@@ -147,8 +150,9 @@ let prop_gemm_parallel_bitwise =
       && Array.for_all2 Float.equal serial par3)
 
 let test_gemm_offsets_parallel_bitwise () =
-  (* Offsets into larger buffers: the row sharding must respect them. *)
-  let m = 24 and n = 40 and k = 24 in
+  (* Offsets into larger buffers: the row sharding must respect them
+     (m*n*k past the 2^18 sharding threshold). *)
+  let m = 24 and n = 40 and k = 274 in
   let a_off = 5 and b_off = 3 and c_off = 7 in
   let prng = Prng.create 99L in
   let arr len =
@@ -165,10 +169,11 @@ let test_gemm_offsets_parallel_bitwise () =
     (Array.for_all2 Float.equal (run 1) (run 4))
 
 (* Row shards that start on odd rows: m = 7 splits [0,3) [3,5) [5,7) over
-   3 domains and m = 9 splits [0,5) [5,9) over 2, so a worker's 2-row
-   tiles pair different rows than the serial sweep does, and its leftover
-   row sits mid-matrix. Panel-crossing k, n mod 4 <> 0, offsets and a
-   non-zero C; every domain count must equal the triple loop bitwise. *)
+   3 domains and m = 9 splits [0,5) [5,9) over 2, so a worker's 4-row
+   tiles group different rows than the serial sweep does, and its leftover
+   rows sit mid-matrix. Panel-crossing k, n mod 4 <> 0, offsets and a
+   non-zero C; every domain count must equal the triple loop bitwise. Each
+   m*n*k is past the 2^18 sharding threshold. *)
 let test_gemm_odd_row_shards () =
   let prng = Prng.create 101L in
   let arr len =
@@ -200,13 +205,12 @@ let test_gemm_odd_row_shards () =
             (Array.for_all2 Float.equal c r))
         [ 1; 2; 3 ])
     [
-      (7, 37, 200); (9, 38, 150); (7, 39, 260); (9, 40, 131);
-      (* Narrow columns (n mod 4 <> 0, the 8x1 tiles) over shards that
+      (7, 37, 1013); (9, 38, 767); (7, 39, 961); (9, 40, 729);
+      (* Narrow columns (n mod 4 <> 0, the 8-row tiles) over shards that
          start off an 8-row boundary: m = 27 splits [0,14) [14,27) over 2
          domains and [0,9) [9,18) [18,27) over 3, m = 19 [0,10) [10,19)
-         and [0,7) [7,13) [13,19). Each m*n*k is past the sharding
-         threshold. *)
-      (27, 1, 320); (27, 3, 130); (19, 5, 129);
+         and [0,7) [7,13) [13,19). *)
+      (27, 1, 9710); (27, 3, 3237); (19, 5, 2760);
     ]
 
 (* ---------------- bitwise identity: einsum ---------------- *)
