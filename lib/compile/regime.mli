@@ -2,8 +2,8 @@
     besides the program. (program fingerprint x regime) identifies a
     {!Compiled.plan} completely. The backend mode ({!Fastmode}), domain
     count ({!Pool}) and guard level ({!Guard}) are not part of a regime:
-    kernels read them at run time, so one plan executes under any of
-    them. *)
+    they are read at run time (the mode by [Guard.protected] alone), so
+    one plan executes under any of them. *)
 
 type t = {
   attention : bool;  (** recognize streaming-attention windows *)

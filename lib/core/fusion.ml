@@ -238,16 +238,17 @@ let canonical_name name_table members =
   find name_table
 
 (* The fused run body: single-pass compiled kernels when every member
-   carries a semantic descriptor and the fast backend is on; sequential
-   member replay (the naive oracle) otherwise. The compiled path runs
-   under the kernel guard: a crash, kernel timeout, or (at Nan/Finite
-   level) non-finite external output re-executes the whole group through
-   sequential replay — safe after a partial compiled run because every
-   member stores its outputs as it goes, recomputing any intermediate the
-   compiled kernel elided. Whichever path ran, the members' outputs that
-   are not the group's writes leave the env afterwards: the memory plan
-   never sees those names, so nothing else would free them, and the
-   container set must not depend on the backend. *)
+   carries a semantic descriptor, sequential member replay (the naive
+   oracle) otherwise. The compiled path runs under the kernel guard,
+   which replays on the naive backend too: a crash, kernel timeout, or
+   (at Nan/Finite level) non-finite external output re-executes the whole
+   group through sequential replay — safe after a partial compiled run
+   because every member stores its outputs as it goes, recomputing any
+   intermediate the compiled kernel elided. Whichever path ran, the
+   members' outputs that are not the group's writes leave the env
+   afterwards: the memory plan never sees those names, so nothing else
+   would free them, and the container set must not depend on the
+   backend. *)
 let fused_run ~kernel ~external_writes members =
   let internal =
     List.concat_map (fun (o : Ops.Op.t) -> o.writes) members
@@ -257,7 +258,7 @@ let fused_run ~kernel ~external_writes members =
   let compiled = Ops.Fastpath.compile_group ~external_writes members in
   fun env ->
     (match compiled with
-    | Some compiled when Fastmode.enabled () ->
+    | Some compiled ->
         Guard.protected ~kernel
           ~outputs:(fun () ->
             List.filter_map
@@ -265,7 +266,7 @@ let fused_run ~kernel ~external_writes members =
               external_writes)
           ~fallback:(fun () -> sequential env)
           (fun () -> compiled env)
-    | _ -> sequential env);
+    | None -> sequential env);
     List.iter (Hashtbl.remove env) internal
 
 let build_fused ~keep name_table program (g : raw_group) =
@@ -503,23 +504,21 @@ let build_attn_fwd name_table w =
     List.iter (Hashtbl.remove env) w.aw_internal
   in
   let run env =
-    if not (Fastmode.enabled ()) then seq env
-    else
-      Guard.protected
-        ~kernel:("fused." ^ name)
-        ~outputs:(fun () ->
-          List.filter_map
-            (fun c -> Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
-            [ w.aw_out ])
-        ~fallback:(fun () -> seq env)
-        (fun () ->
-          Ops.Op.store env w.aw_out
-            (Flashattn.forward ~causal:w.aw_causal ?dropout:w.aw_dropout
-               ~prescale:w.aw_prescale
-               ~q:(Ops.Op.lookup env w.aw_q)
-               ~k:(Ops.Op.lookup env w.aw_k)
-               ~v:(Ops.Op.lookup env w.aw_v)
-               ()))
+    Guard.protected
+      ~kernel:("fused." ^ name)
+      ~outputs:(fun () ->
+        List.filter_map
+          (fun c -> Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
+          [ w.aw_out ])
+      ~fallback:(fun () -> seq env)
+      (fun () ->
+        Ops.Op.store env w.aw_out
+          (Flashattn.forward ~causal:w.aw_causal ?dropout:w.aw_dropout
+             ~prescale:w.aw_prescale
+             ~q:(Ops.Op.lookup env w.aw_q)
+             ~k:(Ops.Op.lookup env w.aw_k)
+             ~v:(Ops.Op.lookup env w.aw_v)
+             ()))
   in
   let gamma = List.nth members 3 in
   let fused =
@@ -552,28 +551,26 @@ let build_attn_bwd name_table w =
     List.iter (Hashtbl.remove env) w.aw_internal
   in
   let run env =
-    if not (Fastmode.enabled ()) then seq env
-    else
-      Guard.protected
-        ~kernel:("fused." ^ name)
-        ~outputs:(fun () ->
-          List.filter_map
-            (fun c -> Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
-            [ w.aw_dq; w.aw_dk; w.aw_dv ])
-        ~fallback:(fun () -> seq env)
-        (fun () ->
-          let dq, dk, dv =
-            Flashattn.backward ~causal:w.aw_causal ?dropout:w.aw_dropout
-              ~prescale:w.aw_prescale
-              ~q:(Ops.Op.lookup env w.aw_q)
-              ~k:(Ops.Op.lookup env w.aw_k)
-              ~v:(Ops.Op.lookup env w.aw_v)
-              ~d_out:(Ops.Op.lookup env w.aw_dout)
-              ()
-          in
-          Ops.Op.store env w.aw_dq dq;
-          Ops.Op.store env w.aw_dk dk;
-          Ops.Op.store env w.aw_dv dv)
+    Guard.protected
+      ~kernel:("fused." ^ name)
+      ~outputs:(fun () ->
+        List.filter_map
+          (fun c -> Option.map Dense.unsafe_data (Hashtbl.find_opt env c))
+          [ w.aw_dq; w.aw_dk; w.aw_dv ])
+      ~fallback:(fun () -> seq env)
+      (fun () ->
+        let dq, dk, dv =
+          Flashattn.backward ~causal:w.aw_causal ?dropout:w.aw_dropout
+            ~prescale:w.aw_prescale
+            ~q:(Ops.Op.lookup env w.aw_q)
+            ~k:(Ops.Op.lookup env w.aw_k)
+            ~v:(Ops.Op.lookup env w.aw_v)
+            ~d_out:(Ops.Op.lookup env w.aw_dout)
+            ()
+        in
+        Ops.Op.store env w.aw_dq dq;
+        Ops.Op.store env w.aw_dk dk;
+        Ops.Op.store env w.aw_dv dv)
   in
   let last = List.nth members 5 in
   let fused =

@@ -37,8 +37,9 @@ let spec_to_string { operands; result } =
   ^ "->"
   ^ String.concat "" result
 
-let axis_sizes inputs =
-  (* Collect sizes of all named axes across inputs, checking consistency. *)
+(* The extent of each named axis across [inputs], checking consistency;
+   asking for an axis no input carries is an error. *)
+let axis_size inputs =
   let table = Hashtbl.create 16 in
   List.iter
     (fun t ->
@@ -52,7 +53,11 @@ let axis_sizes inputs =
                   (Printf.sprintf "Einsum: axis %s has sizes %d and %d" a d' d))
         (Shape.to_list (Dense.shape t)))
     inputs;
-  table
+  fun a ->
+    match Hashtbl.find_opt table a with
+    | Some d -> d
+    | None ->
+        invalid_arg ("Einsum.contract: output axis absent from inputs: " ^ a)
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference path: a fully general odometer loop. Stays in-tree   *)
@@ -96,12 +101,7 @@ let odometer_contract ~scale ~dims ~strides ~out_strides ~datas ~out_data =
   done
 
 let contract_naive ~scale inputs ~out =
-  let sizes = axis_sizes inputs in
-  let size a =
-    match Hashtbl.find_opt sizes a with
-    | Some d -> d
-    | None -> invalid_arg ("Einsum.contract: output axis absent from inputs: " ^ a)
-  in
+  let size = axis_size inputs in
   let all_in_axes =
     List.fold_left (fun acc t -> Axis.union acc (Dense.axes t)) [] inputs
   in
@@ -119,9 +119,8 @@ let contract_naive ~scale inputs ~out =
   out_t
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: precomputed stride/loop plans, cached per                 *)
-(* (output axes, input shapes+layouts) key, with matmul-shaped          *)
-(* contractions lowered onto the blocked Gemm kernel.                   *)
+(* Fast path: matmul-shaped contractions lowered onto the Gemm kernel,  *)
+(* their plans cached per (output axes, input shapes+layouts) key.      *)
 (* ------------------------------------------------------------------ *)
 
 (* How one operand is read as a packed row-major matrix for a fixed batch
@@ -148,15 +147,6 @@ type matmul_plan = {
   out_view : mat_view;  (* [m][n] view of the output *)
 }
 
-type general_plan = {
-  gp_out_dims : (Axis.t * int) list;
-  gp_dims : int array;
-  gp_strides : int array array;
-  gp_out_strides : int array;
-}
-
-type plan = Matmul of matmul_plan | General of general_plan
-
 (* Compiled-plan cache, bounded by an LRU cap: serving workloads present
    many distinct shapes (one per ragged batch geometry), so unbounded
    growth would be a slow leak. What the cache earns (2-vCPU Xeon, native
@@ -171,7 +161,9 @@ type cache_stats = {
   capacity : int;
 }
 
-let plan_cache : (string, plan) Lru.t = Lru.create 512
+(* [None] marks a contraction that is not GEMM-shaped: it runs the
+   naive odometer. *)
+let plan_cache : (string, matmul_plan option) Lru.t = Lru.create 512
 
 let cache_stats () =
   {
@@ -197,8 +189,8 @@ let clear_caches () =
 (* Axis names are [a-z0-9_]*, so ',' ':' '|' are safe separators. The key
    captures output axes plus every input's axes-in-storage-order and sizes:
    everything [build_plan] reads. The regime needs no suffix: the cache is
-   consulted only in fast mode, and the pool's domain count is read by
-   [run_matmul] at run time, never baked into a plan. *)
+   consulted only on the fast backend, and the pool's domain count is read
+   by [run_matmul] at run time, never baked into a plan. *)
 let plan_key inputs ~out =
   let buf = Buffer.create 64 in
   List.iter
@@ -246,7 +238,7 @@ let prod size axes = List.fold_left (fun acc a -> acc * size a) 1 axes
 
 (* Classify a two-operand contraction into batch/m/n/k axis groups. Returns
    [None] when an axis lives in exactly one operand and not the output
-   (a reduction GEMM cannot express) — those fall back to the general loop. *)
+   (a reduction GEMM cannot express) — those run the naive odometer. *)
 let build_matmul ta tb ~out ~size =
   let oa = Dense.axes ta and ob = Dense.axes tb in
   let inter_ab = Axis.inter oa ob in
@@ -283,36 +275,10 @@ let build_matmul ta tb ~out ~size =
       }
   end
 
-let build_general inputs ~out ~size =
-  let all_in_axes =
-    List.fold_left (fun acc t -> Axis.union acc (Dense.axes t)) [] inputs
-  in
-  let reduced = Axis.diff all_in_axes out in
-  let loop_axes = out @ reduced in
-  let out_dims = List.map (fun a -> (a, size a)) out in
-  let out_sh = Shape.create out_dims in
-  {
-    gp_out_dims = out_dims;
-    gp_dims = Array.of_list (List.map size loop_axes);
-    gp_strides =
-      Array.of_list (List.map (fun t -> Dense.strides_for t loop_axes) inputs);
-    gp_out_strides = shape_strides_for out_sh loop_axes;
-  }
-
 let build_plan inputs ~out =
-  let sizes = axis_sizes inputs in
-  let size a =
-    match Hashtbl.find_opt sizes a with
-    | Some d -> d
-    | None -> invalid_arg ("Einsum.contract: output axis absent from inputs: " ^ a)
-  in
   match inputs with
-  | [ ta; tb ] -> begin
-      match build_matmul ta tb ~out ~size with
-      | Some p -> Matmul p
-      | None -> General (build_general inputs ~out ~size)
-    end
-  | _ -> General (build_general inputs ~out ~size)
+  | [ ta; tb ] -> build_matmul ta tb ~out ~size:(axis_size inputs)
+  | _ -> None
 
 (* The stride of a view's innermost run (a scalar view is one run of 1). *)
 let inner_stride view =
@@ -369,10 +335,6 @@ type prepack_stats = { pp_hits : int; pp_builds : int }
 
 let prepack_stats () = { pp_hits = 0; pp_builds = 0 }
 let clear_prepacked () = ()
-
-(* Below this total multiply-accumulate volume a batch-parallel region is
-   not worth dispatching. *)
-let par_min_work = 8192
 
 let run_matmul p ~scale inputs =
   let row_t = List.nth inputs p.row_input
@@ -450,7 +412,7 @@ let run_matmul p ~scale inputs =
   in
   if
     nbatches >= 2
-    && nbatches * mm * nn * kk >= par_min_work
+    && nbatches * mm * nn * kk >= Gemm.par_min_work
     && Pool.num_domains () > 1
   then
     (* Shard the batch group; the per-batch GEMMs then run serially inside
@@ -460,40 +422,24 @@ let run_matmul p ~scale inputs =
   else run_range 0 nbatches;
   out_t
 
-let run_general p ~scale inputs =
-  let out_t = Dense.zeros p.gp_out_dims in
-  odometer_contract ~scale ~dims:p.gp_dims ~strides:p.gp_strides
-    ~out_strides:p.gp_out_strides
-    ~datas:(Array.of_list (List.map Dense.unsafe_data inputs))
-    ~out_data:(Dense.unsafe_data out_t);
-  out_t
-
-let contract ?(scale = 1.0) ?fast inputs ~out =
+let contract ?(scale = 1.0) inputs ~out =
   if inputs = [] then invalid_arg "Einsum.contract: no inputs";
-  let fast = match fast with Some b -> b | None -> Fastmode.enabled () in
-  if not fast then contract_naive ~scale inputs ~out
-  else begin
-    let key = plan_key inputs ~out in
-    let plan = plan_lookup key (fun () -> build_plan inputs ~out) in
-    (* Both fast paths run under the kernel guard: a crash, kernel
-       timeout, or (at Nan/Finite level) non-finite output re-executes the
-       contraction through the naive odometer oracle. Each attempt starts
-       from fresh zeros, so a fallback can never inherit a crashed
-       kernel's partial sums. *)
-    let guarded kernel run =
-      Guard.protected ~kernel
-        ~outputs:(fun t -> [ Dense.unsafe_data t ])
-        ~fallback:(fun () -> contract_naive ~scale inputs ~out)
-        run
-    in
-    match plan with
-    | Matmul p ->
-        guarded "einsum.matmul" (fun () -> run_matmul p ~scale inputs)
-    | General p ->
-        guarded "einsum.general" (fun () -> run_general p ~scale inputs)
-  end
+  let naive () = contract_naive ~scale inputs ~out in
+  (* The GEMM runs under the kernel guard, which also picks the backend: a
+     crash, kernel timeout, or (at Nan/Finite level) non-finite output
+     re-executes the contraction through the naive odometer oracle. Each
+     attempt starts from fresh zeros, so a fallback can never inherit a
+     crashed kernel's partial sums. *)
+  Guard.protected ~kernel:"einsum.matmul"
+    ~outputs:(fun t -> [ Dense.unsafe_data t ])
+    ~fallback:naive
+    (fun () ->
+      let key = plan_key inputs ~out in
+      match plan_lookup key (fun () -> build_plan inputs ~out) with
+      | Some p -> run_matmul p ~scale inputs
+      | None -> naive ())
 
-let eval ?scale ?fast str inputs =
+let eval ?scale str inputs =
   let spec = parse str in
   if List.length spec.operands <> List.length inputs then
     invalid_arg ("Einsum.eval: operand count mismatch for " ^ str);
@@ -505,7 +451,7 @@ let eval ?scale ?fast str inputs =
              (String.concat "," (Dense.axes t))
              (String.concat "" op)))
     spec.operands inputs;
-  contract ?scale ?fast inputs ~out:spec.result
+  contract ?scale inputs ~out:spec.result
 
 let loop_axes_of spec =
   let all_in = List.fold_left Axis.union [] spec.operands in

@@ -13,33 +13,30 @@ val parse : string -> spec
 
 val spec_to_string : spec -> string
 
-(** [contract ?scale ?fast inputs ~out] contracts any number of tensors.
+(** [contract ?scale inputs ~out] contracts any number of tensors.
     Every output axis must occur in at least one input; axes occurring in
     inputs but not in [out] are reduced. Sizes of equally-named axes must
     agree. [scale] multiplies the result (the paper folds the softmax
     scaling into a contraction this way). The result's storage order is
     [out].
 
-    [fast] (default {!Fastmode.enabled}) selects the backend. The fast path
-    memoizes a stride/loop plan per (output axes, input shapes + layouts)
-    key and lowers matmul-shaped two-operand contractions (axes splitting
-    into batch/m/n/k groups) onto the cache-blocked {!Gemm} kernel, packing
-    non-contiguous operands through arena scratch; everything else runs the
-    general odometer loop with its plan precomputed. [~fast:false] is the
-    naive reference oracle. *)
-val contract :
-  ?scale:float ->
-  ?fast:bool ->
-  Dense.t list ->
-  out:Axis.t list ->
-  Dense.t
+    The backend is chosen by {!Guard.protected}, the single switch point
+    between fast kernels and their oracles. The naive oracle is a general
+    odometer loop. The fast path runs under the [einsum.matmul] guard: it
+    memoizes a plan per (output axes, input shapes + layouts) key and
+    lowers matmul-shaped two-operand contractions (axes splitting into
+    batch/m/n/k groups) onto the {!Gemm} kernel, packing non-contiguous
+    operands through arena scratch. A contraction that is not GEMM-shaped
+    runs the odometer there too. Select the oracle with
+    {!Fastmode.with_naive}. *)
+val contract : ?scale:float -> Dense.t list -> out:Axis.t list -> Dense.t
 
-(** [eval ?scale ?fast spec_string inputs] checks each input's axis set
+(** [eval ?scale spec_string inputs] checks each input's axis set
     against the spec operand (order-insensitive: layouts are free) and
     contracts. *)
-val eval : ?scale:float -> ?fast:bool -> string -> Dense.t list -> Dense.t
+val eval : ?scale:float -> string -> Dense.t list -> Dense.t
 
-(** Drop the memoized parse results and stride/loop plans and reset the
+(** Drop the memoized parse results and GEMM plans and reset the
     plan-cache counters (mainly for benchmarks that want cold-cache
     numbers). *)
 val clear_caches : unit -> unit

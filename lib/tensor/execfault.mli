@@ -2,8 +2,8 @@
 
     The seeded fault model lives above this library (in [Gpu.Faults]); it
     installs closures here and the worker pool / kernel guard call them at
-    two well-defined places: once per guarded kernel launch and once per
-    claimed pool chunk. With no hooks installed every call site is a few
+    two well-defined places: once per guarded kernel launch on the fast
+    backend and once per claimed pool chunk. With no hooks installed every call site is a few
     loads, so the clean path is effectively free.
 
     Installation is process-global (one campaign at a time), mirroring the

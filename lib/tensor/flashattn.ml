@@ -38,19 +38,6 @@
    exp(-inf + nm) = 0.0 to an ascending sum of non-negatives and leaves a
    Float.max fold unchanged, so skipping preserves every bit. *)
 
-type axes = {
-  feat_qk : Axis.t;
-  feat_v : Axis.t;
-  heads : Axis.t;
-  batch : Axis.t;
-  q_seq : Axis.t;
-  k_seq : Axis.t;
-}
-
-let paper_axes =
-  { feat_qk = "p"; feat_v = "w"; heads = "h"; batch = "b"; q_seq = "j";
-    k_seq = "k" }
-
 type dropout = {
   p : float;
   seed : int64;
@@ -63,8 +50,8 @@ type dropout = {
 (* ------------------------------------------------------------------ *)
 
 type geom = {
-  np : int;  (* feat_qk extent *)
-  nw : int;  (* feat_v extent *)
+  np : int;  (* p: query/key feature extent *)
+  nw : int;  (* w: value feature extent *)
   nh : int;
   nb : int;
   nj : int;
@@ -72,9 +59,9 @@ type geom = {
   qd : float array;  (* data *)
   kd : float array;
   vd : float array;
-  qs : int array;  (* strides for [feat_qk; heads; batch; q_seq] *)
-  ks : int array;  (* strides for [feat_qk; heads; batch; k_seq] *)
-  vs : int array;  (* strides for [feat_v; heads; batch; k_seq] *)
+  qs : int array;  (* strides for [p; h; b; j] *)
+  ks : int array;  (* strides for [p; h; b; k] *)
+  vs : int array;  (* strides for [w; h; b; k] *)
   masking : bool;  (* causal or ragged: unmasked scores get [+. 0.0] *)
   causal : bool;
   valid : int array option;
@@ -94,10 +81,8 @@ let extent t ax =
         ^ String.concat "," (Dense.axes t)
         ^ ")")
 
-let check_drop_dims axes d ~nh ~nb ~nj ~nk =
-  let expect =
-    [ (axes.heads, nh); (axes.batch, nb); (axes.q_seq, nj); (axes.k_seq, nk) ]
-  in
+let check_drop_dims d ~nh ~nb ~nj ~nk =
+  let expect = [ ("h", nh); ("b", nb); ("j", nj); ("k", nk) ] in
   let ok =
     List.length d.dims = 4
     && List.for_all2
@@ -109,19 +94,16 @@ let check_drop_dims axes d ~nh ~nb ~nj ~nk =
       "Flashattn: dropout dims must be (heads, batch, q_seq, k_seq) with \
        full extents"
 
-let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
-    =
-  let np = extent q axes.feat_qk in
-  let nh = extent q axes.heads in
-  let nb = extent q axes.batch in
-  let nj = extent q axes.q_seq in
-  let nk = extent k axes.k_seq in
-  let nw = extent v axes.feat_v in
-  if extent k axes.feat_qk <> np || extent k axes.heads <> nh
-     || extent k axes.batch <> nb then
+let geom_of ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
+  let np = extent q "p" in
+  let nh = extent q "h" in
+  let nb = extent q "b" in
+  let nj = extent q "j" in
+  let nk = extent k "k" in
+  let nw = extent v "w" in
+  if extent k "p" <> np || extent k "h" <> nh || extent k "b" <> nb then
     invalid_arg "Flashattn: k is not shaped (feat_qk, heads, batch, k_seq)";
-  if extent v axes.k_seq <> nk || extent v axes.heads <> nh
-     || extent v axes.batch <> nb then
+  if extent v "k" <> nk || extent v "h" <> nh || extent v "b" <> nb then
     invalid_arg "Flashattn: v is not shaped (feat_v, heads, batch, k_seq)";
   (match valid with
   | Some a when Array.length a <> nb ->
@@ -135,7 +117,7 @@ let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
     match dropout with Some d when d.p > 0.0 -> Some d | _ -> None
   in
   (match dropout with
-  | Some d -> check_drop_dims axes d ~nh ~nb ~nj ~nk
+  | Some d -> check_drop_dims d ~nh ~nb ~nj ~nk
   | None -> ());
   {
     np;
@@ -147,9 +129,9 @@ let geom_of ?(axes = paper_axes) ?causal ?valid ?dropout ~prescale ~q ~k ~v ()
     qd = Dense.unsafe_data q;
     kd = Dense.unsafe_data k;
     vd = Dense.unsafe_data v;
-    qs = Dense.strides_for q [ axes.feat_qk; axes.heads; axes.batch; axes.q_seq ];
-    ks = Dense.strides_for k [ axes.feat_qk; axes.heads; axes.batch; axes.k_seq ];
-    vs = Dense.strides_for v [ axes.feat_v; axes.heads; axes.batch; axes.k_seq ];
+    qs = Dense.strides_for q [ "p"; "h"; "b"; "j" ];
+    ks = Dense.strides_for k [ "p"; "h"; "b"; "k" ];
+    vs = Dense.strides_for v [ "w"; "h"; "b"; "k" ];
     masking = causal || valid <> None;
     causal;
     valid;
@@ -330,14 +312,9 @@ let fwd_item g ~od ~h ~b ~qlo ~qhi =
 (* Q rows per forward work item: the parallel sharding unit. *)
 let q_tile = 32
 
-let forward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
-  let axes_v = Option.value axes ~default:paper_axes in
-  let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
-  let out =
-    Dense.zeros
-      [ (axes_v.feat_v, g.nw); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
-        (axes_v.q_seq, g.nj) ]
-  in
+let forward ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
+  let g = geom_of ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
+  let out = Dense.zeros [ ("w", g.nw); ("h", g.nh); ("b", g.nb); ("j", g.nj) ] in
   let od = Dense.unsafe_data out in
   let nq_tiles = (g.nj + q_tile - 1) / q_tile in
   run_items g ~label:"flashattn.fwd" ~work:(g.nh * g.nb * nq_tiles) (fun it ->
@@ -434,31 +411,15 @@ let bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
     unpack g dvd ~ns:g.nk ~h ~b ~lo:0 ~n:nk ~nf:nw buf ~at:dv ~rs:nw ~fs:1
   end
 
-let backward ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v ~d_out () =
-  let axes_v = Option.value axes ~default:paper_axes in
-  let g = geom_of ?axes ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
-  if extent d_out axes_v.feat_v <> g.nw || extent d_out axes_v.q_seq <> g.nj
-  then invalid_arg "Flashattn.backward: d_out is not shaped like the context";
-  let dq =
-    Dense.zeros
-      [ (axes_v.feat_qk, g.np); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
-        (axes_v.q_seq, g.nj) ]
-  in
-  let dk =
-    Dense.zeros
-      [ (axes_v.feat_qk, g.np); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
-        (axes_v.k_seq, g.nk) ]
-  in
-  let dv =
-    Dense.zeros
-      [ (axes_v.feat_v, g.nw); (axes_v.heads, g.nh); (axes_v.batch, g.nb);
-        (axes_v.k_seq, g.nk) ]
-  in
+let backward ?causal ?valid ?dropout ~prescale ~q ~k ~v ~d_out () =
+  let g = geom_of ?causal ?valid ?dropout ~prescale ~q ~k ~v () in
+  if extent d_out "w" <> g.nw || extent d_out "j" <> g.nj then
+    invalid_arg "Flashattn.backward: d_out is not shaped like the context";
+  let dq = Dense.zeros [ ("p", g.np); ("h", g.nh); ("b", g.nb); ("j", g.nj) ] in
+  let dk = Dense.zeros [ ("p", g.np); ("h", g.nh); ("b", g.nb); ("k", g.nk) ] in
+  let dv = Dense.zeros [ ("w", g.nw); ("h", g.nh); ("b", g.nb); ("k", g.nk) ] in
   let dgd = Dense.unsafe_data d_out in
-  let dgs =
-    Dense.strides_for d_out
-      [ axes_v.feat_v; axes_v.heads; axes_v.batch; axes_v.q_seq ]
-  in
+  let dgs = Dense.strides_for d_out [ "w"; "h"; "b"; "j" ] in
   let dqd = Dense.unsafe_data dq in
   let dkd = Dense.unsafe_data dk in
   let dvd = Dense.unsafe_data dv in

@@ -34,27 +34,17 @@
     runs it inline and each GEMM shards its own rows over the workers;
     inside a worker the GEMMs run inline. Both splits keep every
     summation order, so parallel runs are bitwise identical to serial
-    ones. *)
+    ones.
 
-(** Axis names binding q/k/v tensors to kernel roles. [q] carries
-    (feat_qk, heads, batch, q_seq), [k] (feat_qk, heads, batch, k_seq),
-    [v] (feat_v, heads, batch, k_seq) — any storage order. *)
-type axes = {
-  feat_qk : Axis.t;  (** p: query/key feature *)
-  feat_v : Axis.t;  (** w: value feature *)
-  heads : Axis.t;  (** h *)
-  batch : Axis.t;  (** b *)
-  q_seq : Axis.t;  (** j *)
-  k_seq : Axis.t;  (** k *)
-}
-
-(** The paper's axis convention: p/w/h/b/j/k. *)
-val paper_axes : axes
+    Axes are the paper's names: [q] carries (p, h, b, j) — query/key
+    feature, heads, batch, query position — [k] carries (p, h, b, k) and
+    [v] (w, h, b, k), with k the key position and w the value feature.
+    Any storage order is accepted. *)
 
 (** Counter-based dropout on the post-softmax probabilities, identical to
     the mask [Elementwise.dropout_mask ~seed ~name:key dims ~p] draws.
-    [dims] must be exactly [(heads; batch; q_seq; k_seq)] with full
-    extents — the storage order the mask's draws are laid out in. *)
+    [dims] must be exactly [(h; b; j; k)] with full extents — the
+    storage order the mask's draws are laid out in. *)
 type dropout = {
   p : float;
   seed : int64;
@@ -65,7 +55,6 @@ type dropout = {
 (** {1 The kernel} *)
 
 val forward :
-  ?axes:axes ->
   ?causal:bool ->
   ?valid:int array ->
   ?dropout:dropout ->
@@ -77,7 +66,7 @@ val forward :
   Dense.t
 (** [forward ~prescale ~q ~k ~v ()] computes
     [softmax(prescale * q.k + mask) . v] and returns the context, dims
-    (feat_v, heads, batch, q_seq).
+    (w, h, b, j).
 
     [causal] masks key positions [k > j]: each row reads only its first
     [j + 1] keys, so masked scores are never computed. [valid.(b)] limits
@@ -88,7 +77,6 @@ val forward :
     the normalized probabilities. *)
 
 val backward :
-  ?axes:axes ->
   ?causal:bool ->
   ?valid:int array ->
   ?dropout:dropout ->
@@ -101,8 +89,8 @@ val backward :
   Dense.t * Dense.t * Dense.t
 (** [backward ~prescale ~q ~k ~v ~d_out ()] recomputes scores and
     probabilities on the fly, exactly as [forward] computes them, and
-    returns [(dq, dk, dv)] with dims (feat_qk, heads, batch, q_seq) /
-    (feat_qk, heads, batch, k_seq) / (feat_v, heads, batch, k_seq).
+    returns [(dq, dk, dv)] with dims (p, h, b, j) / (p, h, b, k) /
+    (w, h, b, k).
     Scratch is O(L * d_head) per (head, batch) work item — packed K/V
     panels, the dK/dV accumulators and block-by-key buffers for one row
     block — never O(L^2). *)

@@ -40,3 +40,8 @@ val gemm :
   float array ->
   float array ->
   unit
+
+val par_min_work : int
+(** The m*n*k multiply-add volume (2^18) from which {!gemm} shards its
+    rows over the pool. {!Einsum} shards its batch groups from the same
+    total volume. *)

@@ -1,11 +1,12 @@
 (* Guarded execution of fast kernels with automatic oracle fallback.
 
    Every fast kernel in this repo has an in-tree naive implementation that
-   is the semantic ground truth ({!Fastmode}'s oracle). [protected] makes
-   that oracle an actively supervised safety net: the fast implementation
-   runs under the ambient guard level, and if it raises, exceeds its
-   per-kernel time budget, or writes NaN/Inf into an output, the group is
-   re-executed through the fallback closure — degrading throughput, never
+   is the semantic ground truth ({!Fastmode}'s oracle). [protected] is the
+   one place that chooses between the two, and it makes that oracle an
+   actively supervised safety net: the fast implementation runs under the
+   ambient guard level, and if it raises, exceeds its per-kernel time
+   budget, or writes NaN/Inf into an output, the group is re-executed
+   through the fallback closure — degrading throughput, never
    correctness. Each engaged fallback is recorded in the quarantine
    registry, and a kernel that keeps failing trips a per-kernel circuit
    breaker: further launches skip the fast attempt entirely until
@@ -173,6 +174,9 @@ let reason_of = function
   | Pool.Deadline_exceeded _ -> "kernel timeout"
   | e -> "exception: " ^ Printexc.to_string e
 
+(* The one reader of {!Fastmode.enabled}, so the fast-or-oracle choice is
+   made here and nowhere else: on the naive backend the oracle runs
+   directly, with no fault hook, quarantine entry or recorded event. *)
 let protected ~kernel ~outputs ~fallback fast =
   let lvl = current_level () in
   let attempt () =
@@ -188,7 +192,8 @@ let protected ~kernel ~outputs ~fallback fast =
     | Some t when lvl <> Off -> Pool.with_deadline ~scope:kernel t run
     | _ -> run ()
   in
-  if lvl = Off then attempt ()
+  if not (Fastmode.enabled ()) then fallback ()
+  else if lvl = Off then attempt ()
   else if tripped kernel then begin
     note_fallback kernel "circuit breaker open";
     fallback ()

@@ -1,16 +1,18 @@
 (** Guarded execution of fast kernels with automatic oracle fallback.
 
-    Every fast kernel in this repo (blocked-GEMM einsum, fused operator
-    chains) has an in-tree naive implementation that is the semantic
-    ground truth. {!protected} supervises the fast implementation under
-    the ambient guard {!level}: if it raises, exceeds the per-kernel time
-    budget, or (at [Nan]/[Finite] level) writes non-finite values into an
-    output, the computation is transparently re-executed through the
-    fallback closure — degrading throughput, never correctness. Engaged
-    fallbacks are tallied in the quarantine registry and, within a
-    recording scope, reported as {!event}s; a kernel that fails
-    repeatedly trips a per-kernel circuit breaker that routes every
-    subsequent launch straight to the oracle.
+    Every fast kernel in this repo (GEMM einsum, fused operator chains,
+    streaming attention) has an in-tree naive implementation that is the
+    semantic ground truth. {!protected} is the single switch point between
+    the two: it alone reads the {!Fastmode} backend mode, and on the
+    naive backend it runs the oracle directly. On the fast backend it
+    supervises the fast implementation under the ambient guard {!level}:
+    if it raises, exceeds the per-kernel time budget, or (at
+    [Nan]/[Finite] level) writes non-finite values into an output, the
+    computation is transparently re-executed through the fallback closure
+    — degrading throughput, never correctness. Engaged fallbacks are tallied in the
+    quarantine registry and, within a recording scope, reported as
+    {!event}s; a kernel that fails repeatedly trips a per-kernel circuit
+    breaker that routes every subsequent launch straight to the oracle.
 
     The ambient level defaults to [Exceptions] and can be set process-wide
     with the [SUBSTATION_GUARD] environment variable
@@ -87,13 +89,15 @@ val protected :
   fallback:(unit -> 'a) ->
   (unit -> 'a) ->
   'a
-(** [protected ~kernel ~outputs ~fallback fast] runs [fast ()] under the
-    ambient guard level and returns its result. [outputs] projects the
-    buffers to offer to the fault model and to scan at [Nan]/[Finite]
-    level. On a recoverable failure the quarantine is updated and
-    [fallback ()] (the naive oracle) is run instead. [Pool.Cancelled]
-    always propagates; [Pool.Deadline_exceeded] propagates when the
-    ambient run deadline (not just the kernel budget) has expired. At
-    [Off] level [fast] runs unsupervised (fault hooks still fire, so an
-    injected crash kills the run — the observable difference between
-    guarded and unguarded execution). *)
+(** [protected ~kernel ~outputs ~fallback fast] runs [fallback ()] when
+    the naive {!Fastmode} backend is active: no fault hook fires, and
+    nothing is quarantined or recorded. Otherwise it runs [fast ()] under
+    the ambient guard level and returns its result.
+    [outputs] projects the buffers to offer to the fault model and to scan
+    at [Nan]/[Finite] level. On a recoverable failure the quarantine is
+    updated and [fallback ()] (the naive oracle) is run instead.
+    [Pool.Cancelled] always propagates; [Pool.Deadline_exceeded]
+    propagates when the ambient run deadline (not just the kernel budget)
+    has expired. At [Off] level [fast] runs unsupervised (fault hooks
+    still fire, so an injected crash kills the run — the observable
+    difference between guarded and unguarded execution). *)

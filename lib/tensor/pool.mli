@@ -36,7 +36,7 @@ val set_domains : int -> unit
 val with_domains : int -> (unit -> 'a) -> 'a
 (** [with_domains n f] runs [f] with the domain count pinned to [n],
     restoring the previous setting afterwards (exception-safe). Mirrors
-    {!Fastmode.with_naive}; meant for tests and benchmarks. *)
+    {!Fastmode.with_mode}; meant for tests and benchmarks. *)
 
 val running_in_worker : unit -> bool
 (** True when called from inside a parallel region (worker domain or the
@@ -104,7 +104,11 @@ val respawn_count : unit -> int
 (** Number of times the pool was torn down and respawned after a poisoned
     job (diagnostic). *)
 
-(** {1 Parallel regions} *)
+(** {1 Parallel regions}
+
+    Callers decide whether a region pays for its dispatch. The GEMM row
+    sharding ({!Gemm.gemm}) and the einsum batch sharding share one
+    threshold, {!Gemm.par_min_work} multiply-adds. *)
 
 val parallel_for :
   ?label:string ->

@@ -10,8 +10,10 @@
 
    The parse is lazy-once: [Sys.getenv_opt] at first use, cached for the
    process. Scoped overrides (Fastmode.with_mode, Pool.with_domains,
-   Guard.with_level) win over the environment; the kernels read the
-   resulting settings at run time, so no compiled plan captures them. *)
+   Guard.with_level) win over the environment. The settings are read at
+   run time, so no compiled plan captures them: the backend mode by
+   Guard.protected alone, the domain count by each parallel region, the
+   guard level by the guard. *)
 
 type guard_level = Off | Exceptions | Nan | Finite
 

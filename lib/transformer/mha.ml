@@ -117,14 +117,11 @@ let attend_one hp c q =
     in
     Einsum.eval "whbk,hbjk->whbj" [ c.v; alpha ]
   in
-  if Fastmode.enabled () then
-    Guard.protected ~kernel:"flashattn.attend"
-      ~outputs:(fun g -> [ Dense.unsafe_data g ])
-      ~fallback:naive
-      (fun () ->
-        Flashattn.forward ~valid:[| c.len + 1 |] ~prescale ~q ~k:c.k ~v:c.v
-          ())
-  else naive ()
+  Guard.protected ~kernel:"flashattn.attend"
+    ~outputs:(fun g -> [ Dense.unsafe_data g ])
+    ~fallback:naive
+    (fun () ->
+      Flashattn.forward ~valid:[| c.len + 1 |] ~prescale ~q ~k:c.k ~v:c.v ())
 
 (* The one part of a decode step that is not a compiled plan: its key
    axis is each session's ragged cached prefix. *)

@@ -166,6 +166,13 @@ let test_gemm_narrow_allocation () =
 
 (* ---------------- einsum fast path vs oracle ---------------- *)
 
+(* One contraction on the fast backend and on the naive oracle. *)
+let contract_both ?scale inputs ~out =
+  let run fast =
+    Fastmode.with_mode fast (fun () -> Einsum.contract ?scale inputs ~out)
+  in
+  (run true, run false)
+
 (* Batched matmul with every operand and the output in a random storage
    order, so the fast path must pack non-contiguous views. *)
 let prop_einsum_matmul_layouts =
@@ -186,25 +193,23 @@ let prop_einsum_matmul_layouts =
       let a_t = Dense.permute a_t (shuffle_list prng (Dense.axes a_t)) in
       let b_t = Dense.permute b_t (shuffle_list prng (Dense.axes b_t)) in
       let out = shuffle_list prng [ "b"; "m"; "n" ] in
-      let fast = Einsum.contract ~fast:true [ a_t; b_t ] ~out in
-      let naive = Einsum.contract ~fast:false [ a_t; b_t ] ~out in
+      let fast, naive = contract_both [ a_t; b_t ] ~out in
       Dense.max_abs_diff fast naive <= 1e-9)
 
 (* A contraction the matmul classifier cannot take (three operands), plus
-   scaling: exercises the cached general plan. *)
-let prop_einsum_general_path =
-  QCheck.Test.make ~name:"general einsum: fast plan equals naive" ~count:40
+   scaling: on the fast backend it runs the odometer under the GEMM's
+   guard. *)
+let prop_einsum_non_gemm =
+  QCheck.Test.make ~name:"non-GEMM einsum: fast backend equals naive"
+    ~count:40
     QCheck.(triple (int_range 1 5) (int_range 1 5) (int_range 1 5))
     (fun (x, y, z) ->
       let prng = Prng.create (Int64.of_int ((x * 289) + (y * 17) + z)) in
       let a = Dense.rand prng [ ("a", x); ("b", y) ] ~lo:(-1.0) ~hi:1.0 in
       let b = Dense.rand prng [ ("b", y); ("c", z) ] ~lo:(-1.0) ~hi:1.0 in
       let c = Dense.rand prng [ ("c", z); ("d", x) ] ~lo:(-1.0) ~hi:1.0 in
-      let fast =
-        Einsum.contract ~scale:0.5 ~fast:true [ a; b; c ] ~out:[ "a"; "d" ]
-      in
-      let naive =
-        Einsum.contract ~scale:0.5 ~fast:false [ a; b; c ] ~out:[ "a"; "d" ]
+      let fast, naive =
+        contract_both ~scale:0.5 [ a; b; c ] ~out:[ "a"; "d" ]
       in
       Dense.max_abs_diff fast naive <= 1e-9)
 
@@ -213,8 +218,7 @@ let prop_einsum_general_path =
 let test_einsum_corner_shapes () =
   let prng = Prng.create 5L in
   let check spec inputs out =
-    let fast = Einsum.contract ~fast:true inputs ~out in
-    let naive = Einsum.contract ~fast:false inputs ~out in
+    let fast, naive = contract_both inputs ~out in
     check_bool spec true (Dense.max_abs_diff fast naive <= 1e-9)
   in
   let v = Dense.rand prng [ ("k", 9) ] ~lo:(-1.0) ~hi:1.0 in
@@ -667,7 +671,7 @@ let () =
       ( "einsum",
         [
           q prop_einsum_matmul_layouts;
-          q prop_einsum_general_path;
+          q prop_einsum_non_gemm;
           Alcotest.test_case "corner shapes" `Quick test_einsum_corner_shapes;
           Alcotest.test_case "parse memoized" `Quick test_parse_memoized;
         ] );

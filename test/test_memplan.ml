@@ -320,7 +320,8 @@ let test_plan_cache_keys_on_domains () =
   let b = Dense.rand prng [ ("b", 3); ("k", 8); ("n", 8) ] ~lo:(-1.0) ~hi:1.0 in
   let eval n =
     Pool.with_domains n (fun () ->
-        Einsum.contract ~fast:true [ a; b ] ~out:[ "b"; "m"; "n" ])
+        Fastmode.with_mode true (fun () ->
+            Einsum.contract [ a; b ] ~out:[ "b"; "m"; "n" ]))
   in
   let r1 = eval 1 in
   let m1 = (Einsum.cache_stats ()).Einsum.misses in
@@ -365,7 +366,10 @@ let test_out_projection_reads_wo_in_place () =
   in
   let scratch wo =
     Arena.reset_peak Arena.global;
-    let r = Einsum.eval ~fast:true "whi,whbj->ibj" [ wo; gam ] in
+    let r =
+      Fastmode.with_mode true (fun () ->
+          Einsum.eval "whi,whbj->ibj" [ wo; gam ])
+    in
     ((Arena.stats Arena.global).Arena.peak_floats, r)
   in
   let peak, r = scratch wo in

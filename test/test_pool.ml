@@ -217,8 +217,10 @@ let test_gemm_odd_row_shards () =
 
 let test_einsum_parallel_bitwise () =
   (* Batched matmul big enough to engage the batch-group sharding
-     (4 * 24^3 >> threshold), with permuted operand storage. *)
-  let b = 4 and m = 24 and n = 24 and k = 24 in
+     (4 * 48^3 = 442,368 multiply-adds >= Gemm.par_min_work), with
+     permuted operand storage. *)
+  let b = 4 and m = 48 and n = 48 and k = 48 in
+  check_bool "sized to shard" true (b * m * n * k >= Gemm.par_min_work);
   let prng = Prng.create 31L in
   let a_t =
     Dense.rand prng [ ("b", b); ("m", m); ("k", k) ] ~lo:(-1.0) ~hi:1.0
@@ -230,7 +232,8 @@ let test_einsum_parallel_bitwise () =
   let b_t = Dense.permute b_t (shuffle_list prng (Dense.axes b_t)) in
   let run d =
     Pool.with_domains d (fun () ->
-        Einsum.contract ~fast:true [ a_t; b_t ] ~out:[ "b"; "m"; "n" ])
+        Fastmode.with_mode true (fun () ->
+            Einsum.contract [ a_t; b_t ] ~out:[ "b"; "m"; "n" ]))
   in
   let serial = run 1 in
   List.iter
@@ -243,8 +246,11 @@ let test_einsum_parallel_bitwise () =
 
 let test_einsum_mha_parallel_bitwise () =
   (* An MHA-shaped contraction (the paper's QK^T) at sizes where several
-     batch dims fold into the sharded group. *)
-  let sizes = [ ("p", 16); ("h", 4); ("b", 2); ("j", 16); ("k", 16) ] in
+     batch dims fold into the sharded group (16 * 4 * 2 * 64 * 64 =
+     524,288 multiply-adds >= Gemm.par_min_work). *)
+  let sizes = [ ("p", 16); ("h", 4); ("b", 2); ("j", 64); ("k", 64) ] in
+  check_bool "sized to shard" true
+    (List.fold_left (fun acc (_, d) -> acc * d) 1 sizes >= Gemm.par_min_work);
   let prng = Prng.create 47L in
   let mk axes =
     Dense.rand prng (List.map (fun a -> (a, List.assoc a sizes)) axes)
@@ -253,7 +259,8 @@ let test_einsum_mha_parallel_bitwise () =
   let q_t = mk [ "p"; "h"; "b"; "k" ] and k_t = mk [ "p"; "h"; "b"; "j" ] in
   let run d =
     Pool.with_domains d (fun () ->
-        Einsum.contract ~fast:true [ q_t; k_t ] ~out:[ "h"; "b"; "j"; "k" ])
+        Fastmode.with_mode true (fun () ->
+            Einsum.contract [ q_t; k_t ] ~out:[ "h"; "b"; "j"; "k" ]))
   in
   check_bool "parallel MHA contraction bitwise" true
     (Dense.max_abs_diff (run 1) (run 4) = 0.0)

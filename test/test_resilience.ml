@@ -366,6 +366,35 @@ let test_env_backend_independent () =
       Guard.reset ())
     [ false; true ]
 
+(* Guard.protected alone picks the backend: on the naive one it runs
+   each kernel's oracle directly, so a campaign that crashes every fast
+   kernel engages nothing (no fallback, no quarantine entry) and the run
+   is the clean naive run bit for bit. The same campaign on the fast
+   backend does engage fallbacks. *)
+let test_naive_enters_no_guard () =
+  Guard.reset ();
+  let plan = encoder_plan () in
+  let inputs = encoder_inputs () in
+  let run () =
+    Frameworks.Executor.run ~check:Frameworks.Executor.No_check
+      (Compile.Regime.current ()) plan inputs
+  in
+  let clean, _ = Fastmode.with_naive run in
+  let faults = Gpu.Faults.make_exec ~seed:13L ~crash_rate:1.0 () in
+  let under_faults fast =
+    Gpu.Faults.with_exec_faults faults (fun () -> Fastmode.with_mode fast run)
+  in
+  let naive, report = under_faults false in
+  check_int "naive run engages no fallback" 0
+    (List.length report.Frameworks.Executor.rr_fallbacks);
+  check_int "naive run leaves the quarantine empty" 0
+    (List.length report.Frameworks.Executor.rr_quarantine);
+  envs_bitwise_equal clean naive;
+  let _, report = under_faults true in
+  check_bool "the same campaign on the fast backend falls back" true
+    (report.Frameworks.Executor.rr_fallbacks <> []);
+  Guard.reset ()
+
 let test_recovery_matrix_serial () = run_recovery_matrix ~domains:1 ()
 let test_recovery_matrix_parallel () = run_recovery_matrix ~domains:4 ()
 
@@ -556,6 +585,8 @@ let () =
             test_recovery_matrix_parallel;
           Alcotest.test_case "planned env is backend-independent" `Quick
             test_env_backend_independent;
+          Alcotest.test_case "naive backend enters no guarded kernel" `Quick
+            test_naive_enters_no_guard;
           Alcotest.test_case "mixed campaign completes" `Quick
             test_mixed_campaign_completes;
           Alcotest.test_case "run deadline propagates" `Quick
