@@ -107,15 +107,11 @@ let synth_inputs (p : Ops.Program.t) =
     !inputs
 
 let bitwise_equal a b =
-  Dense.volume a = Dense.volume b
-  &&
-  try
-    Dense.iter a (fun idx v ->
-        if
-          Int64.bits_of_float v <> Int64.bits_of_float (Dense.get b idx)
-        then raise Exit);
-    true
-  with Exit | Invalid_argument _ | Not_found -> false
+  Shape.same_semantics (Dense.shape a) (Dense.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Dense.unsafe_data a)
+       (Dense.unsafe_data (Dense.align b a))
 
 let verify_stage ~pass_name ~reference ~outputs plan inputs =
   let env = execute plan inputs in

@@ -35,6 +35,10 @@ type plan = {
     differs from the uncompiled interpreter's in some bit. *)
 exception Verification_failed of { vf_pass : string; vf_container : string }
 
+(** The check [~verify] applies: same axes and sizes, and the same bits in
+    every element (storage orders may differ). *)
+val bitwise_equal : Dense.t -> Dense.t -> bool
+
 (** Compile [program] under [regime]. [device] and [params] are accepted
     and ignored, kept only for perfbench: kernels choose their own tiles,
     so no pass depends on a device, and weights are stored in the layout

@@ -35,88 +35,51 @@ let position axis axes =
   in
   go 0 axes
 
-(* Number of rows walked when dimension [p] of [dims] is reduced away. *)
-let row_count dims p =
-  let rows = ref 1 in
-  Array.iteri (fun i d -> if i <> p then rows := !rows * d) dims;
-  !rows
+(* Below this element volume a row-parallel ("fastpath.rows") or chain
+   ("fastpath.map") region loses to the inline one. Measured on a shared
+   2-vCPU Xeon, inline against 2 domains: an empty region costs about
+   1 us, but a sharded one only gains once the worker's wake-up and cache
+   misses are paid. Layernorm and a bias-relu chain (7-10 ns/element
+   inline) lost at 4,096 elements (35-43 us inline, 40-51 sharded), broke
+   even at 6,144 and won from 8,192 (67-81 against 57-75); softmax, 3x
+   costlier per element, lost at 2,048 and won from 6,144. *)
+let par_min_work = 8192
 
-(* Row-wise iteration over the sub-range [row_lo, row_hi) of the positions
-   of [dims] with dimension [p] removed, in storage order, tracking one
-   running offset per stride set (each aligned to the full [dims]). Calls
-   [f row bases idx] where [row] is the absolute row number, [bases.(s)]
-   stride-set [s]'s offset for the row start and [idx] the outer
-   multi-index (dimension [p] removed). The starting multi-index is
-   decomposed from [row_lo], so disjoint ranges visit exactly the rows a
-   full serial walk would — parallel row-sharding partitions [0, rows)
-   without changing any per-row state. *)
-let iter_rows_range dims (stride_sets : int array array) p ~row_lo ~row_hi f =
-  let n = Array.length dims in
-  let m = n - 1 in
-  let nsets = Array.length stride_sets in
-  let odims = Array.make (Stdlib.max m 1) 0 in
-  let ostr = Array.make_matrix nsets (Stdlib.max m 1) 0 in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    if i <> p then begin
-      odims.(!w) <- dims.(i);
-      for s = 0 to nsets - 1 do
-        ostr.(s).(!w) <- stride_sets.(s).(i)
-      done;
-      incr w
-    end
-  done;
-  let idx = Array.make (Stdlib.max m 1) 0 in
-  let rem = ref row_lo in
-  for d = m - 1 downto 0 do
-    idx.(d) <- !rem mod odims.(d);
-    rem := !rem / odims.(d)
-  done;
-  let bases = Array.make (Stdlib.max nsets 1) 0 in
-  for s = 0 to nsets - 1 do
-    for d = 0 to m - 1 do
-      bases.(s) <- bases.(s) + (idx.(d) * ostr.(s).(d))
-    done
-  done;
-  for row = row_lo to row_hi - 1 do
-    f row bases idx;
-    let rec bump d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        for s = 0 to nsets - 1 do
-          bases.(s) <- bases.(s) + ostr.(s).(d)
-        done;
-        if idx.(d) = odims.(d) then begin
-          idx.(d) <- 0;
-          for s = 0 to nsets - 1 do
-            bases.(s) <- bases.(s) - (ostr.(s).(d) * odims.(d))
-          done;
-          bump (d - 1)
-        end
-      end
-    in
-    bump (m - 1)
-  done
-
-(* Below this element volume a row-parallel region costs more to dispatch
-   than the rows themselves. *)
-let par_min_work = 4096
-
-(* Shard the row space across Pool workers: [run ~row_lo ~row_hi] handles
-   one disjoint range (borrowing any per-worker scratch itself). Each
-   range walks private index/base state, so per-row outputs are bitwise
-   identical to the serial walk. *)
+(* Shard the rows of [dims] with dimension [p] reduced away across Pool
+   workers: [run ~row_lo ~row_hi] handles one disjoint range (borrowing
+   any per-worker scratch itself). Each range walks private state, so
+   per-row outputs are bitwise identical to the serial walk. *)
 let par_row_ranges dims p run =
-  let rows = row_count dims p in
-  let work = rows * (if Array.length dims = 0 then 1 else dims.(p)) in
+  let work = Array.fold_left ( * ) 1 dims in
+  let rows = work / dims.(p) in
   if rows >= 2 && work >= par_min_work && Pool.num_domains () > 1 then
     Pool.parallel_for ~label:"fastpath.rows" ~start:0 ~finish:rows
       (fun row_lo row_hi -> run ~row_lo ~row_hi)
   else run ~row_lo:0 ~row_hi:rows
 
-let par_rows dims (stride_sets : int array array) p f =
-  par_row_ranges dims p (fun ~row_lo ~row_hi ->
-      iter_rows_range dims stride_sets p ~row_lo ~row_hi f)
+(* Rows [row_lo, row_hi) of [dims] with dimension [p] removed, in storage
+   order, as {!Dense.iter_runs} runs over [sets] (each aligned to the full
+   [dims]). Calls [f row bases] with [bases.(s)] set [s]'s offset at the
+   row start ([bases] is reused). A range starts at [row_lo] itself, so
+   disjoint ranges visit exactly the rows of the serial walk. *)
+let walk_rows dims sets p =
+  let m = Array.length dims - 1 in
+  let drop s = Array.init m (fun i -> if i < p then s.(i) else s.(i + 1)) in
+  let odims = drop dims and osets = Array.map drop sets in
+  let inner = Array.map (fun s -> if m = 0 then 0 else s.(m - 1)) osets in
+  fun ~row_lo ~row_hi f ->
+    let bases = Array.make (Array.length sets) 0 in
+    Dense.iter_runs odims osets ~lo:row_lo ~hi:row_hi (fun k offs run ->
+        for q = 0 to run - 1 do
+          for s = 0 to Array.length bases - 1 do
+            bases.(s) <- offs.(s) + (q * inner.(s))
+          done;
+          f (row_lo + k + q) bases
+        done)
+
+let par_rows dims sets p f =
+  let walk = walk_rows dims sets p in
+  par_row_ranges dims p (fun ~row_lo ~row_hi -> walk ~row_lo ~row_hi f)
 
 let dims_of t = Array.of_list (Shape.sizes (Dense.shape t))
 let own_strides t = Shape.strides (Dense.shape t)
@@ -129,9 +92,10 @@ let softmax_fast env (op : Op.t) ~x_name ~out_name ~axis ~prescale ~causal =
   let x = Op.lookup env x_name in
   let ax = Dense.layout x in
   let p = position axis ax in
-  let outer_ax = List.filter (fun a -> not (Axis.equal a axis)) ax in
   let qpos =
-    match causal with None -> -1 | Some (q, _) -> position q outer_ax
+    match causal with
+    | Some (q, _) when not (Axis.equal q axis) -> position q ax
+    | _ -> -1
   in
   let causal_ok =
     match causal with
@@ -145,14 +109,19 @@ let softmax_fast env (op : Op.t) ~x_name ~out_name ~axis ~prescale ~causal =
     let kl = dims.(p) and sk = strides.(p) in
     let out = Dense.zeros (Shape.to_list (Dense.shape x)) in
     let xd = Dense.unsafe_data x and od = Dense.unsafe_data out in
+    (* A row's causal query index, from its row number: [qdiv]
+       consecutive rows share one. *)
+    let qdiv = ref 1 in
+    Array.iteri (fun d n -> if d > qpos && d <> p then qdiv := !qdiv * n) dims;
+    let qdiv = !qdiv in
+    let walk = walk_rows dims [| strides |] p in
     par_row_ranges dims p (fun ~row_lo ~row_hi ->
         (* Per-range borrow: the arena is domain-local, so each worker
            gets its own row scratch without contention. *)
         Arena.with_scratch Arena.global kl (fun e ->
-            iter_rows_range dims [| strides |] p ~row_lo ~row_hi
-              (fun _row bases idx ->
+            walk ~row_lo ~row_hi (fun row bases ->
             let base = bases.(0) in
-            let jq = if qpos >= 0 then idx.(qpos) else -1 in
+            let jq = if qpos >= 0 then row / qdiv mod dims.(qpos) else -1 in
             let mx = ref neg_infinity in
             for k = 0 to kl - 1 do
               let v = prescale *. Array.unsafe_get xd (base + (k * sk)) in
@@ -193,7 +162,7 @@ let softmax_dx_fast env (op : Op.t) ~dy_name ~y_name ~out_name ~axis ~prescale =
     let yd = Dense.unsafe_data y
     and dyd = Dense.unsafe_data dy
     and od = Dense.unsafe_data out in
-    par_rows dims [| y_str; dy_str |] p (fun _row bases _idx ->
+    par_rows dims [| y_str; dy_str |] p (fun _row bases ->
         let yb = bases.(0) and dyb = bases.(1) in
         let s = ref 0.0 in
         for k = 0 to kl - 1 do
@@ -239,7 +208,7 @@ let layernorm_fast env (op : Op.t) ~x_name ~gamma_name ~beta_name ~out_name
     and sd = Dense.unsafe_data istd_t
     and gd = Dense.unsafe_data gamma
     and bd = Dense.unsafe_data beta in
-    par_rows dims [| strides |] p (fun row bases _idx ->
+    par_rows dims [| strides |] p (fun row bases ->
         let base = bases.(0) in
         let s = ref 0.0 in
         for k = 0 to kl - 1 do
@@ -293,7 +262,7 @@ let layernorm_dx_fast env (op : Op.t) ~dy_name ~x_name ~gamma_name ~mean_name
     and md = Dense.unsafe_data mean
     and sd = Dense.unsafe_data istd
     and od = Dense.unsafe_data out in
-    par_rows dims [| dy_str; x_str; m_str; s_str |] p (fun _row bases _idx ->
+    par_rows dims [| dy_str; x_str; m_str; s_str |] p (fun _row bases ->
         let dyb = bases.(0) and xb = bases.(1) in
         let m = Array.unsafe_get md bases.(2) in
         let ist = Array.unsafe_get sd bases.(3) in
@@ -342,35 +311,26 @@ let layernorm_dw_fast env (op : Op.t) ~dy_name ~x_name ~mean_name ~istd_name
     and sd = Dense.unsafe_data istd
     and dg = Dense.unsafe_data dgamma
     and db = Dense.unsafe_data dbeta in
-    let total = Array.fold_left ( * ) 1 dims in
-    let idx = Array.make n 0 in
-    let xo = ref 0 and mo = ref 0 and so = ref 0 in
-    for pos = 0 to total - 1 do
-      let k = idx.(p) in
-      let xhat =
-        (Array.unsafe_get xd !xo +. (-1.0 *. Array.unsafe_get md !mo))
-        *. Array.unsafe_get sd !so
-      in
-      let dyv = Array.unsafe_get dyd pos in
-      Array.unsafe_set dg k (Array.unsafe_get dg k +. (dyv *. xhat));
-      Array.unsafe_set db k (Array.unsafe_get db k +. dyv);
-      let d = ref (n - 1) in
-      while !d >= 0 do
-        let a = !d in
-        idx.(a) <- idx.(a) + 1;
-        xo := !xo + x_str.(a);
-        mo := !mo + m_str.(a);
-        so := !so + s_str.(a);
-        if idx.(a) = dims.(a) then begin
-          idx.(a) <- 0;
-          xo := !xo - (x_str.(a) * dims.(a));
-          mo := !mo - (m_str.(a) * dims.(a));
-          so := !so - (s_str.(a) * dims.(a));
-          d := a - 1
-        end
-        else d := -1
-      done
-    done;
+    (* Walk [dy] in storage order; the fourth stride set is [axis]'s unit
+       vector, so its offset is the position's coordinate on [axis]. *)
+    let k_str = Array.init n (fun d -> if d = p then 1 else 0) in
+    let xi = x_str.(n - 1) and mi = m_str.(n - 1) and si = s_str.(n - 1) in
+    let ki = k_str.(n - 1) in
+    Dense.iter_runs dims [| x_str; m_str; s_str; k_str |] ~lo:0
+      ~hi:(Array.length dyd) (fun pos offs run ->
+        let xo = offs.(0) and mo = offs.(1) and so = offs.(2) in
+        let ko = offs.(3) in
+        for q = 0 to run - 1 do
+          let k = ko + (q * ki) in
+          let xhat =
+            (Array.unsafe_get xd (xo + (q * xi))
+            +. (-1.0 *. Array.unsafe_get md (mo + (q * mi))))
+            *. Array.unsafe_get sd (so + (q * si))
+          in
+          let dyv = Array.unsafe_get dyd (pos + q) in
+          Array.unsafe_set dg k (Array.unsafe_get dg k +. (dyv *. xhat));
+          Array.unsafe_set db k (Array.unsafe_get db k +. dyv)
+        done);
     Op.store env dgamma_name dgamma;
     Op.store env dbeta_name dbeta
   end
@@ -423,22 +383,13 @@ type rt_stage = {
   rt_out : float array;  (* [no_arr] when the output is dead *)
 }
 
-let canonical_strides dims =
-  let n = Array.length dims in
-  let s = Array.make n 0 in
-  let acc = ref 1 in
-  for i = n - 1 downto 0 do
-    s.(i) <- !acc;
-    acc := !acc * dims.(i)
-  done;
-  s
-
 (* Gather [len] operand values for positions [base, base + len) of the
    chain's [dims] into [o], reading [src] through [str] (the operand's
    strides per chain axis; 0 on broadcast axes). *)
 let gather_strided (src : float array) str dims (o : float array) ~base ~len =
   let si = str.(Array.length dims - 1) in
-  Dense.iter_runs dims str ~lo:base ~hi:(base + len) (fun k off run ->
+  Dense.iter_runs dims [| str |] ~lo:base ~hi:(base + len) (fun k offs run ->
+      let off = offs.(0) in
       for q = 0 to run - 1 do
         Array.unsafe_set o (k + q) (Array.unsafe_get src (off + (q * si)))
       done)
@@ -502,7 +453,7 @@ let run_chain env (stages : chain_stage list) =
   let ax = Dense.layout x0 in
   let dims = dims_of x0 in
   let total = Array.fold_left ( * ) 1 dims in
-  let canon = canonical_strides dims in
+  let canon = own_strides x0 in
   let compatible (st : chain_stage) =
     let d = st.cs_sem.Op.e_dims in
     Axis.equal_sets (List.map fst d) ax

@@ -19,3 +19,7 @@
     always sound because only dead chain intermediates are skipped. *)
 val compile_group :
   external_writes:string list -> Op.t list -> (Op.env -> unit) option
+
+(** Element volume from which a row-parallel or element-wise chain region
+    shards across the {!Pool} (below it, regions run inline). *)
+val par_min_work : int

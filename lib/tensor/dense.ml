@@ -16,39 +16,23 @@ let full dims v =
 let scalar v = { shape = Shape.create []; data = [| v |] }
 let copy t = { t with data = Array.copy t.data }
 
-(* Iterate a multi-index odometer over [dims] in row-major order, calling
-   [f] with the current multi-index. The same [idx] array is reused across
-   calls — callers must read it immediately and never retain or mutate it. *)
-let iter_flat dims f =
-  let n = Array.length dims in
-  if n = 0 then f [||]
-  else begin
-    let idx = Array.make n 0 in
-    let total = Array.fold_left ( * ) 1 dims in
-    for _ = 1 to total do
-      f idx;
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          if idx.(d) = dims.(d) then begin
-            idx.(d) <- 0;
-            bump (d - 1)
-          end
-        end
-      in
-      bump (n - 1)
-    done
-  end
+(* The named coordinates of storage position [pos], decomposed directly
+   from [rev_dims], the shape's (axis, size) pairs innermost first. *)
+let coords rev_dims pos =
+  let rem = ref pos in
+  List.fold_left
+    (fun acc (a, d) ->
+      let i = !rem mod d in
+      rem := !rem / d;
+      (a, i) :: acc)
+    [] rev_dims
 
 let init dims f =
   let t = zeros dims in
-  let ax = Array.of_list (Shape.axes t.shape) in
-  let dim_arr = Array.of_list (Shape.sizes t.shape) in
-  let pos = ref 0 in
-  iter_flat dim_arr (fun idx ->
-      let named = Array.to_list (Array.mapi (fun i a -> (a, idx.(i))) ax) in
-      t.data.(!pos) <- f named;
-      incr pos);
+  let rev_dims = List.rev (Shape.to_list t.shape) in
+  for pos = 0 to Array.length t.data - 1 do
+    t.data.(pos) <- f (coords rev_dims pos)
+  done;
   t
 
 let of_flat dims values =
@@ -88,13 +72,8 @@ let get t idx = t.data.(flat_index t idx)
 let set t idx v = t.data.(flat_index t idx) <- v
 
 let iter t f =
-  let ax = Array.of_list (Shape.axes t.shape) in
-  let dims = Array.of_list (Shape.sizes t.shape) in
-  let pos = ref 0 in
-  iter_flat dims (fun idx ->
-      let named = Array.to_list (Array.mapi (fun i a -> (a, idx.(i))) ax) in
-      f named t.data.(!pos);
-      incr pos)
+  let rev_dims = List.rev (Shape.to_list t.shape) in
+  Array.iteri (fun pos v -> f (coords rev_dims pos) v) t.data
 
 let strides_for t loop_axes =
   let strides = Shape.strides t.shape in
@@ -106,35 +85,97 @@ let strides_for t loop_axes =
          | exception Not_found -> 0)
        loop_axes)
 
-(* Generic rebinding of storage order: walk the destination in storage order
-   while tracking the source offset incrementally. *)
+(* Walk positions [lo, hi) of the row-major index space [dims] one run at
+   a time, tracking one offset [sum idx.(d) * st.(d)] per stride set [st]
+   of [sets]. Axis [d] joins the merged axis inside it when it has size 1
+   or every set's strides compose across the two (its stride is the
+   merged axis' stride times its size), so a run's offsets still step by
+   each set's innermost stride. The multi-index of the merged axes
+   ([gdims]/[gaxis], innermost first) is decomposed from [lo]; between
+   runs it carries like an odometer. Calls [f k offs run] per run, with
+   [k] the run's first position minus [lo] and [offs] (reused) its
+   offsets. *)
+let iter_runs dims sets ~lo ~hi f =
+  let n = Array.length dims and nsets = Array.length sets in
+  let offs = Array.make nsets 0 in
+  if n = 0 then (if lo < hi then f 0 offs 1)
+  else if lo < hi then begin
+    let gdims = Array.make n dims.(n - 1) and gaxis = Array.make n (n - 1) in
+    let ng = ref 1 in
+    for d = n - 2 downto 0 do
+      let g = !ng - 1 in
+      let composes = ref true in
+      for s = 0 to nsets - 1 do
+        let st = sets.(s) in
+        if st.(d) <> st.(gaxis.(g)) * gdims.(g) then composes := false
+      done;
+      if !composes || dims.(d) = 1 then gdims.(g) <- gdims.(g) * dims.(d)
+      else begin
+        gdims.(!ng) <- dims.(d);
+        gaxis.(!ng) <- d;
+        incr ng
+      end
+    done;
+    let ng = !ng in
+    let idx = Array.make ng 0 in
+    let rem = ref lo in
+    for g = 0 to ng - 1 do
+      idx.(g) <- !rem mod gdims.(g);
+      rem := !rem / gdims.(g);
+      for s = 0 to nsets - 1 do
+        offs.(s) <- offs.(s) + (idx.(g) * sets.(s).(gaxis.(g)))
+      done
+    done;
+    let inner = gdims.(0) in
+    let pos = ref lo in
+    while !pos < hi do
+      (* Every run but the last ends the inner axis: step back to its
+         start, then carry into the outer axes. *)
+      let i0 = idx.(0) in
+      let run = Int.min (inner - i0) (hi - !pos) in
+      f (!pos - lo) offs run;
+      pos := !pos + run;
+      for s = 0 to nsets - 1 do
+        offs.(s) <- offs.(s) - (i0 * sets.(s).(n - 1))
+      done;
+      idx.(0) <- 0;
+      let g = ref 1 in
+      while !g < ng do
+        let a = !g in
+        idx.(a) <- idx.(a) + 1;
+        for s = 0 to nsets - 1 do
+          offs.(s) <- offs.(s) + sets.(s).(gaxis.(a))
+        done;
+        if idx.(a) = gdims.(a) then begin
+          idx.(a) <- 0;
+          for s = 0 to nsets - 1 do
+            offs.(s) <- offs.(s) - (sets.(s).(gaxis.(a)) * gdims.(a))
+          done;
+          g := a + 1
+        end
+        else g := ng
+      done
+    done
+  end
+
+(* Rebinding of storage order: walk the destination in storage order, one
+   copy loop per run of the source. *)
 let permute t order =
   if Layout.equal order (Shape.axes t.shape) then copy t
   else begin
     let dst_shape = Shape.reorder t.shape order in
-    let dst = { shape = dst_shape; data = Array.make (volume t) 0.0 } in
-    let dims = Array.of_list (Shape.sizes dst_shape) in
     let src_strides = strides_for t (Shape.axes dst_shape) in
-    let n = Array.length dims in
-    let idx = Array.make n 0 in
-    let src_off = ref 0 in
-    let total = Shape.volume dst_shape in
-    for pos = 0 to total - 1 do
-      dst.data.(pos) <- t.data.(!src_off);
-      let rec bump d =
-        if d >= 0 then begin
-          idx.(d) <- idx.(d) + 1;
-          src_off := !src_off + src_strides.(d);
-          if idx.(d) = dims.(d) then begin
-            idx.(d) <- 0;
-            src_off := !src_off - (src_strides.(d) * dims.(d));
-            bump (d - 1)
-          end
-        end
-      in
-      bump (n - 1)
-    done;
-    dst
+    let si = src_strides.(Array.length src_strides - 1) in
+    let sd = t.data and dd = Array.make (volume t) 0.0 in
+    iter_runs
+      (Array.of_list (Shape.sizes dst_shape))
+      [| src_strides |] ~lo:0 ~hi:(volume t)
+      (fun k offs run ->
+        let o = offs.(0) in
+        for q = 0 to run - 1 do
+          Array.unsafe_set dd (k + q) (Array.unsafe_get sd (o + (q * si)))
+        done);
+    { shape = dst_shape; data = dd }
   end
 
 let layout t = Shape.axes t.shape
@@ -170,13 +211,12 @@ let sub = map2 ( -. )
 let mul = map2 ( *. )
 let scale s t = map (fun v -> s *. v) t
 
-(* Broadcast combine. Two layouts cover almost every use in this repo and
-   admit direct indexed loops instead of a per-element odometer bump:
-   (1) [b]'s axes are exactly the trailing axes of [t] in matching storage
-   order, so the broadcast offset cycles 0..volume b - 1 contiguously;
-   (2) the trailing axes of [t] are absent from [b], so the broadcast
-   offset is constant over a contiguous inner run. Anything else falls
-   back to the general odometer. *)
+(* Broadcast combine: walk [t] in storage order, one run per stretch over
+   which [b]'s offset steps by a fixed stride (0 when [t]'s trailing axes
+   are absent from [b]). The operation is chosen once, as in [reduce], so
+   no element boxes a float. *)
+type bcast = Badd | Bmul
+
 let bcast_op op t b =
   if not (Axis.subset (axes b) (axes t)) then
     invalid_arg "Dense.bcast: broadcast axes are not a subset";
@@ -185,137 +225,33 @@ let bcast_op op t b =
       if Shape.size b.shape a <> Shape.size t.shape a then
         invalid_arg "Dense.bcast: size mismatch on shared axis")
     (axes b);
-  let out = copy t in
-  let t_ax = Shape.axes t.shape in
-  let dims = Array.of_list (Shape.sizes t.shape) in
-  let n = Array.length dims in
-  let total = volume t in
-  let vol_b = volume b in
-  let b_ax = Shape.axes b.shape in
-  let rb = List.length b_ax in
-  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-  let suffix_matches =
-    rb <= n && List.for_all2 Axis.equal (drop (n - rb) t_ax) b_ax
+  let b_strides = strides_for b (axes t) in
+  let n = Array.length b_strides in
+  let si = if n = 0 then 0 else b_strides.(n - 1) in
+  let td = t.data and bd = b.data and od = Array.make (volume t) 0.0 in
+  let combine =
+    match op with
+    | Badd ->
+        fun k o run ->
+          for q = 0 to run - 1 do
+            Array.unsafe_set od (k + q)
+              (Array.unsafe_get td (k + q) +. Array.unsafe_get bd (o + (q * si)))
+          done
+    | Bmul ->
+        fun k o run ->
+          for q = 0 to run - 1 do
+            Array.unsafe_set od (k + q)
+              (Array.unsafe_get td (k + q) *. Array.unsafe_get bd (o + (q * si)))
+          done
   in
-  let td = out.data and bd = b.data in
-  if suffix_matches then begin
-    let pos = ref 0 in
-    while !pos < total do
-      let base = !pos in
-      for q = 0 to vol_b - 1 do
-        Array.unsafe_set td (base + q)
-          (op (Array.unsafe_get td (base + q)) (Array.unsafe_get bd q))
-      done;
-      pos := base + vol_b
-    done;
-    out
-  end
-  else begin
-    let ax_arr = Array.of_list t_ax in
-    let b_strides = strides_for b t_ax in
-    let rec split i =
-      if i >= 0 && not (Shape.mem b.shape ax_arr.(i)) then split (i - 1) else i
-    in
-    let last_b = split (n - 1) in
-    let inner = ref 1 in
-    for i = last_b + 1 to n - 1 do
-      inner := !inner * dims.(i)
-    done;
-    let inner = !inner in
-    if inner > 1 then begin
-      let outer_n = last_b + 1 in
-      let idx = Array.make (Stdlib.max outer_n 1) 0 in
-      let b_off = ref 0 in
-      let pos = ref 0 in
-      for _ = 1 to total / inner do
-        let base = !pos and boff = !b_off in
-        let bv = Array.unsafe_get bd boff in
-        for q = 0 to inner - 1 do
-          Array.unsafe_set td (base + q) (op (Array.unsafe_get td (base + q)) bv)
-        done;
-        pos := base + inner;
-        let rec bump d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            b_off := !b_off + b_strides.(d);
-            if idx.(d) = dims.(d) then begin
-              idx.(d) <- 0;
-              b_off := !b_off - (b_strides.(d) * dims.(d));
-              bump (d - 1)
-            end
-          end
-        in
-        bump (outer_n - 1)
-      done;
-      out
-    end
-    else begin
-      let idx = Array.make n 0 in
-      let b_off = ref 0 in
-      for pos = 0 to total - 1 do
-        out.data.(pos) <- op t.data.(pos) b.data.(!b_off);
-        let rec bump d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            b_off := !b_off + b_strides.(d);
-            if idx.(d) = dims.(d) then begin
-              idx.(d) <- 0;
-              b_off := !b_off - (b_strides.(d) * dims.(d));
-              bump (d - 1)
-            end
-          end
-        in
-        bump (n - 1)
-      done;
-      out
-    end
-  end
+  iter_runs
+    (Array.of_list (Shape.sizes t.shape))
+    [| b_strides |] ~lo:0 ~hi:(volume t)
+    (fun k offs run -> combine k offs.(0) run);
+  { t with data = od }
 
-let add_bcast t b = bcast_op ( +. ) t b
-let mul_bcast t b = bcast_op ( *. ) t b
-
-(* Walk positions [lo, hi) of the row-major index space [dims] one
-   innermost-axis run at a time. The multi-index is decomposed from [lo];
-   between runs an odometer carries into the outer axes, tracking the
-   offset [sum idx.(d) * strides.(d)]. Calls [f k off run] per run, with
-   [k] the run's first position minus [lo] and [off] its offset. *)
-let iter_runs dims strides ~lo ~hi f =
-  let n = Array.length dims in
-  if n = 0 then (if lo < hi then f 0 0 1)
-  else begin
-    let idx = Array.make n 0 in
-    let rem = ref lo and off = ref 0 in
-    for d = n - 1 downto 0 do
-      idx.(d) <- !rem mod dims.(d);
-      rem := !rem / dims.(d);
-      off := !off + (idx.(d) * strides.(d))
-    done;
-    let inner = dims.(n - 1) and si = strides.(n - 1) in
-    let pos = ref lo in
-    while !pos < hi do
-      let run = Int.min (inner - idx.(n - 1)) (hi - !pos) in
-      f (!pos - lo) !off run;
-      pos := !pos + run;
-      off := !off + (run * si);
-      idx.(n - 1) <- idx.(n - 1) + run;
-      if idx.(n - 1) = inner then begin
-        idx.(n - 1) <- 0;
-        off := !off - (inner * si);
-        let d = ref (n - 2) in
-        while !d >= 0 do
-          let a = !d in
-          idx.(a) <- idx.(a) + 1;
-          off := !off + strides.(a);
-          if idx.(a) = dims.(a) then begin
-            idx.(a) <- 0;
-            off := !off - (strides.(a) * dims.(a));
-            d := a - 1
-          end
-          else d := -1
-        done
-      end
-    done
-  end
+let add_bcast t b = bcast_op Badd t b
+let mul_bcast t b = bcast_op Bmul t b
 
 type reduction = Sum | Max
 
@@ -364,7 +300,8 @@ let reduce red t red_axes =
               (Float.max (Array.unsafe_get od oq) (Array.unsafe_get td (base + q)))
           done
   in
-  iter_runs dims out_strides ~lo:0 ~hi:(volume t) combine;
+  iter_runs dims [| out_strides |] ~lo:0 ~hi:(volume t) (fun base offs run ->
+      combine base offs.(0) run);
   out
 
 let sum_over t red_axes = reduce Sum t red_axes

@@ -117,14 +117,24 @@ val pp : Format.formatter -> t -> unit
     einsum and fused-kernel inner loops. *)
 val strides_for : t -> Axis.t list -> int array
 
-(** [iter_runs dims strides ~lo ~hi f] walks positions [\[lo, hi)] of the
-    row-major index space [dims] one innermost-axis run at a time, calling
-    [f k off run] for each: the run covers positions [lo + k] to
-    [lo + k + run - 1], and [off] is [sum idx.(d) * strides.(d)] at its
-    first position (the next positions step by the innermost stride).
-    Kernels put their per-element loop inside [f], so the walk costs one
-    call per run and no allocation per element. *)
+(** [iter_runs dims sets ~lo ~hi f] walks positions [\[lo, hi)] of the
+    row-major index space [dims] one run at a time, calling [f k offs run]
+    for each: the run covers positions [lo + k] to [lo + k + run - 1].
+    Each element of [sets] is a stride set (one stride per axis of
+    [dims], e.g. from {!strides_for}), and [offs.(s)] is set [s]'s offset
+    [sum idx.(d) * sets.(s).(d)] at the run's first position; the next
+    positions step by that set's innermost stride. Adjacent axes whose
+    strides compose in every set walk as one, so a run can span more than
+    the innermost axis. [offs] is reused between calls: read it, never
+    keep or mutate it. This is the one strided walker outside the einsum
+    oracle: kernels put their per-element loop inside [f], so the walk
+    costs one call per run and no allocation per element. *)
 val iter_runs :
-  int array -> int array -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
+  int array ->
+  int array array ->
+  lo:int ->
+  hi:int ->
+  (int -> int array -> int -> unit) ->
+  unit
 
 val unsafe_data : t -> float array

@@ -139,9 +139,7 @@ type matmul_plan = {
   kk : int;
   mp_out_dims : (Axis.t * int) list;
   batch_dims : int array;
-  row_batch_strides : int array;
-  col_batch_strides : int array;
-  out_batch_strides : int array;
+  batch_strides : int array array;  (* row, column and output stride sets *)
   row_view : mat_view;  (* [m][k] view of the row provider *)
   col_view : mat_view;  (* [k][n] view of the column provider *)
   out_view : mat_view;  (* [m][n] view of the output *)
@@ -266,9 +264,9 @@ let build_matmul ta tb ~out ~size =
         kk = prod size kax;
         mp_out_dims = out_dims;
         batch_dims = Array.of_list (List.map size batch);
-        row_batch_strides = Dense.strides_for row_t batch;
-        col_batch_strides = Dense.strides_for col_t batch;
-        out_batch_strides = shape_strides_for out_sh batch;
+        batch_strides =
+          [| Dense.strides_for row_t batch; Dense.strides_for col_t batch;
+             shape_strides_for out_sh batch |];
         row_view = mat_view_of (Dense.shape row_t) (rows @ kax);
         col_view = mat_view_of (Dense.shape col_t) (kax @ cols);
         out_view = mat_view_of out_sh (rows @ cols);
@@ -289,8 +287,9 @@ let inner_stride view =
    run at a time; a unit-stride run is one blit. *)
 let pack (src : float array) src_off view (dst : float array) count =
   let st = inner_stride view in
-  Dense.iter_runs view.vdims view.vstrides ~lo:0 ~hi:count (fun k off run ->
-      let o = src_off + off in
+  Dense.iter_runs view.vdims [| view.vstrides |] ~lo:0 ~hi:count
+    (fun k offs run ->
+      let o = src_off + offs.(0) in
       if st = 1 then Array.blit src o dst k run
       else
         for t = 0 to run - 1 do
@@ -302,31 +301,13 @@ let pack (src : float array) src_off view (dst : float array) count =
 let scatter_scaled (buf : float array) (out_data : float array) out_off view
     count scale =
   let st = inner_stride view in
-  Dense.iter_runs view.vdims view.vstrides ~lo:0 ~hi:count (fun k off run ->
-      let o = out_off + off in
+  Dense.iter_runs view.vdims [| view.vstrides |] ~lo:0 ~hi:count
+    (fun k offs run ->
+      let o = out_off + offs.(0) in
       for t = 0 to run - 1 do
         Array.unsafe_set out_data (o + (t * st))
           (scale *. Array.unsafe_get buf (k + t))
       done)
-
-(* Decompose a linear batch index (row-major over [batch_dims]) into the
-   per-dimension multi-index, so a worker can start mid-sequence. *)
-let batch_index dims lin =
-  let nb = Array.length dims in
-  let idx = Array.make nb 0 in
-  let rem = ref lin in
-  for d = nb - 1 downto 0 do
-    idx.(d) <- !rem mod dims.(d);
-    rem := !rem / dims.(d)
-  done;
-  idx
-
-let dot idx strides =
-  let acc = ref 0 in
-  for d = 0 to Array.length idx - 1 do
-    acc := !acc + (idx.(d) * strides.(d))
-  done;
-  !acc
 
 (* Kept only for perfbench, which still reads these counters. No weight
    image is packed ahead of time any more (each weight is stored in the
@@ -344,71 +325,60 @@ let run_matmul p ~scale inputs =
   and cdata = Dense.unsafe_data col_t
   and odata = Dense.unsafe_data out_t in
   let mm = p.mm and nn = p.nn and kk = p.kk in
-  let nb = Array.length p.batch_dims in
   let nbatches = Array.fold_left ( * ) 1 p.batch_dims in
   let a_sz = if p.row_view.direct then 0 else mm * kk in
   let b_sz = if p.col_view.direct then 0 else kk * nn in
   let c_sz = if p.out_view.direct then 0 else mm * nn in
-  (* One worker's batch sub-range [b_lo, b_hi). Offsets start from the
-     decomposed linear index and then bump incrementally exactly as the
-     serial loop does; packing scratch comes from the (domain-local)
+  let nb = Array.length p.batch_dims in
+  (* Set [s]'s offset for element [q] of a batch run starting at [offs]. *)
+  let at offs q s =
+    offs.(s) + if nb = 0 then 0 else q * p.batch_strides.(s).(nb - 1)
+  in
+  (* One worker's batch sub-range [b_lo, b_hi), walked as runs of the batch
+     index space: each run gives the row, column and output offsets of its
+     first batch element. Packing scratch comes from the (domain-local)
      arena, so parallel workers never contend on buffers. Each batch
      element writes a disjoint slice of [odata], so any partition of the
      batch range is bitwise identical to the serial sweep. *)
+  let one_batch a_buf b_buf c_buf r_off c_off o_off =
+    let a, a_off =
+      if p.row_view.direct then (rdata, r_off)
+      else begin
+        pack rdata r_off p.row_view a_buf (mm * kk);
+        (a_buf, 0)
+      end
+    in
+    let b, b_off =
+      if p.col_view.direct then (cdata, c_off)
+      else begin
+        pack cdata c_off p.col_view b_buf (kk * nn);
+        (b_buf, 0)
+      end
+    in
+    if p.out_view.direct then begin
+      (* out starts zeroed, so accumulate-in-place is assignment *)
+      Gemm.gemm ~a_off ~b_off ~c_off:o_off ~m:mm ~n:nn ~k:kk a b odata;
+      if scale <> 1.0 then
+        for t = o_off to o_off + (mm * nn) - 1 do
+          Array.unsafe_set odata t (scale *. Array.unsafe_get odata t)
+        done
+    end
+    else begin
+      Array.fill c_buf 0 (mm * nn) 0.0;
+      Gemm.gemm ~a_off ~b_off ~c_off:0 ~m:mm ~n:nn ~k:kk a b c_buf;
+      scatter_scaled c_buf odata o_off p.out_view (mm * nn) scale
+    end
+  in
   let run_range b_lo b_hi =
     Arena.with_scratch Arena.global a_sz (fun a_buf ->
         Arena.with_scratch Arena.global b_sz (fun b_buf ->
             Arena.with_scratch Arena.global c_sz (fun c_buf ->
-                let bidx = batch_index p.batch_dims b_lo in
-                let r_off = ref (dot bidx p.row_batch_strides)
-                and c_off = ref (dot bidx p.col_batch_strides)
-                and o_off = ref (dot bidx p.out_batch_strides) in
-                for _ = b_lo + 1 to b_hi do
-                  let a, a_off =
-                    if p.row_view.direct then (rdata, !r_off)
-                    else begin
-                      pack rdata !r_off p.row_view a_buf (mm * kk);
-                      (a_buf, 0)
-                    end
-                  in
-                  let b, b_off =
-                    if p.col_view.direct then (cdata, !c_off)
-                    else begin
-                      pack cdata !c_off p.col_view b_buf (kk * nn);
-                      (b_buf, 0)
-                    end
-                  in
-                  if p.out_view.direct then begin
-                    (* out starts zeroed, so accumulate-in-place is assignment *)
-                    Gemm.gemm ~a_off ~b_off ~c_off:!o_off ~m:mm ~n:nn ~k:kk a b
-                      odata;
-                    if scale <> 1.0 then
-                      for t = !o_off to !o_off + (mm * nn) - 1 do
-                        Array.unsafe_set odata t (scale *. Array.unsafe_get odata t)
-                      done
-                  end
-                  else begin
-                    Array.fill c_buf 0 (mm * nn) 0.0;
-                    Gemm.gemm ~a_off ~b_off ~c_off:0 ~m:mm ~n:nn ~k:kk a b c_buf;
-                    scatter_scaled c_buf odata !o_off p.out_view (mm * nn) scale
-                  end;
-                  let rec bump d =
-                    if d >= 0 then begin
-                      bidx.(d) <- bidx.(d) + 1;
-                      r_off := !r_off + p.row_batch_strides.(d);
-                      c_off := !c_off + p.col_batch_strides.(d);
-                      o_off := !o_off + p.out_batch_strides.(d);
-                      if bidx.(d) = p.batch_dims.(d) then begin
-                        bidx.(d) <- 0;
-                        r_off := !r_off - (p.row_batch_strides.(d) * p.batch_dims.(d));
-                        c_off := !c_off - (p.col_batch_strides.(d) * p.batch_dims.(d));
-                        o_off := !o_off - (p.out_batch_strides.(d) * p.batch_dims.(d));
-                        bump (d - 1)
-                      end
-                    end
-                  in
-                  bump (nb - 1)
-                done)))
+                Dense.iter_runs p.batch_dims p.batch_strides ~lo:b_lo ~hi:b_hi
+                  (fun _ offs run ->
+                    for q = 0 to run - 1 do
+                      one_batch a_buf b_buf c_buf (at offs q 0) (at offs q 1)
+                        (at offs q 2)
+                    done))))
   in
   if
     nbatches >= 2

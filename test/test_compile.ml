@@ -455,6 +455,25 @@ let test_env_parse () =
   check_bool "describe mentions nothing spurious" true
     (String.length (Substation.Env.describe ()) > 0)
 
+(* The verifier's equality: layout-blind, bit-exact and shape-strict. A
+   permuted copy is equal; one flipped low mantissa bit, a missing axis or
+   a resized one is not. *)
+let test_bitwise_equal () =
+  let eq = Compile.Compiled.bitwise_equal in
+  let prng = Prng.create 17L in
+  let a = Dense.rand prng [ ("i", 3); ("b", 2); ("j", 5) ] ~lo:(-1.0) ~hi:1.0 in
+  check_bool "identical" true (eq a (Dense.copy a));
+  check_bool "permuted layout" true (eq a (Dense.permute a [ "j"; "i"; "b" ]));
+  let flipped = Dense.permute a [ "b"; "j"; "i" ] in
+  let d = Dense.unsafe_data flipped in
+  d.(7) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float d.(7)) 1L);
+  check_bool "one flipped bit" false (eq a flipped);
+  check_bool "flipped bit, reversed" false (eq flipped a);
+  check_bool "missing axis" false
+    (eq a (Dense.zeros [ ("i", 3); ("b", 10) ]));
+  check_bool "resized axis, same volume" false
+    (eq (Dense.zeros [ ("i", 2); ("j", 3) ]) (Dense.zeros [ ("i", 3); ("j", 2) ]))
+
 let () =
   Alcotest.run "compile"
     [
@@ -467,6 +486,8 @@ let () =
           Alcotest.test_case "parallel pool" `Quick test_verified_parallel;
           Alcotest.test_case "guard fallback engaged" `Quick
             test_verified_guard_fallback;
+          Alcotest.test_case "bitwise_equal: layouts, bits, shapes" `Quick
+            test_bitwise_equal;
         ] );
       ( "cache",
         [

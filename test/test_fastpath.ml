@@ -585,8 +585,25 @@ let test_flashattn_allocation_budget () =
 
 (* ---------------- standalone reduction kernels ---------------- *)
 
+(* [members] run on fresh environments over [inputs], through their fused
+   kernel ([Fastpath.compile_group]) and through each member's naive
+   [run]: the [outs] containers of both runs. *)
+let kernel_and_naive members ~inputs ~outs =
+  let run f =
+    let env = Ops.Op.env_of_list inputs in
+    f env;
+    List.map (Ops.Op.lookup env) outs
+  in
+  let fused =
+    Option.get (Ops.Fastpath.compile_group ~external_writes:outs members)
+  in
+  (run fused, run (fun env -> List.iter (fun (m : Ops.Op.t) -> m.run env) members))
+
+let all_within tol (a, b) =
+  List.for_all2 (fun a b -> Dense.max_abs_diff a b <= tol) a b
+
 (* Softmax over a permuted-layout input with explicit -inf entries (an
-   additive mask applied upstream), fast vs naive. *)
+   additive mask applied upstream), fused kernel vs naive. *)
 let prop_softmax_masked_layouts =
   QCheck.Test.make
     ~name:"softmax kernel: permuted layouts and -inf entries" ~count:40
@@ -607,12 +624,23 @@ let prop_softmax_masked_layouts =
         Ops.Normalization.softmax ~name:"sm" ~x:"x" ~out:"y" dims ~axis:"k"
           ~prescale:0.5 ()
       in
-      let run fast =
-        let env = Ops.Op.env_of_list [ ("x", x) ] in
-        Fastmode.with_mode fast (fun () -> op.Ops.Op.run env);
-        Ops.Op.lookup env "y"
+      all_within 1e-9 (kernel_and_naive [ op ] ~inputs:[ ("x", x) ] ~outs:[ "y" ]))
+
+(* Causal softmax over a permuted layout: the kernel derives each row's
+   query index from the row number, whichever outer axis the query is. *)
+let prop_softmax_causal_layouts =
+  QCheck.Test.make ~name:"causal softmax kernel: permuted layouts" ~count:40
+    QCheck.(pair (int_range 2 6) (int_range 1 3))
+    (fun (l, b) ->
+      let prng = Prng.create (Int64.of_int ((l * 17) + b)) in
+      let dims = [ ("h", 2); ("j", l); ("b", b); ("k", l) ] in
+      let x = Dense.rand prng dims ~lo:(-2.0) ~hi:2.0 in
+      let x = Dense.permute x (shuffle_list prng (Dense.axes x)) in
+      let op =
+        Ops.Normalization.softmax ~name:"sm" ~x:"x" ~out:"y" dims ~axis:"k"
+          ~prescale:0.5 ~causal:("j", "k") ()
       in
-      Dense.max_abs_diff (run true) (run false) <= 1e-9)
+      all_within 0.0 (kernel_and_naive [ op ] ~inputs:[ ("x", x) ] ~outs:[ "y" ]))
 
 let prop_layernorm_layouts =
   QCheck.Test.make ~name:"layernorm kernel family over permuted layouts"
@@ -639,20 +667,10 @@ let prop_layernorm_layouts =
         Ops.Normalization.layernorm_dw ~name:"ln_dw" ~dy:"dy" ~x:"x" ~mean:"m"
           ~istd:"s" ~dgamma:"dg" ~dbeta:"db" dims ~axis:"i"
       in
-      let run fast =
-        let env =
-          Ops.Op.env_of_list
-            [ ("x", x); ("g", gamma); ("be", beta); ("dy", dy) ]
-        in
-        Fastmode.with_mode fast (fun () ->
-            fwd.Ops.Op.run env;
-            dx.Ops.Op.run env;
-            dw.Ops.Op.run env);
-        List.map (Ops.Op.lookup env) [ "y"; "m"; "s"; "dx"; "dg"; "db" ]
-      in
-      List.for_all2
-        (fun a b -> Dense.max_abs_diff a b <= 1e-9)
-        (run true) (run false))
+      all_within 1e-9
+        (kernel_and_naive [ fwd; dx; dw ]
+           ~inputs:[ ("x", x); ("g", gamma); ("be", beta); ("dy", dy) ]
+           ~outs:[ "y"; "m"; "s"; "dx"; "dg"; "db" ]))
 
 let () =
   Alcotest.run "fastpath"
@@ -700,5 +718,9 @@ let () =
             test_flashattn_allocation_budget;
         ] );
       ( "reduction kernels",
-        [ q prop_softmax_masked_layouts; q prop_layernorm_layouts ] );
+        [
+          q prop_softmax_masked_layouts;
+          q prop_softmax_causal_layouts;
+          q prop_layernorm_layouts;
+        ] );
     ]

@@ -270,20 +270,34 @@ let test_einsum_mha_parallel_bitwise () =
 (* Run the fused encoder (forward + backward, dropout, softmax, layernorm)
    at two domain counts and require every container bitwise identical.
    Sizes chosen so the row-sharded kernels and element-wise chains all
-   clear their parallel thresholds. *)
+   clear their parallel threshold: every activation (embedding, attention
+   scores, feed-forward, per-head projections) holds 8,192 elements, at
+   least Fastpath.par_min_work. *)
 let test_fused_program_parallel_bitwise () =
   let hp =
     {
       Transformer.Hparams.tiny with
       batch = 2;
       seq = 32;
-      embed = 64;
+      embed = 128;
       heads = 4;
-      proj = 16;
+      proj = 32;
       ff = 128;
       dropout_p = 0.1;
     }
   in
+  let open Transformer.Hparams in
+  let bj = hp.batch * hp.seq in
+  List.iter
+    (fun (name, v) ->
+      check_bool (name ^ " clears Fastpath.par_min_work") true
+        (v >= Ops.Fastpath.par_min_work))
+    [
+      ("embedding", hp.embed * bj);
+      ("attention scores", hp.heads * bj * hp.seq);
+      ("feed-forward", hp.ff * bj);
+      ("projections", hp.heads * hp.proj * bj);
+    ];
   let program = Transformer.Encoder.program hp in
   let fused =
     Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
