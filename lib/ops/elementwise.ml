@@ -125,9 +125,7 @@ let dropout_mask ~seed ~name dims ~p =
     let d = Dense.unsafe_data m in
     (* Mask folds the keep-scaling in: value is 1/(1-p) or 0. Draw [i] of
        the operator's stream lands at storage position [i]. *)
-    for i = 0 to Array.length d - 1 do
-      Array.unsafe_set d i (Prng.keep_at state i ~p ~scale)
-    done;
+    Prng.keep_fill d ~at:0 ~n:(Array.length d) state ~e0:0 ~p ~scale;
     m
   end
 

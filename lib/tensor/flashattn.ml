@@ -145,11 +145,6 @@ let geom_of ?causal ?valid ?dropout ~prescale ~q ~k ~v () =
       (match dropout with Some d -> 1.0 /. (1.0 -. d.p) | None -> 1.0);
   }
 
-(* Mask element for flat position [e] of the (h, b, j, k) stream: the
-   value [Elementwise.dropout_mask] stores there. *)
-let[@inline] mask_at g e =
-  Prng.keep_at g.drop_state e ~p:g.drop_p ~scale:g.drop_scale
-
 (* Valid key range for row [jj] of slot [b]: [0, kmax). *)
 let kmax_of g ~b ~jj =
   let m = match g.valid with Some a -> min g.nk a.(b) | None -> g.nk in
@@ -200,40 +195,46 @@ let unpack g (dst : float array) ~ns ~h ~b ~lo ~n ~nf (src : float array)
     done
   done
 
-(* [Float.max] with the ordered cases first: [Float.max] itself asks
-   [Float.sign_bit], a C call, whenever y <= x, which is almost every
-   score. Equal (signed zeros) and NaN operands take [Float.max]'s own
-   sign-bit and NaN rules, so every result keeps its bits. *)
-let[@inline] fmax (x : float) y =
-  if y > x then y
-  else if y < x then x
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then
-    if Float.is_nan x then x else y
-  else if Float.is_nan y then y
-  else x
+(* The per-score rows (elt_stubs.c). [fwd_row buf off km prescale masking
+   state e0 p scale] turns the raw dots [buf.(off) .. buf.(off + km - 1)]
+   of one row into probabilities in place — prescale (+. 0.0 under a
+   mask), Float.max fold, exp, ascending sum, normalize — each times its
+   mask element (draws e0, e0 + 1, ...) when p > 0. [bwd_row buf yo dyo dso
+   ymo r jn km n ...] recomputes row r's y at yo the same way, turns its dA
+   at dyo into dy = dA *. m, folds rs ascending, and writes dS and y *. m
+   as column r of the [k][r] panels at dso and ymo, with zeros for the keys
+   [km, n). *)
+external fwd_row :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  bool ->
+  (int64[@unboxed]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  unit = "substation_attn_fwd_row_byte" "substation_attn_fwd_row"
+[@@noalloc]
 
-(* Turn the raw dots [s.(off) .. s.(off + km - 1)] of one row into
-   probabilities in place: prescale (+. 0.0 under a mask), max, exp, sum,
-   normalize. *)
-let softmax_row g s ~off ~km =
-  let mx = ref neg_infinity in
-  for i = off to off + km - 1 do
-    let v = g.prescale *. Array.unsafe_get s i in
-    let v = if g.masking then v +. 0.0 else v in
-    Array.unsafe_set s i v;
-    mx := fmax !mx v
-  done;
-  let nm = -1.0 *. !mx in
-  let sum = ref 0.0 in
-  for i = off to off + km - 1 do
-    let e = exp (Array.unsafe_get s i +. nm) in
-    Array.unsafe_set s i e;
-    sum := !sum +. e
-  done;
-  let inv = 1.0 /. !sum in
-  for i = off to off + km - 1 do
-    Array.unsafe_set s i (Array.unsafe_get s i *. inv)
-  done
+external bwd_row :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  bool ->
+  (int64[@unboxed]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  unit = "substation_attn_bwd_row_byte" "substation_attn_bwd_row"
+[@@noalloc]
 
 (* Flat position of (h, b, jj, 0) in the (h, b, j, k) dropout stream. *)
 let stream_row g ~h ~b ~jj = ((((h * g.nb) + b) * g.nj) + jj) * g.nk
@@ -292,14 +293,9 @@ let fwd_item g ~od ~h ~b ~qlo ~qhi =
       Gemm.gemm ~a_off:qb ~b_off:kt ~c_off:sb ~m:jn ~n ~k:np buf buf buf;
       for r = 0 to jn - 1 do
         let km = kmax_of g ~b ~jj:(j0 + r) and off = sb + (r * n) in
-        softmax_row g buf ~off ~km;
-        if g.drop_p > 0.0 then begin
-          let e0 = stream_row g ~h ~b ~jj:(j0 + r) - off in
-          for i = off to off + km - 1 do
-            Array.unsafe_set buf i
-              (Array.unsafe_get buf i *. mask_at g (e0 + i))
-          done
-        end;
+        fwd_row buf off km g.prescale g.masking g.drop_state
+          (stream_row g ~h ~b ~jj:(j0 + r))
+          g.drop_p g.drop_scale;
         Array.fill buf (off + km) (n - km) 0.0
       done;
       Array.fill buf ob (jn * nw) 0.0;
@@ -371,34 +367,14 @@ let bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
       Gemm.gemm ~a_off:qb ~b_off:kt ~c_off:yb ~m:jn ~n ~k:np buf buf buf;
       Array.fill buf db (jn * n) 0.0;
       Gemm.gemm ~a_off:gb ~b_off:vt ~c_off:db ~m:jn ~n ~k:nw buf buf buf;
-      (* per row: y, dropout_dx (a missing dropout is mask 1.0, and
-         [x *. 1.0] is exact), then softmax_dx, written transposed for
+      (* per row: y, dropout_dx, then softmax_dx, written transposed for
          the dQ/dK/dV products *)
       for r = 0 to jn - 1 do
         let km = kmax_of g ~b ~jj:(j0 + r) and off = r * n in
-        softmax_row g buf ~off:(yb + off) ~km;
-        let e0 = stream_row g ~h ~b ~jj:(j0 + r) in
-        let rs = ref 0.0 in
-        for kk = 0 to km - 1 do
-          let m = if g.drop_p > 0.0 then mask_at g (e0 + kk) else 1.0 in
-          let y = Array.unsafe_get buf (yb + off + kk) in
-          let dy = Array.unsafe_get buf (db + off + kk) *. m in
-          Array.unsafe_set buf (db + off + kk) dy;
-          Array.unsafe_set buf (ymt + (kk * jn) + r) (y *. m);
-          rs := !rs +. (dy *. y)
-        done;
-        let ns = -1.0 *. !rs in
-        for kk = 0 to km - 1 do
-          Array.unsafe_set buf
-            (dst + (kk * jn) + r)
-            (g.prescale
-            *. (Array.unsafe_get buf (yb + off + kk)
-               *. (Array.unsafe_get buf (db + off + kk) +. ns)))
-        done;
-        for kk = km to n - 1 do
-          Array.unsafe_set buf (dst + (kk * jn) + r) 0.0;
-          Array.unsafe_set buf (ymt + (kk * jn) + r) 0.0
-        done
+        bwd_row buf (yb + off) (db + off) dst ymt r jn km n g.prescale
+          g.masking g.drop_state
+          (stream_row g ~h ~b ~jj:(j0 + r))
+          g.drop_p g.drop_scale
       done;
       Array.fill buf dqt (np * jn) 0.0;
       Gemm.gemm ~a_off:kt ~b_off:dst ~c_off:dqt ~m:np ~n:jn ~k:n buf buf buf;

@@ -44,7 +44,7 @@ external gemm_rows :
   unit = "substation_gemm_rows_byte" "substation_gemm_rows"
 [@@noalloc]
 
-let gemm ?(a_off = 0) ?(b_off = 0) ?(c_off = 0) ~m ~n ~k a b c =
+let gemm ~a_off ~b_off ~c_off ~m ~n ~k a b c =
   if m >= 2 && m * n * k >= par_min_work && Pool.num_domains () > 1 then
     Pool.parallel_for ~start:0 ~finish:m (fun i_lo i_hi ->
         gemm_rows a_off b_off c_off i_lo i_hi n k a b c)

@@ -1,10 +1,13 @@
 (** Cache-blocked, register-tiled CPU GEMM kernel.
 
-    [gemm ~m ~n ~k a b c] accumulates [C[m][n] += A[m][k] * B[k][n]] where
-    all three matrices are row-major slices of flat arrays starting at the
-    given offsets (default 0). The caller is responsible for zeroing [c]
-    when plain assignment semantics are wanted. [a], [b] and [c] may be
-    one array, provided the C region overlaps neither operand's.
+    [gemm ~a_off ~b_off ~c_off ~m ~n ~k a b c] accumulates
+    [C[m][n] += A[m][k] * B[k][n]] where all three matrices are row-major
+    slices of flat arrays starting at the given offsets. The offsets are
+    required, so a call boxes nothing (an optional offset is a [Some]
+    block at every call from another module). The caller is responsible
+    for zeroing [c] when plain assignment semantics are wanted. [a], [b]
+    and [c] may be one array, provided the C region overlaps neither
+    operand's.
 
     The tiles are one vectorized C kernel (four doubles per vector) that
     loads and stores each C element once per 128-deep k panel: 4x8 tiles
@@ -30,9 +33,9 @@
     runs inline on that worker, with the same result. *)
 
 val gemm :
-  ?a_off:int ->
-  ?b_off:int ->
-  ?c_off:int ->
+  a_off:int ->
+  b_off:int ->
+  c_off:int ->
   m:int ->
   n:int ->
   k:int ->

@@ -43,6 +43,24 @@ let[@inline] keep_at state i ~p ~scale =
   let s = Int64.add state (Int64.mul (Int64.of_int (i + 1)) golden_gamma) in
   if unit_float (mix s) < p then 0.0 else scale
 
+(* The same draws in C (elt_stubs.c), with the comparison in integers:
+   [unit_float z < p] exactly when [z lsr 11 < ceil (p * 2^53)]. *)
+external keep_fill_raw :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int64[@unboxed]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  unit = "substation_keep_fill_byte" "substation_keep_fill"
+[@@noalloc]
+
+let keep_fill dst ~at ~n state ~e0 ~p ~scale =
+  if at < 0 || n < 0 || at + n > Array.length dst then
+    invalid_arg "Prng.keep_fill: range out of bounds";
+  keep_fill_raw dst at n state e0 p scale
+
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 let gaussian t =

@@ -27,9 +27,33 @@ val float : t -> float
     finalization of [state + (i+1)*gamma]. It is [0.0] when that draw is
     below [p] (exactly when the [(i+1)]-th {!bernoulli}[ ~p] call would
     say [true]), else [scale]. Every dropout mask in the repository is
-    generated through it, so masks drawn in any order agree bitwise
-    with a sequential walk. *)
+    defined by it (and drawn by {!keep_fill}, which equals it bitwise), so
+    masks drawn in any order agree bitwise with a sequential walk. *)
 val keep_at : int64 -> int -> p:float -> scale:float -> float
+
+(** [keep_fill dst ~at ~n state ~e0 ~p ~scale] sets [dst.(at + i)] to
+    [keep_at state (e0 + i) ~p ~scale] for [i] in [[0, n)], bitwise, in
+    one C loop that allocates nothing.
+
+    It compares integers, not floats. [keep_at] drops draw [z] when
+    [unit_float z < p], with [unit_float z = (z lsr 11) *. 2^-53]. Both
+    sides are exact: [z lsr 11 < 2^53] converts to a float exactly, and a
+    power-of-two scaling of [p] is exact. For an integer [u] and a real
+    [t], [u < t] exactly when [u < ceil t]. So the draw drops exactly when
+    [z lsr 11 < ceil (p *. 2^53)] (clamped to [[0, 2^53]]; a NaN [p] drops
+    nothing, as [keep_at]'s comparison does), and each element is
+    [keep_at]'s. Every dropout mask and every in-kernel dropout of the
+    library is drawn this way. Raises [Invalid_argument] on a range
+    outside [dst]. *)
+val keep_fill :
+  float array ->
+  at:int ->
+  n:int ->
+  int64 ->
+  e0:int ->
+  p:float ->
+  scale:float ->
+  unit
 
 (** [uniform t ~lo ~hi] draws uniformly from [lo, hi). *)
 val uniform : t -> lo:float -> hi:float -> float

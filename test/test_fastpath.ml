@@ -32,7 +32,7 @@ let prop_gemm_matches_triple_loop =
       let a = Dense.unsafe_data (Dense.rand prng [ ("m", m); ("k", k) ] ~lo:(-1.0) ~hi:1.0) in
       let b = Dense.unsafe_data (Dense.rand prng [ ("k", k); ("n", n) ] ~lo:(-1.0) ~hi:1.0) in
       let c = Array.make (m * n) 0.0 in
-      Gemm.gemm ~m ~n ~k a b c;
+      Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c;
       let r = Array.make (m * n) 0.0 in
       for i = 0 to m - 1 do
         for j = 0 to n - 1 do
@@ -131,7 +131,7 @@ let test_gemm_workload_shapes () =
       List.iter
         (fun d ->
           let c = Array.copy c0 in
-          Pool.with_domains d (fun () -> Gemm.gemm ~m ~n ~k a b c);
+          Pool.with_domains d (fun () -> Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c);
           check_bool
             (Printf.sprintf "%dx%dx%d at %d domain(s) = triple loop" m n k d)
             true
@@ -153,10 +153,10 @@ let test_gemm_narrow_allocation () =
           let a = Array.make (m * k) 0.5 and b = Array.make (k * n) 0.25 in
           let c = Array.make (m * n) 0.0 in
           let calls = 200 in
-          Gemm.gemm ~m ~n ~k a b c;
+          Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c;
           let before = Gc.minor_words () in
           for _ = 1 to calls do
-            Gemm.gemm ~m ~n ~k a b c
+            Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c
           done;
           let w = (Gc.minor_words () -. before) /. float_of_int calls in
           check_bool

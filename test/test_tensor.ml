@@ -123,6 +123,60 @@ let test_prng_bernoulli () =
   let rate = float_of_int !hits /. float_of_int n in
   check_bool "p ~ 0.1" true (Float.abs (rate -. 0.1) < 0.02)
 
+(* The C fill draws what the keep_at loop draws, bitwise: random stream
+   positions and lengths (every length mod 4 included), at rates whose
+   p * 2^53 is and is not an integer. *)
+let test_prng_keep_fill () =
+  let prng = Prng.create 31L in
+  List.iter
+    (fun p ->
+      let scale = 1.0 /. (1.0 -. p) in
+      for trial = 0 to 39 do
+        let state = Prng.next_int64 prng in
+        let e0 = Prng.int prng ~bound:1_000_000 in
+        let n = (trial mod 8) + Prng.int prng ~bound:300 in
+        let at = Prng.int prng ~bound:4 in
+        let dst = Array.make (at + n + 2) (-7.0) in
+        Prng.keep_fill dst ~at ~n state ~e0 ~p ~scale;
+        Array.iteri
+          (fun i got ->
+            let expect =
+              if i >= at && i < at + n then
+                Prng.keep_at state (e0 + i - at) ~p ~scale
+              else -7.0
+            in
+            if not (Float.equal got expect) then
+              Alcotest.failf "p=%h state=%Ld e0=%d n=%d: element %d is %h, keep_at %h"
+                p state e0 n i got expect)
+          dst
+      done)
+    [ 1e-9; 0.1; 1.0 /. 3.0; 0.5; 0.999; 0.0 ]
+
+(* At p equal to a draw's own unit float the draw is kept (the comparison
+   is strict), and one float above it is dropped: the integer threshold
+   sits exactly where keep_at's float comparison does. *)
+let test_prng_keep_fill_edges () =
+  let state = 0x0123456789ABCDEFL in
+  let walk = Prng.create state in
+  for i = 0 to 199 do
+    let u = Prng.float walk in
+    List.iter
+      (fun (p, kept) ->
+        let d = [| nan |] in
+        Prng.keep_fill d ~at:0 ~n:1 state ~e0:i ~p ~scale:2.0;
+        let expect = Prng.keep_at state i ~p ~scale:2.0 in
+        check_bool (Printf.sprintf "draw %d at p=%h" i p) true
+          (Float.equal d.(0) expect && Float.equal d.(0) (if kept then 2.0 else 0.0)))
+      [ (u, true); (Float.succ u, false); (Float.pred u, true) ]
+  done;
+  (* a NaN rate drops nothing, as keep_at's comparison does *)
+  let d = Array.make 16 0.0 in
+  Prng.keep_fill d ~at:0 ~n:16 state ~e0:0 ~p:nan ~scale:1.5;
+  check_bool "nan p keeps all" true (Array.for_all (Float.equal 1.5) d);
+  Alcotest.check_raises "range checked"
+    (Invalid_argument "Prng.keep_fill: range out of bounds") (fun () ->
+      Prng.keep_fill d ~at:10 ~n:7 state ~e0:0 ~p:0.5 ~scale:2.0)
+
 (* ---------------- Half ---------------- *)
 
 let test_half_landmarks () =
@@ -569,6 +623,10 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian;
           Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli;
+          Alcotest.test_case "keep_fill equals the keep_at loop" `Quick
+            test_prng_keep_fill;
+          Alcotest.test_case "keep_fill threshold edges" `Quick
+            test_prng_keep_fill_edges;
         ] );
       ( "half",
         [
