@@ -151,7 +151,7 @@ let dropout_dx ~name ~dy ~mask ~out dims ~p =
     (fun env ->
       Op.store env out (Dense.mul (Op.lookup env dy) (Op.lookup env mask)))
 
-let sigmoid_value x = 1.0 /. (1.0 +. exp (-.x))
+let sigmoid_value x = 1.0 /. (1.0 +. Fmath.exp (-.x))
 
 let sigmoid ~name ~x ~out dims ?(backward = false) () =
   let vjp ~cotangents env =

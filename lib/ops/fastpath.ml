@@ -136,7 +136,7 @@ let softmax_fast env (op : Op.t) ~x_name ~out_name ~axis ~prescale ~causal =
             let nm = -1.0 *. !mx in
             let s = ref 0.0 in
             for k = 0 to kl - 1 do
-              let ev = exp (Array.unsafe_get e k +. nm) in
+              let ev = Fmath.exp (Array.unsafe_get e k +. nm) in
               Array.unsafe_set e k ev;
               s := !s +. ev
             done;

@@ -34,7 +34,9 @@ let causal_mask ~q ~k dims =
    code so incremental and full-recompute attention stay bitwise equal. *)
 let softmax_core xs ~axis =
   let mx = Dense.max_over xs [ axis ] in
-  let e = Dense.map exp (Dense.add_bcast xs (Dense.scale (-1.0) mx)) in
+  let e = Dense.add_bcast xs (Dense.scale (-1.0) mx) in
+  let d = Dense.unsafe_data e in
+  Fmath.exp_inplace d ~off:0 ~n:(Array.length d);
   let s = Dense.sum_over e [ axis ] in
   Dense.mul_bcast e (Dense.map (fun v -> 1.0 /. v) s)
 

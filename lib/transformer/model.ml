@@ -190,12 +190,12 @@ let cross_entropy ~logits ~targets =
       done;
       let z = ref 0.0 in
       for vi = 0 to v - 1 do
-        z := !z +. exp (ld.(at vi) -. !mx)
+        z := !z +. Fmath.exp (ld.(at vi) -. !mx)
       done;
       let target = targets.(bi).(ji) in
       loss := !loss -. ((ld.(at target) -. !mx -. log !z) /. count);
       for vi = 0 to v - 1 do
-        let p = exp (ld.(at vi) -. !mx) /. !z in
+        let p = Fmath.exp (ld.(at vi) -. !mx) /. !z in
         let onehot = if vi = target then 1.0 else 0.0 in
         dd.(at vi) <- (p -. onehot) /. count
       done

@@ -14,7 +14,7 @@ let get params name =
 let softmax x ~axis ~prescale =
   let xs = Dense.scale prescale x in
   let mx = Dense.max_over xs [ axis ] in
-  let e = Dense.map exp (Dense.add_bcast xs (Dense.scale (-1.0) mx)) in
+  let e = Dense.map Fmath.exp (Dense.add_bcast xs (Dense.scale (-1.0) mx)) in
   let s = Dense.sum_over e [ axis ] in
   Dense.mul_bcast e (Dense.map (fun v -> 1.0 /. v) s)
 

@@ -177,6 +177,92 @@ let test_prng_keep_fill_edges () =
     (Invalid_argument "Prng.keep_fill: range out of bounds") (fun () ->
       Prng.keep_fill d ~at:10 ~n:7 state ~e0:0 ~p:0.5 ~scale:2.0)
 
+(* ---------------- Fmath.exp ---------------- *)
+
+(* Distance in units in the last place between two finite non-negative
+   floats (exp's range): the difference of their bit patterns. *)
+let ulps a b = Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+(* The in-tree exp is within 1 ulp of glibc's (correctly rounded) exp
+   over its whole finite range, subnormal results included. *)
+let test_exp_ulp_bound () =
+  let prng = Prng.create 59L in
+  let worst = ref 0L and at = ref 0.0 in
+  let check x =
+    let u = ulps (Fmath.exp x) (Stdlib.exp x) in
+    if u > !worst then begin
+      worst := u;
+      at := x
+    end
+  in
+  let span lo hi n =
+    for _ = 1 to n do
+      check (Prng.uniform prng ~lo ~hi)
+    done
+  in
+  span (-745.2) 709.78 200_000;
+  span (-40.0) 0.0 100_000 (* softmax arguments *);
+  span (-745.2) (-708.0) 50_000 (* subnormal results *);
+  span (-1e-6) 1e-6 10_000;
+  List.iter check
+    [ 512.0; -512.0; Float.pred 512.0; Float.pred (-512.0); 1e-300; -1e-300;
+      4.9e-324; 709.782712893384; -708.3964185322641; -745.1332191019411 ];
+  check_bool
+    (Printf.sprintf "max %Ld ulp from libm (at %h) <= 1" !worst !at)
+    true (!worst <= 1L)
+
+let test_exp_edges () =
+  let is v x = Float.equal (Fmath.exp x) v in
+  check_bool "exp -inf = 0" true (is 0.0 neg_infinity);
+  check_bool "exp +inf = inf" true (is infinity infinity);
+  check_bool "exp nan is nan" true (Float.is_nan (Fmath.exp nan));
+  check_bool "exp 0 = 1" true (is 1.0 0.0);
+  check_bool "exp -0 = 1" true (is 1.0 (-0.0));
+  let top = 709.782712893384 in
+  check_bool "exp 709.782712893384 is finite" true
+    (Float.is_finite (Fmath.exp top) && Fmath.exp top > 1e308);
+  check_bool "just above it overflows" true (is infinity (Float.succ top));
+  check_bool "exp 710 = inf" true (is infinity 710.0);
+  (* the subnormal range is rounded, not flushed *)
+  List.iter
+    (fun x ->
+      let y = Fmath.exp x in
+      check_bool
+        (Printf.sprintf "exp %g = %h is subnormal, within 1 ulp of libm" x y)
+        true
+        (y > 0.0 && y < Float.min_float && ulps y (Stdlib.exp x) <= 1L))
+    [ -708.5; -720.0; -730.0; -740.0; -745.0; -745.13 ];
+  check_bool "below -745.14 underflows to 0" true (is 0.0 (-745.14));
+  check_bool "exp -1000 = 0" true (is 0.0 (-1000.0))
+
+(* The 4-lane array form runs the scalar form's operations per lane:
+   bitwise equal at every length mod 4 and every offset, with special
+   lanes (inf, NaN, overflow, subnormal results) mixed into groups. *)
+let test_exp_array_equals_scalar () =
+  let prng = Prng.create 61L in
+  let pick i =
+    match i mod 13 with
+    | 3 -> neg_infinity
+    | 5 -> 600.0
+    | 7 -> -730.0
+    | 11 -> nan
+    | _ -> Prng.uniform prng ~lo:(-60.0) ~hi:10.0
+  in
+  for len = 0 to 17 do
+    for off = 0 to 4 do
+      let a = Array.init (off + len + 3) (fun i -> pick (i + len)) in
+      let b = Array.copy a in
+      Fmath.exp_inplace a ~off ~n:len;
+      Array.iteri
+        (fun i x ->
+          let want = if i >= off && i < off + len then Fmath.exp x else x in
+          if Int64.bits_of_float want <> Int64.bits_of_float a.(i) then
+            Alcotest.failf "len %d off %d: element %d (exp %h) is %h, scalar %h"
+              len off i x a.(i) want)
+        b
+    done
+  done
+
 (* ---------------- Half ---------------- *)
 
 let test_half_landmarks () =
@@ -627,6 +713,14 @@ let () =
             test_prng_keep_fill;
           Alcotest.test_case "keep_fill threshold edges" `Quick
             test_prng_keep_fill_edges;
+        ] );
+      ( "fmath",
+        [
+          Alcotest.test_case "exp within 1 ulp of libm" `Quick
+            test_exp_ulp_bound;
+          Alcotest.test_case "exp edges" `Quick test_exp_edges;
+          Alcotest.test_case "array exp equals scalar exp" `Quick
+            test_exp_array_equals_scalar;
         ] );
       ( "half",
         [
