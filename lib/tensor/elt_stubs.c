@@ -366,12 +366,47 @@ INLINE double keep(uint64_t state, long i, uint64_t thr, double scale)
   return (mix(s) >> 11) < thr ? 0.0 : scale;
 }
 
+/* d[i] <- keep(state, e0 + i, ...) for i in [0, n). */
+static void keep_fill1(double *d, long n, uint64_t state, long e0,
+                       uint64_t thr, double scale)
+{
+  for (long i = 0; i < n; i++) d[i] = keep(state, e0 + i, thr, scale);
+}
+
+/* The same draws four lanes at a time: the integer operations are exact,
+   so every lane is keep()'s. Lane compares are signed, which is exact
+   here since z >> 11 < 2^53 and thr <= 2^53. */
+VEC static void keep_fill4(double *d, long n, uint64_t state, long e0,
+                           uint64_t thr, double scale)
+{
+  long i = 0;
+  v4u s = state + ((uint64_t)(e0 + 1) + (v4u){0, 1, 2, 3}) * GOLDEN_GAMMA;
+  v4i t = (v4i){0, 0, 0, 0} + (int64_t)thr;
+  v4u sc = (v4u){0, 0, 0, 0} + asu64(scale);
+  for (; i + 4 <= n; i += 4) {
+    v4u z = s;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z = z ^ (z >> 31);
+    v4u dropped = (v4u)((v4i)(z >> 11) < t);
+    ST(d + i, (v4d)(sc & ~dropped));
+    s += 4 * GOLDEN_GAMMA;
+  }
+  for (; i < n; i++) d[i] = keep(state, e0 + i, thr, scale);
+}
+
+static void keep_fill(double *d, long n, uint64_t state, long e0, double p,
+                      double scale)
+{
+  uint64_t thr = drop_threshold(p);
+  if (vec_ok) keep_fill4(d, n, state, e0, thr, scale);
+  else keep_fill1(d, n, state, e0, thr, scale);
+}
+
 value substation_keep_fill(value dst, intnat at, intnat n, int64_t state,
                            intnat e0, double p, double scale)
 {
-  double *d = (double *)dst + at;
-  uint64_t thr = drop_threshold(p);
-  for (long i = 0; i < n; i++) d[i] = keep((uint64_t)state, e0 + i, thr, scale);
+  keep_fill((double *)dst + at, n, (uint64_t)state, e0, p, scale);
   return Val_unit;
 }
 
@@ -386,6 +421,18 @@ value substation_keep_fill_byte(value *argv, int argc)
 /* ------------------------------------------------------------------ */
 /* Flashattn's rows                                                    */
 /* ------------------------------------------------------------------ */
+
+/* Mask elements drawn per pass of a row loop (on the stack). */
+#define MASK_CHUNK 256
+
+/* m[0..c) <- the mask elements of draws e0.., or 1.0 without dropout. */
+static void mask_chunk(double *m, long c, uint64_t state, long e0, double p,
+                       double scale)
+{
+  if (p > 0.0) keep_fill(m, c, state, e0, p, scale);
+  else
+    for (long i = 0; i < c; i++) m[i] = 1.0;
+}
 
 /* Float.max with the ordered cases first; equal (signed zeros) and NaN
    operands take Float.max's sign-bit and NaN rules. */
@@ -421,9 +468,12 @@ value substation_attn_fwd_row(value buf, intnat off, intnat km,
   double *s = (double *)buf + off;
   double inv = softmax_exps(s, km, prescale, Bool_val(masking));
   if (p > 0.0) {
-    uint64_t thr = drop_threshold(p);
-    for (long i = 0; i < km; i++)
-      s[i] = (s[i] * inv) * keep((uint64_t)state, e0 + i, thr, scale);
+    double m[MASK_CHUNK];
+    for (long i0 = 0; i0 < km; i0 += MASK_CHUNK) {
+      long c = km - i0 < MASK_CHUNK ? km - i0 : MASK_CHUNK;
+      keep_fill(m, c, (uint64_t)state, e0 + i0, p, scale);
+      for (long i = 0; i < c; i++) s[i0 + i] = (s[i0 + i] * inv) * m[i];
+    }
   } else {
     for (long i = 0; i < km; i++) s[i] = s[i] * inv;
   }
@@ -439,36 +489,44 @@ value substation_attn_fwd_row_byte(value *argv, int argc)
                                  Double_val(argv[7]), Double_val(argv[8]));
 }
 
-/* Backward: row r of a block of jn rows. y (at yo) is recomputed in place
-   from the raw dots; dA (at dyo) becomes dy = dA *. m; the rs fold runs
-   ascending; dS and y *. m are written transposed (column r of the [k][r]
-   panels at dso and ymo), with zeros for the keys [km, n) past the row's
-   prefix. A missing dropout is mask 1.0, and x *. 1.0 is exact. */
-value substation_attn_bwd_row(value buf, intnat yo, intnat dyo, intnat dso,
-                              intnat ymo, intnat r, intnat jn, intnat km,
+/* Backward: one row. y (at yo) is recomputed in place from the raw dots,
+   dA (at dyo) becomes dy = dA *. m and the rs fold of dy *. y runs
+   ascending; then dS = prescale *. (y *. (dy +. -1.0 *. rs)) replaces dy
+   and y *. m replaces y, with zeros for the keys [km, n) past the row's
+   prefix. The mask is drawn again for the second pass rather than
+   stored. A missing dropout is mask 1.0, and x *. 1.0 is exact. */
+value substation_attn_bwd_row(value buf, intnat yo, intnat dyo, intnat km,
                               intnat n, double prescale, value masking,
                               int64_t state, intnat e0, double p, double scale)
 {
-  double *b = (double *)buf;
-  double *y = b + yo, *dy = b + dyo, *ds = b + dso + r, *ym = b + ymo + r;
+  double *y = (double *)buf + yo, *dy = (double *)buf + dyo;
   double inv = softmax_exps(y, km, prescale, Bool_val(masking));
-  int drop = p > 0.0;
-  uint64_t thr = drop ? drop_threshold(p) : 0;
+  double m[MASK_CHUNK];
   double rs = 0.0;
-  for (long kk = 0; kk < km; kk++) {
-    double m = drop ? keep((uint64_t)state, e0 + kk, thr, scale) : 1.0;
-    double yk = y[kk] * inv;
-    double dyk = dy[kk] * m;
-    y[kk] = yk;
-    dy[kk] = dyk;
-    ym[kk * jn] = yk * m;
-    rs = rs + dyk * yk;
+  for (long k0 = 0; k0 < km; k0 += MASK_CHUNK) {
+    long c = km - k0 < MASK_CHUNK ? km - k0 : MASK_CHUNK;
+    mask_chunk(m, c, (uint64_t)state, e0 + k0, p, scale);
+    for (long i = 0; i < c; i++) {
+      double yk = y[k0 + i] * inv;
+      double dyk = dy[k0 + i] * m[i];
+      y[k0 + i] = yk;
+      dy[k0 + i] = dyk;
+      rs = rs + dyk * yk;
+    }
   }
   double ns = -1.0 * rs;
-  for (long kk = 0; kk < km; kk++) ds[kk * jn] = prescale * (y[kk] * (dy[kk] + ns));
+  for (long k0 = 0; k0 < km; k0 += MASK_CHUNK) {
+    long c = km - k0 < MASK_CHUNK ? km - k0 : MASK_CHUNK;
+    mask_chunk(m, c, (uint64_t)state, e0 + k0, p, scale);
+    for (long i = 0; i < c; i++) {
+      double yk = y[k0 + i];
+      dy[k0 + i] = prescale * (yk * (dy[k0 + i] + ns));
+      y[k0 + i] = yk * m[i];
+    }
+  }
   for (long kk = km; kk < n; kk++) {
-    ds[kk * jn] = 0.0;
-    ym[kk * jn] = 0.0;
+    dy[kk] = 0.0;
+    y[kk] = 0.0;
   }
   return Val_unit;
 }
@@ -478,8 +536,25 @@ value substation_attn_bwd_row_byte(value *argv, int argc)
   (void)argc;
   return substation_attn_bwd_row(
       argv[0], Long_val(argv[1]), Long_val(argv[2]), Long_val(argv[3]),
-      Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]),
-      Long_val(argv[7]), Long_val(argv[8]), Double_val(argv[9]),
-      argv[10], Int64_val(argv[11]), Long_val(argv[12]),
-      Double_val(argv[13]), Double_val(argv[14]));
+      Long_val(argv[4]), Double_val(argv[5]), argv[6], Int64_val(argv[7]),
+      Long_val(argv[8]), Double_val(argv[9]), Double_val(argv[10]));
+}
+
+/* dst[c * rows + r] <- src[r * cols + c]: a rows x cols panel transposed,
+   writing each destination row contiguously. */
+value substation_transpose(value buf, intnat src, intnat dst, intnat rows,
+                           intnat cols)
+{
+  const double *s = (const double *)buf + src;
+  double *d = (double *)buf + dst;
+  for (long c = 0; c < cols; c++)
+    for (long r = 0; r < rows; r++) d[c * rows + r] = s[r * cols + c];
+  return Val_unit;
+}
+
+value substation_transpose_byte(value buf, value src, value dst, value rows,
+                                value cols)
+{
+  return substation_transpose(buf, Long_val(src), Long_val(dst),
+                              Long_val(rows), Long_val(cols));
 }

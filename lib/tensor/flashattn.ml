@@ -199,11 +199,12 @@ let unpack g (dst : float array) ~ns ~h ~b ~lo ~n ~nf (src : float array)
    state e0 p scale] turns the raw dots [buf.(off) .. buf.(off + km - 1)]
    of one row into probabilities in place — prescale (+. 0.0 under a
    mask), Float.max fold, exp, ascending sum, normalize — each times its
-   mask element (draws e0, e0 + 1, ...) when p > 0. [bwd_row buf yo dyo dso
-   ymo r jn km n ...] recomputes row r's y at yo the same way, turns its dA
-   at dyo into dy = dA *. m, folds rs ascending, and writes dS and y *. m
-   as column r of the [k][r] panels at dso and ymo, with zeros for the keys
-   [km, n). *)
+   mask element (draws e0, e0 + 1, ...) when p > 0. [bwd_row buf yo dyo km
+   n ...] recomputes the row's y at yo the same way, turns its dA at dyo
+   into dy = dA *. m, folds rs ascending, then leaves dS at dyo and
+   y *. m at yo, with zeros for the keys [km, n). [transpose buf src dst
+   rows cols] writes the rows x cols panel at src as its transpose at
+   dst. *)
 external fwd_row :
   float array ->
   (int[@untagged]) ->
@@ -223,10 +224,6 @@ external bwd_row :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
   (float[@unboxed]) ->
   bool ->
   (int64[@unboxed]) ->
@@ -234,6 +231,15 @@ external bwd_row :
   (float[@unboxed]) ->
   (float[@unboxed]) ->
   unit = "substation_attn_bwd_row_byte" "substation_attn_bwd_row"
+[@@noalloc]
+
+external transpose :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "substation_transpose_byte" "substation_transpose"
 [@@noalloc]
 
 (* Flat position of (h, b, jj, 0) in the (h, b, j, k) dropout stream. *)
@@ -367,15 +373,17 @@ let bwd_item g ~dgd ~dgs ~dqd ~dkd ~dvd ~h ~b =
       Gemm.gemm ~a_off:qb ~b_off:kt ~c_off:yb ~m:jn ~n ~k:np buf buf buf;
       Array.fill buf db (jn * n) 0.0;
       Gemm.gemm ~a_off:gb ~b_off:vt ~c_off:db ~m:jn ~n ~k:nw buf buf buf;
-      (* per row: y, dropout_dx, then softmax_dx, written transposed for
-         the dQ/dK/dV products *)
+      (* per row: y, dropout_dx, then softmax_dx; dS and y *. maskv are
+         then transposed for the dQ/dK/dV products *)
       for r = 0 to jn - 1 do
         let km = kmax_of g ~b ~jj:(j0 + r) and off = r * n in
-        bwd_row buf (yb + off) (db + off) dst ymt r jn km n g.prescale
-          g.masking g.drop_state
+        bwd_row buf (yb + off) (db + off) km n g.prescale g.masking
+          g.drop_state
           (stream_row g ~h ~b ~jj:(j0 + r))
           g.drop_p g.drop_scale
       done;
+      transpose buf db dst jn n;
+      transpose buf yb ymt jn n;
       Array.fill buf dqt (np * jn) 0.0;
       Gemm.gemm ~a_off:kt ~b_off:dst ~c_off:dqt ~m:np ~n:jn ~k:n buf buf buf;
       Gemm.gemm ~a_off:dst ~b_off:qb ~c_off:dk ~m:n ~n:np ~k:jn buf buf buf;
