@@ -221,7 +221,12 @@ typedef int64_t v4i __attribute__((vector_size(32)));
 #define ST(p, v) (*(v4du *)(p) = (v))
 
 #if defined(__x86_64__)
+#include <immintrin.h>
 #define VEC __attribute__((target("avx2")))
+/* Lane maxima; unordered or equal lanes take b. */
+#define VMAX(a, b) ((v4d)_mm256_max_pd((__m256d)(a), (__m256d)(b)))
+/* Whether any lane of the mask m is set. */
+#define ANY(m) (!_mm256_testz_si256((__m256i)(m), (__m256i)(m)))
 /* Set once at load time: whether the 4-lane code may run. */
 static int vec_ok;
 __attribute__((constructor)) static void elt_init(void)
@@ -232,6 +237,8 @@ __attribute__((constructor)) static void elt_init(void)
 #else
 #define VEC
 static const int vec_ok = 1;
+#define VMAX(a, b) ((v4d)(((v4i)(a) & ((a) > (b))) | ((v4i)(b) & ~((a) > (b)))))
+#define ANY(m) (((m)[0] | (m)[1] | (m)[2] | (m)[3]) != 0)
 #endif
 
 /* exp1_core on each lane, operation for operation. */
@@ -257,7 +264,7 @@ VEC INLINE v4d exp4_core(v4d x)
 VEC INLINE v4d exp4(v4d x)
 {
   v4i sp = (v4i)((((v4u)x >> 52) & 0x7ff) >= EXP_SPECIAL_TOP);
-  if (__builtin_expect((sp[0] | sp[1] | sp[2] | sp[3]) != 0, 0)) {
+  if (__builtin_expect(ANY(sp), 0)) {
     v4d y = exp4_core((v4d)((v4u)x & ~(v4u)sp));
     for (int l = 0; l < 4; l++)
       if (sp[l]) y[l] = exp_special(x[l]);
@@ -444,10 +451,9 @@ INLINE double fmax_ml(double x, double y)
   return isnan(y) ? y : x;
 }
 
-/* Raw dots s[0..km) -> unnormalized exps in place: prescale (+. 0.0
-   under a mask), max fold, exp (v + -1.0 * max), ascending sum.
-   Returns 1.0 / sum. */
-static double softmax_exps(double *s, long km, double prescale, int masking)
+/* prescale (+. 0.0 under a mask) in place; returns the Float.max fold
+   of the results from -inf, in ascending order. */
+static double scale_max1(double *s, long km, double prescale, int masking)
 {
   double mx = -INFINITY;
   for (long i = 0; i < km; i++) {
@@ -456,6 +462,59 @@ static double softmax_exps(double *s, long km, double prescale, int masking)
     s[i] = v;
     mx = fmax_ml(mx, v);
   }
+  return mx;
+}
+
+/* The same four lanes at a time. Over values that hold no NaN, the
+   Float.max fold is the maximum under the order -0 < +0 whatever the
+   grouping, and a nonzero maximum has one bit pattern. Each lane keeps
+   the maximum of its values by v > mx, which gives that maximum unless
+   some value is NaN or the maximum is a zero (where v > mx does not tell
+   -0 from +0); such a row is folded again in order. */
+VEC static double scale_max4(double *s, long km, double prescale,
+                             int masking)
+{
+  v4d mxa = (v4d){-INFINITY, -INFINITY, -INFINITY, -INFINITY}, mxb = mxa;
+  v4i nan4 = (v4i){0, 0, 0, 0};
+  long i = 0;
+  for (; i + 8 <= km; i += 8) {
+    v4d va = prescale * LD(s + i), vb = prescale * LD(s + i + 4);
+    if (masking) {
+      va = va + 0.0;
+      vb = vb + 0.0;
+    }
+    ST(s + i, va);
+    ST(s + i + 4, vb);
+    mxa = VMAX(va, mxa);
+    mxb = VMAX(vb, mxb);
+    nan4 |= (va != va) | (vb != vb);
+  }
+  mxa = VMAX(mxa, mxb);
+  double mx = -INFINITY;
+  int nan = ANY(nan4);
+  for (int l = 0; l < 4; l++)
+    if (mxa[l] > mx) mx = mxa[l];
+  for (; i < km; i++) {
+    double v = prescale * s[i];
+    if (masking) v = v + 0.0;
+    s[i] = v;
+    if (v > mx) mx = v;
+    nan |= v != v;
+  }
+  if (nan || mx == 0.0) {
+    mx = -INFINITY;
+    for (i = 0; i < km; i++) mx = fmax_ml(mx, s[i]);
+  }
+  return mx;
+}
+
+/* Raw dots s[0..km) -> unnormalized exps in place: prescale (+. 0.0
+   under a mask), max fold, exp (v + -1.0 * max), ascending sum.
+   Returns 1.0 / sum. */
+static double softmax_exps(double *s, long km, double prescale, int masking)
+{
+  double mx = vec_ok ? scale_max4(s, km, prescale, masking)
+                     : scale_max1(s, km, prescale, masking);
   return 1.0 / exp_shift_sum(s, km, -1.0 * mx);
 }
 

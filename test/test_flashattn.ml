@@ -203,6 +203,34 @@ let test_dropout_bitwise () =
   check_bool "dropout bitwise (counter-based = sequential walk)" true
     (bitwise want got)
 
+(* Rows whose scores are all zeros: each row's maximum is a zero (+0, or
+   -0 under a negative prescale), the case where the kernel's vector max
+   refolds the row in order. Both directions stay bitwise. *)
+let test_zero_score_rows () =
+  let np = 8 and nw = 8 and nh = 2 and nb = 1 and nj = 21 and nk = 19 in
+  let prng = Prng.create 71L in
+  let _, kt, vt = make_qkv prng ~np ~nw ~nh ~nb ~nj ~nk in
+  let qt = Dense.zeros [ ("p", np); ("h", nh); ("b", nb); ("j", nj) ] in
+  let d_out =
+    Dense.rand prng [ ("w", nw); ("h", nh); ("b", nb); ("j", nj) ] ~lo:(-1.0)
+      ~hi:1.0
+  in
+  List.iter
+    (fun prescale ->
+      let alpha_sm, alpha, want = oracle ~prescale ~qt ~kt ~vt ~nj ~nk () in
+      let got = Flashattn.forward ~prescale ~q:qt ~k:kt ~v:vt () in
+      check_bool (Printf.sprintf "forward, prescale %g" prescale) true
+        (bitwise want got);
+      let dq, dk, dv =
+        oracle_grads ~prescale ~qt ~kt ~vt ~alpha_sm ~alpha ~d_out ()
+      in
+      let gq, gk, gv =
+        Flashattn.backward ~prescale ~q:qt ~k:kt ~v:vt ~d_out ()
+      in
+      check_bool (Printf.sprintf "backward, prescale %g" prescale) true
+        (bitwise dq gq && bitwise dk gk && bitwise dv gv))
+    [ 0.5; -0.5 ]
+
 (* ---------------- recomputed probabilities ---------------- *)
 
 (* With d_out one-hot at (w = 0, row j0) and no dropout, dv(w = 0, k) is
@@ -527,6 +555,7 @@ let () =
           q prop_forward_bitwise;
           Alcotest.test_case "causal masking" `Quick test_causal;
           Alcotest.test_case "ragged valid lengths" `Quick test_ragged_valid;
+          Alcotest.test_case "all-zero score rows" `Quick test_zero_score_rows;
         ] );
       ( "dropout",
         [ Alcotest.test_case "counter-based mask" `Quick test_dropout_bitwise ] );
