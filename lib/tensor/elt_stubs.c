@@ -153,7 +153,7 @@ static const uint64_t tab[2 * EXP_N] = {
 #define EXP_SPECIAL_TOP 0x408
 
 /* |x| >= 512, inf and NaN. */
-static double exp_special(double x)
+INLINE double exp_special(double x)
 {
   uint64_t ix = asu64(x);
   uint64_t abstop = (ix >> 52) & 0x7ff;
@@ -260,14 +260,26 @@ VEC INLINE v4d exp4_core(v4d x)
   return scale + scale * tmp;
 }
 
-/* exp1 on each lane. */
+/* exp1 on each lane. Lanes of |x| >= 1024, infinities and NaN get
+   exp_special's results in vector form (0.0 or inf by sign, 1.0 + x for
+   NaN), so a masked row's -inf scores stay in the vector path; lanes in
+   [512, 1024) call exp_special itself. */
 VEC INLINE v4d exp4(v4d x)
 {
-  v4i sp = (v4i)((((v4u)x >> 52) & 0x7ff) >= EXP_SPECIAL_TOP);
+  v4u top = ((v4u)x >> 52) & 0x7ff;
+  v4i sp = (v4i)(top >= EXP_SPECIAL_TOP);
   if (__builtin_expect(ANY(sp), 0)) {
     v4d y = exp4_core((v4d)((v4u)x & ~(v4u)sp));
-    for (int l = 0; l < 4; l++)
-      if (sp[l]) y[l] = exp_special(x[l]);
+    v4i big = (v4i)(top >= 0x409);
+    v4u neg = (v4u)((v4i)x < 0);
+    v4u yb = ~neg & asu64(INFINITY);
+    v4i nan = x != x;
+    yb = ((v4u)(1.0 + x) & (v4u)nan) | (yb & ~(v4u)nan);
+    y = (v4d)((yb & (v4u)big) | ((v4u)y & ~(v4u)big));
+    v4i mid = sp & ~big;
+    if (ANY(mid))
+      for (int l = 0; l < 4; l++)
+        if (mid[l]) y[l] = exp_special(x[l]);
     return y;
   }
   return exp4_core(x);

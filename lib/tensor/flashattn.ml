@@ -10,7 +10,7 @@
      S        = Q_blk . K^T                  (ascending p)
      score    = prescale *. S  [+. 0.0 under a mask]
      max      = Float.max fold, ascending k
-     exp      = exp (score +. (-1.0 *. max))
+     exp      = Fmath.exp (score +. (-1.0 *. max))
      sum      = ascending-k fold from 0.0
      alpha    = (exp *. (1.0 /. sum)) [*. maskv]
      O_blk    = alpha . V                    (ascending k)
@@ -26,7 +26,16 @@
      dV      += (y *. maskv)^T . dO_blk      (ascending j)
 
    — so the forward is bitwise equal to the oracle, and the backward feeds
-   the oracle's softmax_dx the oracle's own values. dK and dV carry across
+   the oracle's softmax_dx the oracle's own values. The per-score steps
+   between the GEMMs (score to alpha forward; y, dy, rs, dS and
+   y *. maskv backward) are C row kernels (elt_stubs.c: [fwd_row],
+   [bwd_row]) built without FMA contraction, with the same operations in
+   the same order: the exp is the library's one ({!Fmath.exp}'s 4-lane
+   form, bitwise its scalar form, which the naive softmax calls), the
+   mask elements are {!Prng.keep_fill}'s draws, and the max fold runs in
+   vector lanes only where that cannot change its result. The backward
+   kernel leaves dS and y *. maskv row-major, and one transpose per block
+   writes the [k][r] panels the dQ/dK/dV products read. dK and dV carry across
    blocks, so their sums run over all rows in ascending j. Products
    commute, so the operand order inside a GEMM product does not matter.
 

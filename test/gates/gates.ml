@@ -80,10 +80,53 @@ let gate_fast_vs_naive run ~label =
     (Printf.sprintf "%.2fx (fast %.1f ms, naive %.1f ms)" speedup
        (fast_s *. 1e3) (naive_s *. 1e3))
 
+(* The parallel floor's encoder: large enough that regions shard at 2
+   domains. Its lin1 GEMM (ff 256 x batch*seq 64 x embed 64 = 2^20
+   multiply-adds) clears [Gemm.par_min_work] (2^18), and its ff-sized
+   element-wise chains (256 x 64 = 16,384 elements) clear
+   [Ops.Fastpath.par_min_work] (8,192); [smoke_hp]'s largest container holds
+   2,048 elements, so nothing there shards and a floor over it would time
+   the same serial work twice. *)
+let par_hp =
+  { smoke_hp with H.seq = 32; embed = 64; proj = 16; ff = 256 }
+
+(* Whether the fused program of [hp] has a GEMM (one part of it) of at
+   least [Gemm.par_min_work] multiply-adds and an element-wise or
+   normalization op over at least [Ops.Fastpath.par_min_work] elements. *)
+let shards_at_two_domains hp =
+  let program =
+    Substation.Fusion.fuse ~name_table:Transformer.Encoder.kernel_names
+      (Transformer.Encoder.program hp)
+  in
+  let volume c =
+    List.fold_left (fun v (_, d) -> v * d) 1 (Ops.Program.container_dims program c)
+  in
+  let gemm, fastpath =
+    List.fold_left
+      (fun (g, f) (op : Ops.Op.t) ->
+        match op.kind with
+        | Ops.Op.Gemm r -> (g || op.flop / (2 * r.groups) >= Gemm.par_min_work, f)
+        | Ops.Op.Map | Ops.Op.Reduce ->
+            ( g,
+              f
+              || List.exists
+                   (fun c -> volume c >= Ops.Fastpath.par_min_work)
+                   (op.reads @ op.writes) ))
+      (false, false) program.ops
+  in
+  (gemm, fastpath)
+
 (* On >= 2 cores the pooled run must be at near-parity or better with
    serial (0.95, room for timer noise); on one core the domains
-   timeshare a CPU, so only pathological overhead (< 0.4) fails. *)
-let gate_parallel_floor run =
+   timeshare a CPU, so only pathological overhead (< 0.4) fails. The
+   encoder must shard a GEMM and a Fastpath region, or the ratio measures
+   nothing. *)
+let gate_parallel_floor () =
+  let gemm, fastpath = shards_at_two_domains par_hp in
+  verdict "floor encoder shards a GEMM and a Fastpath region" (gemm && fastpath)
+    (Printf.sprintf "GEMM >= 2^18 multiply-adds %b, Fastpath >= %d elements %b"
+       gemm Ops.Fastpath.par_min_work fastpath);
+  let run = encoder_run par_hp in
   let reps = 2 in
   let serial_s = Pool.with_domains 1 (fun () -> best_of ~reps (run ~fast:true)) in
   let par_d = Int.max 2 (Pool.num_domains ()) in
@@ -224,7 +267,7 @@ let () =
   Pool.with_domains 1 (fun () -> gate_fast_vs_naive run ~label:"1 domain");
   gate_fast_vs_naive run
     ~label:(Printf.sprintf "%d domains" (Pool.num_domains ()));
-  gate_parallel_floor run;
+  gate_parallel_floor ();
   let m = decode_model () in
   gate_kv_cache m;
   gate_attention ();

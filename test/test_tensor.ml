@@ -241,11 +241,14 @@ let test_exp_edges () =
 let test_exp_array_equals_scalar () =
   let prng = Prng.create 61L in
   let pick i =
-    match i mod 13 with
+    match i mod 17 with
     | 3 -> neg_infinity
     | 5 -> 600.0
     | 7 -> -730.0
     | 11 -> nan
+    | 13 -> -1e9
+    | 14 -> infinity
+    | 16 -> 2000.0
     | _ -> Prng.uniform prng ~lo:(-60.0) ~hi:10.0
   in
   for len = 0 to 17 do
