@@ -24,13 +24,16 @@
 
    The 4-lane form (exp4) runs the same operations on each lane as the
    scalar form (exp1): with no contraction both round every step the same
-   way, so the array externals equal a loop of the scalar one bitwise. A
-   group of 4 holding a special lane runs exp_special on that lane and the
-   core on a zeroed stand-in, so the core never sees an input outside its
-   range (and never a subnormal scale). On x86-64 the 4-lane code is an
-   AVX2 function picked once at load time; a CPU without AVX2 runs the
-   scalar form on every element (as fast as glibc's scalar exp; 32-byte
-   vectors without AVX would live on the stack).
+   way, so the array externals equal a loop of the scalar one bitwise. In
+   a group of 4 holding a special lane the core runs on a zeroed stand-in
+   for it (so it never sees an input outside its range, nor makes a
+   subnormal scale) and the lane takes exp_special's result. exp_special
+   is inlined into the AVX2 code: an out-of-line call ran its SSE code
+   with the upper YMM halves dirty, at about 170 ns per lane. On x86-64
+   the 4-lane code is an AVX2 function picked once at load time; a CPU
+   without AVX2 runs the scalar form on every element (still faster than
+   glibc's scalar exp; 32-byte vectors without AVX would live on the
+   stack).
 
    The dropout draw is Prng.keep_at's splitmix64 counter draw. keep_at
    drops element i when unit_float(mix(state + (i+1)*gamma)) < p, where
