@@ -26,18 +26,21 @@
      dV      += (y *. maskv)^T . dO_blk      (ascending j)
 
    — so the forward is bitwise equal to the oracle, and the backward feeds
-   the oracle's softmax_dx the oracle's own values. The per-score steps
-   between the GEMMs (score to alpha forward; y, dy, rs, dS and
-   y *. maskv backward) are C row kernels (elt_stubs.c: [fwd_row],
-   [bwd_row]) built without FMA contraction, with the same operations in
-   the same order: the exp is the library's one ({!Fmath.exp}'s 4-lane
-   form, bitwise its scalar form, which the naive softmax calls), the
-   mask elements are {!Prng.keep_fill}'s draws, and the max fold runs in
-   vector lanes only where that cannot change its result. The backward
-   kernel leaves dS and y *. maskv row-major, and one transpose per block
-   writes the [k][r] panels the dQ/dK/dV products read. dK and dV carry across
-   blocks, so their sums run over all rows in ascending j. Products
-   commute, so the operand order inside a GEMM product does not matter.
+   the oracle's softmax_dx the oracle's own values. dK and dV carry
+   across blocks, so their sums run over all rows in ascending j.
+   Products commute, so the operand order inside a GEMM product does not
+   matter.
+
+   The per-score steps between the GEMMs (score to alpha forward; y, dy,
+   rs, dS and y *. maskv backward) are C row kernels (elt_stubs.c:
+   [fwd_row], [bwd_row]) built without FMA contraction, with the same
+   operations in the same order: the exp is the library's one
+   ({!Fmath.exp}'s 4-lane form, bitwise its scalar form, which the naive
+   softmax calls), the mask elements are {!Prng.keep_fill}'s draws, and
+   the max fold runs in vector lanes only where that cannot change its
+   result. The backward kernel leaves dS and y *. maskv row-major, and
+   one transpose per block writes the [k][r] panels the dQ/dK/dV products
+   read.
 
    A block reads the key prefix of its last row ([kmax] is nondecreasing
    in j). A row whose own prefix is shorter (under a causal mask) gets

@@ -22,10 +22,11 @@
     products) in C row kernels built without FMA contraction. Their exp is
     the library's ({!Fmath.exp}, the one the naive softmax calls; its
     4-lane array form is bitwise its scalar form), so the probabilities
-    keep the oracle's bits. dK and dV carry across blocks, so they sum over rows in
-    ascending order. A row's keys past its own causal prefix enter the
-    products as exact zeros, which change no bit. The backward recomputes
-    each row's probabilities exactly as the forward computes them.
+    keep the oracle's bits. dK and dV carry across blocks, so they sum
+    over rows in ascending order. A row's keys past its own causal prefix
+    enter the products as exact zeros, which change no bit. The backward
+    recomputes each row's probabilities exactly as the forward computes
+    them.
     Dropout is counter-based ({!Prng.keep_at}, drawn by {!Prng.keep_fill}
     in the row kernels): rows draw mask elements at arbitrary positions
     yet agree bitwise with the mask [Elementwise.dropout_mask]

@@ -99,13 +99,17 @@ let shards_at_two_domains hp =
       (Transformer.Encoder.program hp)
   in
   let volume c =
-    List.fold_left (fun v (_, d) -> v * d) 1 (Ops.Program.container_dims program c)
+    List.fold_left
+      (fun v (_, d) -> v * d)
+      1
+      (Ops.Program.container_dims program c)
   in
   let gemm, fastpath =
     List.fold_left
       (fun (g, f) (op : Ops.Op.t) ->
         match op.kind with
-        | Ops.Op.Gemm r -> (g || op.flop / (2 * r.groups) >= Gemm.par_min_work, f)
+        | Ops.Op.Gemm r ->
+            (g || op.flop / (2 * r.groups) >= Gemm.par_min_work, f)
         | Ops.Op.Map | Ops.Op.Reduce ->
             ( g,
               f

@@ -131,7 +131,8 @@ let test_gemm_workload_shapes () =
       List.iter
         (fun d ->
           let c = Array.copy c0 in
-          Pool.with_domains d (fun () -> Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c);
+          Pool.with_domains d (fun () ->
+              Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c);
           check_bool
             (Printf.sprintf "%dx%dx%d at %d domain(s) = triple loop" m n k d)
             true

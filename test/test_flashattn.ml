@@ -579,7 +579,8 @@ let () =
         ] );
       ( "scratch",
         [
-          Alcotest.test_case "peak < 12 L d_head, fwd+bwd" `Quick test_working_set;
+          Alcotest.test_case "peak < 12 L d_head, fwd+bwd" `Quick
+            test_working_set;
           Alcotest.test_case "minor words per call, fwd and bwd" `Quick
             test_allocation_budget;
         ] );

@@ -122,7 +122,8 @@ let test_nested_regions_serialize () =
 
 let gemm_at_domains d ~m ~n ~k a b =
   let c = Array.make (m * n) 0.0 in
-  Pool.with_domains d (fun () -> Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c);
+  Pool.with_domains d (fun () ->
+      Gemm.gemm ~a_off:0 ~b_off:0 ~c_off:0 ~m ~n ~k a b c);
   c
 
 let prop_gemm_parallel_bitwise =

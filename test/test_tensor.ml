@@ -146,8 +146,9 @@ let test_prng_keep_fill () =
               else -7.0
             in
             if not (Float.equal got expect) then
-              Alcotest.failf "p=%h state=%Ld e0=%d n=%d: element %d is %h, keep_at %h"
-                p state e0 n i got expect)
+              Alcotest.failf
+                "p=%h state=%Ld e0=%d n=%d: element %d is %h, keep_at %h" p
+                state e0 n i got expect)
           dst
       done)
     [ 1e-9; 0.1; 1.0 /. 3.0; 0.5; 0.999; 0.0 ]
@@ -166,7 +167,8 @@ let test_prng_keep_fill_edges () =
         Prng.keep_fill d ~at:0 ~n:1 state ~e0:i ~p ~scale:2.0;
         let expect = Prng.keep_at state i ~p ~scale:2.0 in
         check_bool (Printf.sprintf "draw %d at p=%h" i p) true
-          (Float.equal d.(0) expect && Float.equal d.(0) (if kept then 2.0 else 0.0)))
+          (Float.equal d.(0) expect
+          && Float.equal d.(0) (if kept then 2.0 else 0.0)))
       [ (u, true); (Float.succ u, false); (Float.pred u, true) ]
   done;
   (* a NaN rate drops nothing, as keep_at's comparison does *)
@@ -181,7 +183,8 @@ let test_prng_keep_fill_edges () =
 
 (* Distance in units in the last place between two finite non-negative
    floats (exp's range): the difference of their bit patterns. *)
-let ulps a b = Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b))
+let ulps a b =
+  Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b))
 
 (* The in-tree exp is within 1 ulp of glibc's (correctly rounded) exp
    over its whole finite range, subnormal results included. *)
@@ -268,7 +271,11 @@ let test_exp_array_equals_scalar () =
   (* one long array, so that lanes whose last rounding step is rarely
      decisive are sampled often enough *)
   let n = 200_000 in
-  let a = Array.init n (fun i -> if i mod 50 = 0 then pick i else Prng.uniform prng ~lo:(-745.0) ~hi:709.0) in
+  let a =
+    Array.init n (fun i ->
+        if i mod 50 = 0 then pick i
+        else Prng.uniform prng ~lo:(-745.0) ~hi:709.0)
+  in
   let b = Array.copy a in
   Fmath.exp_inplace a ~off:0 ~n;
   let bad = ref 0 in
