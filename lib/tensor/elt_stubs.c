@@ -155,6 +155,23 @@ static const uint64_t tab[2 * EXP_N] = {
    core: |x| >= 512, and inf/NaN. */
 #define EXP_SPECIAL_TOP 0x408
 
+/* The reduction and polynomial: returns tmp, with the scale's bits in
+   *sbits and the rounded k in *kp. */
+INLINE double exp_reduce(double x, uint64_t *sbits, uint64_t *kp)
+{
+  double z = INV_LN2_N * x;
+  double kd = z + SHIFT;
+  uint64_t ki = asu64(kd);
+  kd -= SHIFT;
+  double r = x + kd * NEG_LN2_HI_N + kd * NEG_LN2_LO_N;
+  uint64_t idx = 2 * (ki % EXP_N);
+  double tail = asf64(tab[idx]);
+  *sbits = tab[idx + 1] + (ki << (52 - EXP_BITS));
+  *kp = ki;
+  double r2 = r * r;
+  return tail + r + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+}
+
 /* |x| >= 512, inf and NaN. */
 INLINE double exp_special(double x)
 {
@@ -165,15 +182,8 @@ INLINE double exp_special(double x)
     if (abstop >= 0x7ff) return 1.0 + x; /* NaN stays NaN, +inf stays inf */
     return (ix >> 63) ? 0.0 : INFINITY;
   }
-  double kd = INV_LN2_N * x + SHIFT;
-  uint64_t ki = asu64(kd);
-  kd -= SHIFT;
-  double r = x + kd * NEG_LN2_HI_N + kd * NEG_LN2_LO_N;
-  uint64_t idx = 2 * (ki % EXP_N);
-  double tail = asf64(tab[idx]);
-  uint64_t sbits = tab[idx + 1] + (ki << (52 - EXP_BITS));
-  double r2 = r * r;
-  double tmp = tail + r + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+  uint64_t sbits, ki;
+  double tmp = exp_reduce(x, &sbits, &ki);
   if ((ki & 0x80000000) == 0) { /* k > 0: the scale alone may overflow */
     double scale = asf64(sbits - (1009ull << 52));
     return 0x1p1009 * (scale + scale * tmp);
@@ -194,16 +204,8 @@ INLINE double exp_special(double x)
 /* The core for |x| < 512: every result is a normal number. */
 INLINE double exp1_core(double x)
 {
-  double z = INV_LN2_N * x;
-  double kd = z + SHIFT;
-  uint64_t ki = asu64(kd);
-  kd -= SHIFT;
-  double r = x + kd * NEG_LN2_HI_N + kd * NEG_LN2_LO_N;
-  uint64_t idx = 2 * (ki % EXP_N);
-  double tail = asf64(tab[idx]);
-  uint64_t sbits = tab[idx + 1] + (ki << (52 - EXP_BITS));
-  double r2 = r * r;
-  double tmp = tail + r + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+  uint64_t sbits, ki;
+  double tmp = exp_reduce(x, &sbits, &ki);
   double scale = asf64(sbits);
   return scale + scale * tmp;
 }
