@@ -11,9 +11,12 @@
     and [exp 0.0 = exp (-0.0) = 1.0]. Results are not libm's bits: they
     differ from glibc's in the last place on some inputs. *)
 
-val exp : float -> float
+external exp : float -> float = "substation_exp_byte" "substation_exp"
+[@@unboxed] [@@noalloc]
 (** [exp x]: the scalar form, an unboxed [noalloc] external (one direct
-    C call, like [Stdlib.exp]). *)
+    C call, like [Stdlib.exp]). It is declared [external] here, not
+    [val]: under [-opaque] a [val] is called through a closure that boxes
+    the argument and the result. *)
 
 val exp_inplace : float array -> off:int -> n:int -> unit
 (** [exp_inplace a ~off ~n] replaces [a.(off) .. a.(off + n - 1)] by
