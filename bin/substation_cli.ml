@@ -331,7 +331,7 @@ let train steps lr checkpoint resume interrupt_after =
         (Option.value interrupt_after ~default:0)
         path path
 
-let resilience_demo hp mha flash_attn exec_rate seed deadline_ms
+let resilience_demo hp mha exec_rate seed deadline_ms
     kernel_timeout_ms no_fallback retries =
   let program = program_of ~mha hp in
   let plan =
@@ -379,8 +379,7 @@ let resilience_demo hp mha flash_attn exec_rate seed deadline_ms
         Guard.with_level guard (fun () ->
             Frameworks.Executor.run ~resilience
               ~check:Frameworks.Executor.No_check
-              (Compile.Regime.current ~attention:flash_attn ())
-              plan inputs))
+              (Compile.Regime.current ()) plan inputs))
   in
   Format.printf "%a@." Frameworks.Executor.pp_run_report report;
   (match report.Frameworks.Executor.rr_quarantine with
@@ -474,13 +473,13 @@ let serve hp trace_spec max_batch max_delay_ms queue_cap deadline_ms real
     (Serve.Metrics.quantile mt.Serve.Metrics.latency 0.5 *. 1e3)
     (Serve.Metrics.quantile mt.Serve.Metrics.latency 0.99 *. 1e3)
 
-(* [compile]: lower a program through the staged pipeline and report the
+(* [compile]: lower a program through the fixed pipeline and report the
    plan — per-pass stats, cache behavior, optional
    per-stage SDFG export and bitwise verification against the uncompiled
    interpreter. *)
-let compile_run hp mha flash_attn do_verify show_trace dot_dir =
+let compile_run hp mha do_verify show_trace dot_dir =
   let keep_stages = dot_dir <> None in
-  let regime = Compile.Regime.current ~attention:flash_attn () in
+  let regime = Compile.Regime.current () in
   let go () =
     Compile.Compiled.compile ~name_table:(table_of ~mha) ~verify:do_verify
       ~keep_stages regime (program_of ~mha hp)
@@ -769,11 +768,11 @@ let dot_dir_arg =
 
 let compile_cmd =
   cmd "compile"
-    "Lower a program through the staged compiler pipeline (canonicalize, \
-     DCE/CSE, attention windowing, fusion, memory planning) and report the \
-     cached plan."
+    "Lower a program through the compiler's fixed pipeline (canonicalize, \
+     attention windowing, fusion, memory planning) and report the cached \
+     plan. Attention windows form wherever the pattern matches."
     Term.(
-      const compile_run $ hp_arg $ mha_arg $ flash_attn_arg $ verify_arg
+      const compile_run $ hp_arg $ mha_arg $ verify_arg
       $ compile_trace_arg $ dot_dir_arg)
 
 let env_cmd =
@@ -975,7 +974,7 @@ let resilience_cmd =
      guarded kernels fall back to the naive oracle and the result is \
      checked bitwise against a clean oracle run."
     Term.(
-      const resilience_demo $ hp_arg $ mha_arg $ flash_attn_arg $ exec_rate_arg
+      const resilience_demo $ hp_arg $ mha_arg $ exec_rate_arg
       $ fault_seed_arg $ deadline_ms_arg $ kernel_timeout_ms_arg
       $ no_fallback_arg $ retries_arg)
 

@@ -1,4 +1,4 @@
-(* First-class compiled plans: the pass manager, the verified lowering,
+(* First-class compiled plans: the fixed lowering, its verification,
    the LRU plan cache, and the single executor every consumer
    (Executor.run, Transformer.Model, Serve, the CLI) funnels through. *)
 
@@ -147,22 +147,8 @@ let cache_key_of ~fingerprint ~regime ~name_table =
 let build ~name_table ~verify ?verify_inputs ~keep_stages ~fingerprint
     ~cache_key regime source =
   incr compiles;
-  let ctx = Pass.make_ctx ~name_table regime in
-  let interim ~program ~trace ~stages =
-    {
-      source;
-      program;
-      regime;
-      fingerprint;
-      cache_key;
-      trace = List.rev trace;
-      memplan = ctx.Pass.memplan;
-      attn_sites = ctx.Pass.attn_sites;
-      stages = List.rev stages;
-      verified = false;
-    }
-  in
-  let reference_and_inputs =
+  let keep = regime.Regime.keep in
+  let check =
     if not verify then None
     else begin
       let inputs =
@@ -172,49 +158,75 @@ let build ~name_table ~verify ?verify_inputs ~keep_stages ~fingerprint
       in
       (* The uncompiled interpreter is the verification oracle: the source
          program run op-for-op under the ambient backend mode. *)
-      let snapshot = Hashtbl.copy (Ops.Program.run source inputs) in
-      let outputs = Passes.live_out ~keep:regime.Regime.keep source in
-      Some (snapshot, outputs, inputs)
+      let reference = Hashtbl.copy (Ops.Program.run source inputs) in
+      Some (reference, Passes.live_out ~keep source, inputs)
     end
   in
-  let program, trace, stages =
-    List.fold_left
-      (fun (p, trace, stages) (pass : Pass.t) ->
-        if not (pass.p_enabled ctx) then (p, trace, stages)
-        else begin
-          ctx.Pass.note <- "";
-          let before = List.length p.Ops.Program.ops in
-          let t0 = Pool.now () in
-          let p' = pass.p_rewrite ctx p in
-          let elapsed = Pool.now () -. t0 in
-          incr pass_runs_counter;
-          let stat =
-            {
-              Pass.st_pass = pass.p_name;
-              st_ops_before = before;
-              st_ops_after = List.length p'.Ops.Program.ops;
-              st_peak_floats =
-                (match ctx.Pass.peak_override with
-                | Some n -> n
-                | None -> Pass.naive_peak_floats p');
-              st_elapsed = elapsed;
-              st_note = ctx.Pass.note;
-            }
-          in
-          let stages =
-            if keep_stages then (pass.p_name, p') :: stages else stages
-          in
-          (match reference_and_inputs with
-          | Some (reference, outputs, inputs) ->
-              verify_stage ~pass_name:pass.p_name ~reference ~outputs
-                (interim ~program:p' ~trace:(stat :: trace) ~stages)
-                inputs
-          | None -> ());
-          (p', stat :: trace, stages)
-        end)
-      (source, [], []) Passes.pipeline
+  (* [stage name pass plan] runs one pass over the plan so far, appends
+     its trace row and, under [~verify], checks the result bitwise. *)
+  let stage name pass (plan : plan) =
+    let t0 = Pool.now () in
+    let plan', note = pass plan in
+    let elapsed = Pool.now () -. t0 in
+    incr pass_runs_counter;
+    let ops (p : plan) = List.length p.program.Ops.Program.ops in
+    let stat =
+      {
+        Pass.st_pass = name;
+        st_ops_before = ops plan;
+        st_ops_after = ops plan';
+        st_peak_floats =
+          (match plan'.memplan with
+          | Some mp -> (Ops.Memplan.stats mp).Ops.Memplan.plan_peak_floats
+          | None -> Pass.naive_peak_floats plan'.program);
+        st_elapsed = elapsed;
+        st_note = note;
+      }
+    in
+    let plan' =
+      {
+        plan' with
+        trace = plan.trace @ [ stat ];
+        stages =
+          (if keep_stages then plan.stages @ [ (name, plan'.program) ]
+           else plan.stages);
+      }
+    in
+    (match check with
+    | Some (reference, outputs, inputs) ->
+        verify_stage ~pass_name:name ~reference ~outputs plan' inputs
+    | None -> ());
+    plan'
   in
-  let plan = interim ~program ~trace ~stages in
+  (* a pass whose only artifact is the rewritten program *)
+  let rewrite f (plan : plan) =
+    let p, note = f plan.program in
+    ({ plan with program = p }, note)
+  in
+  let plan =
+    {
+      source;
+      program = source;
+      regime;
+      fingerprint;
+      cache_key;
+      trace = [];
+      memplan = None;
+      attn_sites = [];
+      stages = [];
+      verified = false;
+    }
+    |> stage "canonicalize" (rewrite Passes.canonicalize)
+    |> stage "attention-window" (fun plan ->
+           let (p, sites), note =
+             Passes.attention_window ~name_table ~keep plan.program
+           in
+           ({ plan with program = p; attn_sites = sites }, note))
+    |> stage "fusion" (rewrite (Passes.fusion ~name_table ~keep))
+    |> stage "memory-plan" (fun plan ->
+           let mp, note = Passes.memory_plan ~keep plan.program in
+           ({ plan with memplan = Some mp }, note))
+  in
   { plan with verified = verify }
 
 let compile ?device:_ ?(name_table = []) ?params:_ ?(verify = false)

@@ -1,15 +1,14 @@
 (** First-class compiled plans.
 
-    [compile regime program] lowers a program through the standard pass
-    pipeline ({!Passes.pipeline}) and returns a {!plan}: the staged
-    program plus every non-program artifact the passes produced — the
-    static memory plan, recognized attention windows, and a per-pass
-    stats trace. Plans are cached in an LRU keyed by (structural program
-    fingerprint x regime x name table), so consumers that rebuild
-    structurally-identical programs
-    every step (the training loop, serving sessions) compile once and
-    execute many: a cache hit re-runs zero passes (observable through
-    {!pass_runs}).
+    [compile regime program] lowers a program through one fixed sequence
+    of passes ({!Passes}: canonicalize, attention windowing, fusion,
+    memory planning) and returns a {!plan}: the staged program plus every
+    non-program artifact the passes produced — the static memory plan,
+    recognized attention windows, and a per-pass stats trace. Plans are
+    cached in an LRU keyed by (structural program fingerprint x regime x
+    name table), so a caller that rebuilds a structurally identical
+    program compiles it once: a cache hit re-runs zero passes (observable
+    through {!pass_runs}).
 
     [~verify:true] proves the lowering: after {e every} pass the staged
     program is executed and checked against the uncompiled interpreter
@@ -24,8 +23,10 @@ type plan = {
   regime : Regime.t;
   fingerprint : string;
   cache_key : string;
-  trace : Pass.stat list;  (** one entry per executed pass, in order *)
+  trace : Pass.stat list;  (** one row per pipeline stage, in order *)
   memplan : Ops.Memplan.t option;
+      (** [Some] in every returned plan; [None] only while verification
+          runs the stages before memory planning *)
   attn_sites : Substation.Fusion.attn_site list;
   stages : (string * Ops.Program.t) list;  (** with [~keep_stages] *)
   verified : bool;

@@ -5,8 +5,10 @@
    full declarative [Op.sem] (including dropout probabilities, seeds, and
    stream keys). Two programs with equal fingerprints are semantically
    interchangeable for the plan cache even when their [run] closures are
-   distinct physical values — exactly the situation when a model rebuilds
-   the same per-layer program every step. *)
+   distinct physical values: a caller that rebuilds a program and compiles
+   it again (perfbench's per-step encoder compile, every [Executor.run])
+   hits the plan of the first build. [Transformer.Model] holds its plans
+   and does not look them up per step. *)
 
 let dims buf ds =
   List.iter (fun (a, n) -> Printf.bprintf buf "%s:%d," a n) ds

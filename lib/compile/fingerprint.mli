@@ -6,8 +6,9 @@
     full declarative [Op.sem] (dropout probabilities, seeds, and stream
     keys included). Programs with equal fingerprints are semantically
     interchangeable even when their [run] closures are distinct physical
-    values — the situation when a model rebuilds the same per-layer
-    program every step. *)
+    values, so a rebuilt program that is compiled again (perfbench's
+    per-step encoder compile, every [Executor.run]) hits the plan of the
+    first build. *)
 
 val of_program : Ops.Program.t -> string
 

@@ -1,6 +1,5 @@
-(* The typed pass interface: a named rewrite over [Ops.Program.t],
-   threaded through a mutable compilation context that accumulates the
-   non-program plan artifacts (attention sites, the memory plan). *)
+(* One row of a plan's pass trace, and the allocate-everything peak the
+   rows before memory planning report. *)
 
 type stat = {
   st_pass : string;
@@ -10,32 +9,6 @@ type stat = {
                             from memory planning on, the planned peak *)
   st_elapsed : float;  (* seconds spent in the rewrite *)
   st_note : string;  (* pass-specific: windows found, peak drop, ... *)
-}
-
-type ctx = {
-  regime : Regime.t;
-  name_table : (string list * string) list;
-  mutable attn_sites : Substation.Fusion.attn_site list;
-  mutable memplan : Ops.Memplan.t option;
-  mutable note : string;  (* the running pass's [st_note] *)
-  mutable peak_override : int option;  (* the planned peak once memory
-                                          planning has run *)
-}
-
-let make_ctx ?(name_table = []) regime =
-  {
-    regime;
-    name_table;
-    attn_sites = [];
-    memplan = None;
-    note = "";
-    peak_override = None;
-  }
-
-type t = {
-  p_name : string;
-  p_enabled : ctx -> bool;
-  p_rewrite : ctx -> Ops.Program.t -> Ops.Program.t;
 }
 
 (* Allocate-everything resident set: every declared container some op

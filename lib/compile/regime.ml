@@ -3,12 +3,7 @@
    kernels read those at run time, so one plan serves every execution
    mode. *)
 
-type t = {
-  attention : bool;  (* recognize streaming-attention windows *)
-  keep : string list;  (* containers the caller reads from the env *)
-}
+type t = { keep : string list  (* containers the caller reads from the env *) }
 
-let current ?(attention = true) ?(keep = []) () = { attention; keep }
-
-let key t =
-  Printf.sprintf "attn=%b;keep=%s" t.attention (String.concat "," t.keep)
+let current ?(keep = []) () = { keep }
+let key t = "keep=" ^ String.concat "," t.keep

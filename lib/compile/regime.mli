@@ -6,17 +6,18 @@
     one plan executes under any of them. *)
 
 type t = {
-  attention : bool;  (** recognize streaming-attention windows *)
   keep : string list;  (** containers the caller reads from the env *)
 }
 
-(** The full pipeline: DCE/CSE, attention windowing (when [attention],
-    default [true]), fusion and memory planning. The memory plan drops
-    each intermediate after its last use, so only [keep] + terminal
-    outputs survive in the returned environment. Every [keep] container survives, fused or not: fusion
-    treats it as read outside its group, and no attention window forms
-    around it. *)
-val current : ?attention:bool -> ?keep:string list -> unit -> t
+(** Every plan runs the same pipeline ({!Passes}): canonicalize,
+    attention windowing, fusion and memory planning. The memory plan
+    drops each intermediate after its last use, so only [keep] + terminal
+    outputs survive in the returned environment. Every [keep] container
+    survives, fused or not: fusion treats it as read outside its group,
+    and no attention window forms around it. A streaming window forms
+    wherever the attention pattern matches and [keep] names none of its
+    score containers. *)
+val current : ?keep:string list -> unit -> t
 
 (** Canonical cache-key rendering. *)
 val key : t -> string

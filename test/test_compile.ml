@@ -26,9 +26,9 @@ let layer_inputs hp seed =
   let d_y = Transformer.Params.random_cotangent hp prng in
   ("x", x) :: ("d_y", d_y) :: params
 
-let compile_current ?(attention = true) program =
+let compile_current ?keep program =
   Compile.Compiled.compile ~name_table:Transformer.Encoder.kernel_names
-    (Compile.Regime.current ~attention ())
+    (Compile.Regime.current ?keep ())
     program
 
 (* ---------------- verified lowering: the property test --------------- *)
@@ -48,10 +48,12 @@ let verify_program ?keep ?(extra_inputs = []) ~name hp program =
       program
   in
   check_bool (name ^ ": verified") true plan.Compile.Compiled.verified;
-  check_bool
-    (name ^ ": every pass traced")
-    true
-    (List.length plan.Compile.Compiled.trace >= 5);
+  Alcotest.(check (list string))
+    (name ^ ": one row per pipeline stage, in order")
+    [ "canonicalize"; "attention-window"; "fusion"; "memory-plan" ]
+    (List.map
+       (fun (s : Compile.Pass.stat) -> s.st_pass)
+       plan.Compile.Compiled.trace);
   (* the memory-plan row, and any row after it, reports the planned peak
      instead of falling back to the allocate-everything sum *)
   let planned =
@@ -175,6 +177,31 @@ let test_verified_guard_fallback () =
                (Transformer.Encoder.program tiny))));
   Guard.reset ()
 
+(* The keep set alone decides whether attention windows form: keeping a
+   score container (what a training forward keeps for its backward)
+   leaves the attention chain unfused, and the plan is still bitwise the
+   interpreter; keeping nothing forms the forward and backward windows. *)
+let test_keep_decides_windows () =
+  let program = Transformer.Encoder.program tiny in
+  let inputs = layer_inputs tiny 43L in
+  let kept =
+    verify_program ~keep:[ "alpha_sm" ] ~name:"keep alpha_sm" tiny program
+  in
+  check_int "keep alpha_sm: no attention window" 0
+    (List.length kept.Compile.Compiled.attn_sites);
+  let oracle = Ops.Program.run program inputs in
+  let env = Compile.Compiled.execute kept inputs in
+  List.iter
+    (fun c ->
+      check_bool
+        (Printf.sprintf "keep alpha_sm: %s bitwise equal to the interpreter" c)
+        true
+        (bits_equal (Ops.Op.lookup oracle c) (Ops.Op.lookup env c)))
+    [ "y"; "d_x"; "alpha_sm" ];
+  let plain = compile_current ~keep:[] program in
+  check_int "keep []: forward and backward windows" 2
+    (List.length plain.Compile.Compiled.attn_sites)
+
 (* ---------------- plan cache ---------------- *)
 
 let test_cache_hit_zero_reruns () =
@@ -197,10 +224,10 @@ let test_cache_hit_zero_reruns () =
         compile_current (Transformer.Encoder.program tiny))
   in
   check_bool "backend mode is not part of the key" true (naive == plan1);
-  (* a different regime (no attention windows) misses: same fingerprint,
+  (* a different regime (another keep set) misses: same fingerprint,
      different cache key *)
   let plan3 =
-    compile_current ~attention:false (Transformer.Encoder.program tiny)
+    compile_current ~keep:[ "alpha_sm" ] (Transformer.Encoder.program tiny)
   in
   check_bool "regime is part of the key" true (not (plan3 == plan1));
   check_bool "fingerprint is structural" true
@@ -486,6 +513,8 @@ let () =
           Alcotest.test_case "parallel pool" `Quick test_verified_parallel;
           Alcotest.test_case "guard fallback engaged" `Quick
             test_verified_guard_fallback;
+          Alcotest.test_case "keep decides attention windows" `Quick
+            test_keep_decides_windows;
           Alcotest.test_case "bitwise_equal: layouts, bits, shapes" `Quick
             test_bitwise_equal;
         ] );

@@ -331,7 +331,8 @@ let run_recovery_matrix ~domains () =
 (* Fused groups and attention windows drop their members' intermediates
    on every path, so the raw encoder's planned env holds the same
    containers on the fast backend, the naive one, and when the guard
-   replays every fast kernel through its oracle. *)
+   replays every fast kernel through its oracle: without windows (keeping
+   [alpha_sm] leaves the attention chain unfused) and with them. *)
 let test_env_backend_independent () =
   let plan =
     { (encoder_plan ()) with
@@ -342,11 +343,11 @@ let test_env_backend_independent () =
     List.sort compare (Hashtbl.fold (fun c _ acc -> c :: acc) env [])
   in
   List.iter
-    (fun attention ->
+    (fun keep ->
       Guard.reset ();
       let run () =
         Frameworks.Executor.run ~check:Frameworks.Executor.No_check
-          (Compile.Regime.current ~attention ())
+          (Compile.Regime.current ~keep ())
           plan inputs
       in
       let fast, _ = Fastmode.with_mode true run in
@@ -358,13 +359,15 @@ let test_env_backend_independent () =
       in
       check_bool "every fast kernel fell back" true
         (report.Frameworks.Executor.rr_fallbacks <> []);
-      let label what = Printf.sprintf "attention %b: %s" attention what in
+      let label what =
+        Printf.sprintf "keep [%s]: %s" (String.concat ";" keep) what
+      in
       Alcotest.(check (list string))
         (label "naive env = fast env") (names fast) (names naive);
       Alcotest.(check (list string))
         (label "fallback env = fast env") (names fast) (names fallback);
       Guard.reset ())
-    [ false; true ]
+    [ [ "alpha_sm" ]; [] ]
 
 (* Guard.protected alone picks the backend: on the naive one it runs
    each kernel's oracle directly, so a campaign that crashes every fast
