@@ -144,12 +144,6 @@ let with_scratch t n f =
   let buf = borrow t n in
   Fun.protect ~finally:(fun () -> release t buf) (fun () -> f buf)
 
-(* Buffers are reused dirty; callers that accumulate must clear first. *)
-let with_zeroed t n f =
-  with_scratch t n (fun buf ->
-      Array.fill buf 0 n 0.0;
-      f buf)
-
 (* Drop every pooled buffer on the calling domain. Used by the kernel
    guard before an oracle fallback re-run: a fast kernel that crashed
    mid-pack has returned its scratch (borrows are [Fun.protect]ed), but

@@ -20,10 +20,7 @@ val create : unit -> t
 val with_scratch : t -> int -> (float array -> 'a) -> 'a
 (** [with_scratch t n f] calls [f] with a buffer of exactly [n] floats,
     returning it to the pool afterwards. Contents are {b dirty} (whatever a
-    previous borrow left); use {!with_zeroed} when accumulating. *)
-
-val with_zeroed : t -> int -> (float array -> 'a) -> 'a
-(** Like {!with_scratch} but the buffer is zero-filled first. *)
+    previous borrow left); a caller that accumulates clears it first. *)
 
 val reset : t -> unit
 (** Drop every pooled buffer on the calling domain (they become garbage;

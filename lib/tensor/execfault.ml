@@ -52,8 +52,6 @@ let with_hooks h f =
   install (Some h);
   Fun.protect ~finally:(fun () -> install None) f
 
-let active () = !installed <> None
-
 let next_instance kernel =
   Mutex.lock mutex;
   let i = match Hashtbl.find_opt counters kernel with Some i -> i | None -> 0 in

@@ -23,16 +23,11 @@ type hooks = {
       (** may poison a kernel's freshly computed output in place *)
 }
 
-val install : hooks option -> unit
-(** Install (or, with [None], remove) the process-wide hooks. Resets the
-    per-kernel instance counters so a reinstalled campaign reproduces its
-    draws exactly. *)
-
 val with_hooks : hooks -> (unit -> 'a) -> 'a
-(** Scoped {!install}: hooks active inside [f], removed afterwards
-    (exception-safe). *)
-
-val active : unit -> bool
+(** [with_hooks h f] installs [h] process-wide, runs [f] and removes the
+    hooks afterwards (exception-safe). Installing resets the per-kernel
+    instance counters, so a reinstalled campaign reproduces its draws
+    exactly. *)
 
 val enter : kernel:string -> int
 (** Guard-side entry: assign this launch an instance number and run the

@@ -50,7 +50,6 @@ let with_level l f =
 (* Fallback on/off (the resilience policy's [fallback] knob): when
    disabled, a detected failure raises instead of engaging the oracle. *)
 let state_fallback = ref true
-let fallback_enabled () = !state_fallback
 
 let with_fallback b f =
   let saved = !state_fallback in
@@ -93,11 +92,8 @@ let breaker_tbl : (string, int) Hashtbl.t = Hashtbl.create 16
 let tripped_tbl : (string, unit) Hashtbl.t = Hashtbl.create 16
 let recording : event list ref option ref = ref None
 
-let breaker_threshold = ref 3
-
-let set_breaker_threshold n =
-  if n < 1 then invalid_arg "Guard.set_breaker_threshold: threshold < 1";
-  breaker_threshold := n
+(* Consecutive failures before a kernel's breaker trips. *)
+let breaker_threshold = 3
 
 let locked f =
   Mutex.lock mutex;
@@ -127,7 +123,7 @@ let record_failure kernel reason =
         1 + Option.value (Hashtbl.find_opt breaker_tbl kernel) ~default:0
       in
       Hashtbl.replace breaker_tbl kernel fails;
-      if fails >= !breaker_threshold then Hashtbl.replace tripped_tbl kernel ())
+      if fails >= breaker_threshold then Hashtbl.replace tripped_tbl kernel ())
 
 let note_success kernel =
   locked (fun () ->
@@ -216,7 +212,7 @@ let protected ~kernel ~outputs ~fallback fast =
         | _ -> ());
         let reason = reason_of e in
         record_failure kernel reason;
-        if fallback_enabled () then begin
+        if !state_fallback then begin
           note_fallback kernel reason;
           (* Drop this domain's scratch pools: a kernel that died while
              packing must not hand half-written buffers to the oracle. *)

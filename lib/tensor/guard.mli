@@ -11,8 +11,8 @@
     computation is transparently re-executed through the fallback closure
     — degrading throughput, never correctness. Engaged fallbacks are tallied in the
     quarantine registry and, within a recording scope, reported as
-    {!event}s; a kernel that fails repeatedly trips a per-kernel circuit
-    breaker that routes every subsequent launch straight to the oracle.
+    {!event}s; a kernel that fails three times in a row trips a
+    per-kernel circuit breaker that routes every subsequent launch straight to the oracle.
 
     The ambient level defaults to [Exceptions] and can be set process-wide
     with the [SUBSTATION_GUARD] environment variable
@@ -38,8 +38,6 @@ val set_level : level -> unit
 val with_level : level -> (unit -> 'a) -> 'a
 (** Scoped {!set_level}, exception-safe. *)
 
-val fallback_enabled : unit -> bool
-
 val with_fallback : bool -> (unit -> 'a) -> 'a
 (** Scoped fallback switch. When disabled, a guarded failure raises
     ({!Guard_fault} for value-level faults, the original exception
@@ -51,8 +49,8 @@ val with_kernel_timeout : float option -> (unit -> 'a) -> 'a
     therefore clipped by, any ambient run deadline). *)
 
 exception Guard_fault of { kernel : string; reason : string }
-(** Raised in place of a fallback when {!fallback_enabled} is false and
-    the failure was a value-level fault (NaN/Inf scan hit), which has no
+(** Raised in place of a fallback when {!with_fallback} has disabled it
+    and the failure was a value-level fault (NaN/Inf scan hit), which has no
     original exception to re-raise. *)
 
 (** {1 Quarantine and circuit breakers} *)
@@ -64,10 +62,6 @@ val quarantine : unit -> entry list
 
 val tripped : string -> bool
 (** Whether the kernel's circuit breaker is open. *)
-
-val set_breaker_threshold : int -> unit
-(** Consecutive failures before a kernel's breaker trips (default 3).
-    Raises [Invalid_argument] below 1. *)
 
 val reset : unit -> unit
 (** Clear the quarantine registry and close all circuit breakers. *)
