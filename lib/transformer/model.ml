@@ -205,7 +205,7 @@ let cross_entropy ~logits ~targets =
 
 let update_in_place p g ~lr =
   let pd = Dense.unsafe_data p and gd = Dense.unsafe_data (Dense.align g p) in
-  Array.iteri (fun i v -> pd.(i) <- v -. (lr *. gd.(i))) (Array.copy pd)
+  Array.iteri (fun i v -> pd.(i) <- v -. (lr *. gd.(i))) pd
 
 (* [f p g name layer] for every layer parameter [p] with a gradient [g]. *)
 let iter_layer_grads m grads f =
