@@ -417,7 +417,8 @@ let kernel_names =
   [
     ([ "bias_q"; "bias_k"; "bias_v" ], "AIB");
     ([ "softmax"; "attn_dropout" ], "SM");
-    (* streaming-attention windows (only formed under ~attention:true) *)
+    (* streaming-attention windows (the compiler's attention-window pass,
+       or [Fusion.fuse ~attention:true]) *)
     ([ "qkt"; "softmax"; "attn_dropout"; "gamma" ], "ATTN");
     ( [ "gamma_dx1"; "gamma_dx2"; "attn_dropout_dx"; "softmax_dx"; "qkt_dx1";
         "qkt_dx2" ],

@@ -1,8 +1,8 @@
 (* Wall-clock gates: the timing ratios that `dune runtest` must never
-   depend on. Each gate keeps the hyperparameters, repetitions and bound
-   it was introduced with; every correctness property behind them
-   (bitwise decode, streaming attention == the unfused chain, planned ==
-   unplanned, the attention working set) is a tier-1 test.
+   depend on. Each gate keeps the bound it was introduced with; every
+   correctness property behind them (bitwise decode, streaming attention
+   == the unfused chain, planned == unplanned, the attention working set)
+   is a tier-1 test.
 
    Run with: dune exec test/gates/gates.exe   (or: make gates)
 
